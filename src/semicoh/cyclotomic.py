@@ -61,6 +61,18 @@ def cyclotomic_polynomial(d: int) -> IntPolynomial:
     return poly
 
 
+def companion_of_cyclotomic(d: int) -> IntMatrix:
+    """Companion matrix of Phi_d: an integer matrix of order d."""
+    poly = cyclotomic_polynomial(d)
+    k = poly.degree
+    out = [[0] * k for _ in range(k)]
+    for i in range(1, k):
+        out[i][i - 1] = 1
+    for i in range(k):
+        out[i][k - 1] = -poly.coeffs[i]
+    return IntMatrix(out)
+
+
 @dataclass(frozen=True)
 class CyclotomicCensus:
     """Multiplicity of Phi_d in a characteristic polynomial, for d | m."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cyclotomic import companion_of_cyclotomic
 from .groups import GroupSpec
 from .intmat import IntMatrix
 
@@ -22,19 +23,6 @@ FLAGSHIP_MATRIX = IntMatrix(
         [0, 0, 0, 1, -1],
     ]
 )
-
-
-def companion_of_cyclotomic(d: int) -> IntMatrix:
-    from .cyclotomic import cyclotomic_polynomial
-
-    poly = cyclotomic_polynomial(d)
-    k = poly.degree
-    out = [[0] * k for _ in range(k)]
-    for i in range(1, k):
-        out[i][i - 1] = 1
-    for i in range(k):
-        out[i][k - 1] = -poly.coeffs[i]
-    return IntMatrix(out)
 
 
 @dataclass(frozen=True)

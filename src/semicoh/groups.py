@@ -26,6 +26,7 @@ from functools import lru_cache
 from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
+    companion_of_cyclotomic,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    block_diagonal,
     det,
     invariant_factors,
     kernel_basis,
@@ -96,16 +98,6 @@ def validate(spec: GroupSpec) -> GroupSpec:
     if not (spec.phi ** spec.m).is_identity():
         raise WrongOrder(f"phi^{spec.m} is not the identity")
     return spec
-
-
-def matrix_order_of(spec: GroupSpec) -> int:
-    """Multiplicative order of phi (divides m once validated)."""
-    power = IntMatrix.identity(spec.n)
-    for k in range(1, spec.m + 1):
-        power = power @ spec.phi
-        if power.is_identity():
-            return k
-    raise WrongOrder(f"phi^{spec.m} is not the identity")
 
 
 # ---------------------------------------------------------------------------
@@ -190,25 +182,9 @@ def _cyclic_counts(psi: IntMatrix, p: int):
 
 def _companion_of_census(census: CyclotomicCensus) -> IntMatrix:
     """Block-diagonal companion matrix realizing an eigenvalue census."""
-    blocks: list[IntMatrix] = []
-    for d, mu in census.multiplicities:
-        poly = cyclotomic_polynomial(d)
-        k = poly.degree
-        comp = [[0] * k for _ in range(k)]
-        for i in range(1, k):
-            comp[i][i - 1] = 1
-        for i in range(k):
-            comp[i][k - 1] = -poly.coeffs[i]
-        blocks.extend([IntMatrix(comp)] * mu)
-    size = sum(b.rows for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[offset + i][offset + j] = b.data[i][j]
-        offset += b.rows
-    return IntMatrix(out)
+    return block_diagonal(
+        [companion_of_cyclotomic(d) for d, mu in census.multiplicities for _ in range(mu)]
+    )
 
 
 def _restrict_or_companion(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus):

@@ -1,31 +1,19 @@
 """Exact arbitrary-precision integer matrix algebra.
 
 Everything here is integer arithmetic; no floating point anywhere.
-Hot paths (products, Smith elimination) run on int64 numpy arrays while
-every entry provably fits, and fall back to pure-Python big integers the
-moment a bound check fails, so results are exact in all cases.
+Smith elimination runs on pure-Python big integers only.  Matrix
+products use int64 numpy arrays only when the bound
+inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
+big integers otherwise, so results are exact in all cases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
-
-import numpy as np
 
 from .errors import DegreeOutOfRange, NotASublattice, NotSquare, NotUnimodular
 from .intpoly import IntPolynomial
-
-# int64 stays exact while |entries| < 2**26 through one elimination round
-# (quotient * entry products < 2**52, and row sums over <= 2**9 terms
-# stay below 2**62).
-_NP_SAFE = 1 << 26
-_NP_MIN_DIM = 24
-
-
-class _Int64Risk(Exception):
-    """Raised internally when an int64 fast path can no longer be trusted."""
 
 
 def _xgcd(a: int, b: int):
@@ -151,6 +139,18 @@ class IntMatrix:
         return result
 
 
+def block_diagonal(blocks) -> IntMatrix:
+    """Square blocks placed along the diagonal, zeros elsewhere."""
+    size = sum(b.rows for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out[offset + i][offset : offset + b.cols] = row
+        offset += b.rows
+    return IntMatrix(out)
+
+
 def _matmul(a, b):
     """Exact product of two list-of-row matrices, numpy-accelerated."""
     inner = len(b)
@@ -159,6 +159,10 @@ def _matmul(a, b):
     amax = max((abs(x) for row in a for x in row), default=0)
     bmax = max((abs(x) for row in b for x in row), default=0)
     if min(len(a), inner, len(b[0])) >= 4 and inner * amax * bmax < (1 << 62):
+        # imported here so that callers which never take this branch
+        # (the CLI on small fixtures) do not pay for loading numpy
+        import numpy as np
+
         out = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
         return out.tolist()
     bt = list(zip(*b))
@@ -187,8 +191,8 @@ class SmithDecomposition:
         return tuple(x for x in self.diagonal if x != 0)
 
 
-class _PySmith:
-    """Reference big-integer elimination with optional transform tracking."""
+class _Smith:
+    """Big-integer Smith elimination with optional transform tracking."""
 
     def __init__(self, data, m, n, need_u, need_uinv, need_v):
         self.m, self.n = m, n
@@ -351,148 +355,9 @@ class _PySmith:
                 self.row_negate(i)
 
 
-class _NpSmith:
-    """int64 mirror of _PySmith; raises _Int64Risk before any overflow."""
-
-    def __init__(self, data, m, n, need_u, need_uinv, need_v):
-        self.m, self.n = m, n
-        self.a = np.array(data, dtype=np.int64).reshape(m, n)
-        self.u = np.eye(m, dtype=np.int64) if need_u else None
-        self.uinv = np.eye(m, dtype=np.int64) if need_uinv else None
-        self.v = np.eye(n, dtype=np.int64) if need_v else None
-        if self.a.size and abs(self.a).max() >= _NP_SAFE:
-            raise _Int64Risk
-
-    def _check(self):
-        for arr in (self.a, self.u, self.uinv, self.v):
-            if arr is not None and arr.size and abs(arr).max() >= _NP_SAFE:
-                raise _Int64Risk
-
-    def run(self):
-        m, n, a = self.m, self.n, self.a
-        limit = min(m, n)
-        for k in range(limit):
-            sub = abs(a[k:, k:])
-            if not sub.any():
-                break
-            masked = np.where(sub > 0, sub, np.iinfo(np.int64).max)
-            pi, pj = np.unravel_index(np.argmin(masked), masked.shape)
-            self._row_swap(k, k + pi)
-            self._col_swap(k, k + pj)
-            while True:
-                self._check()
-                if a[k, k] < 0:
-                    self._row_negate(k)
-                piv = a[k, k]
-                col = a[k + 1 :, k]
-                nz = np.nonzero(col)[0]
-                if nz.size:
-                    idx = nz + k + 1
-                    q = col[nz] // piv
-                    a[idx] -= q[:, None] * a[k]
-                    if self.u is not None:
-                        self.u[idx] -= q[:, None] * self.u[k]
-                    if self.uinv is not None:
-                        self.uinv[:, k] += self.uinv[:, idx] @ q
-                    rem = np.nonzero(a[k + 1 :, k])[0]
-                    if rem.size:
-                        i = rem[np.argmin(abs(a[k + 1 :, k][rem]))] + k + 1
-                        self._row_swap(k, i)
-                        continue
-                row = a[k, k + 1 :]
-                nz = np.nonzero(row)[0]
-                if nz.size:
-                    idx = nz + k + 1
-                    q = row[nz] // piv
-                    a[:, idx] -= a[:, k : k + 1] * q[None, :]
-                    if self.v is not None:
-                        self.v[:, idx] -= self.v[:, k : k + 1] * q[None, :]
-                    rem = np.nonzero(a[k, k + 1 :])[0]
-                    if rem.size:
-                        j = rem[np.argmin(abs(a[k, k + 1 :][rem]))] + k + 1
-                        self._col_swap(k, j)
-                        continue
-                break
-        self._fix_chain(limit)
-        self._check()
-        return self
-
-    def _row_swap(self, i, k):
-        if i == k:
-            return
-        self.a[[i, k]] = self.a[[k, i]]
-        if self.u is not None:
-            self.u[[i, k]] = self.u[[k, i]]
-        if self.uinv is not None:
-            self.uinv[:, [i, k]] = self.uinv[:, [k, i]]
-
-    def _col_swap(self, j, k):
-        if j == k:
-            return
-        self.a[:, [j, k]] = self.a[:, [k, j]]
-        if self.v is not None:
-            self.v[:, [j, k]] = self.v[:, [k, j]]
-
-    def _row_negate(self, i):
-        self.a[i] = -self.a[i]
-        if self.u is not None:
-            self.u[i] = -self.u[i]
-        if self.uinv is not None:
-            self.uinv[:, i] = -self.uinv[:, i]
-
-    def _fix_chain(self, limit):
-        a = self.a
-        for i in range(limit):
-            for j in range(i + 1, limit):
-                di, dj = int(a[i, i]), int(a[j, j])
-                if (dj == 0 and di == 0) or (di != 0 and dj % di == 0):
-                    continue
-                self._check()
-                a[:, i] += a[:, j]
-                if self.v is not None:
-                    self.v[:, i] += self.v[:, j]
-                g, x, y = _xgcd(di, dj)
-                u, v = -(dj // g), di // g
-                if max(abs(x), abs(y), abs(u), abs(v)) >= _NP_SAFE:
-                    raise _Int64Risk
-                ri, rj = a[i].copy(), a[j].copy()
-                a[i] = x * ri + y * rj
-                a[j] = u * ri + v * rj
-                if self.u is not None:
-                    ri, rj = self.u[i].copy(), self.u[j].copy()
-                    self.u[i] = x * ri + y * rj
-                    self.u[j] = u * ri + v * rj
-                if self.uinv is not None:
-                    ci, cj = self.uinv[:, i].copy(), self.uinv[:, j].copy()
-                    self.uinv[:, i] = v * ci - u * cj
-                    self.uinv[:, j] = -y * ci + x * cj
-                if a[i, j]:
-                    q = int(a[i, j]) // g
-                    a[:, j] -= q * a[:, i]
-                    if self.v is not None:
-                        self.v[:, j] -= q * self.v[:, i]
-        for i in range(limit):
-            if a[i, i] < 0:
-                self._row_negate(i)
-
-
 def _smith_engine(matrix: IntMatrix, need_u=False, need_uinv=False, need_v=False):
     m, n = matrix.rows, matrix.cols
-    if (
-        min(m, n) >= _NP_MIN_DIM
-        and matrix.max_abs() < _NP_SAFE
-    ):
-        try:
-            eng = _NpSmith(matrix.data, m, n, need_u, need_uinv, need_v).run()
-            return {
-                "d": [int(eng.a[i, i]) for i in range(min(m, n))],
-                "u": eng.u.tolist() if eng.u is not None else None,
-                "uinv": eng.uinv.tolist() if eng.uinv is not None else None,
-                "v": eng.v.tolist() if eng.v is not None else None,
-            }
-        except _Int64Risk:
-            pass
-    eng = _PySmith(matrix.data, m, n, need_u, need_uinv, need_v).run()
+    eng = _Smith(matrix.data, m, n, need_u, need_uinv, need_v).run()
     return {
         "d": [eng.a[i][i] for i in range(min(m, n))],
         "u": eng.u,
@@ -717,22 +582,3 @@ def contragredient(a: IntMatrix) -> IntMatrix:
         raise NotUnimodular("matrix determinant is not +-1")
     inv = _matmul(res["v"], res["u"])
     return IntMatrix(inv).transpose()
-
-
-def matrix_order(a: IntMatrix, bound: int) -> int | None:
-    """Smallest k in 1..bound with a^k == identity, or None."""
-    if not a.is_square():
-        raise NotSquare("order needs a square matrix")
-    power = IntMatrix.identity(a.rows)
-    for k in range(1, bound + 1):
-        power = power @ a
-        if power.is_identity():
-            return k
-    return None
-
-
-def gcd_of(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g

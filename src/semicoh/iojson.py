@@ -139,11 +139,3 @@ def table_markdown(table: CohomologyTable) -> str:
     if table.assumptions:
         lines += ["", "Conditional on:"] + [f"- {a}" for a in table.assumptions]
     return "\n".join(lines) + "\n"
-
-
-def table_csv(table: CohomologyTable) -> str:
-    lines = ["degree,rank,torsion"]
-    for l, g in enumerate(table.groups):
-        torsion = ";".join(str(f) for f in g.torsion)
-        lines.append(f"{l},{g.rank},{torsion}")
-    return "\n".join(lines) + "\n"

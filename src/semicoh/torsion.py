@@ -87,13 +87,6 @@ class ThetaContext:
         return dict(self.k_d)[d]
 
 
-def _gcd_of(values) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
-
-
 def _tuples_bounded(bounds: list[int], budget: int, minimum: int):
     """All tuples with minimum <= i_d <= bounds[d] and sum <= budget."""
     if budget < minimum * len(bounds):
@@ -122,7 +115,7 @@ def _theta_published(ctx: ThetaContext, a_set: frozenset[int], beta: int) -> Fra
         for d in a_set:
             prod *= bounded_composition_count(kd[d], ctx.p, tup[positions[d]]) - 1
         total += prod
-    factor = Fraction(ctx.p * _gcd_of(a_set), ctx.m) ** len(a_set)
+    factor = Fraction(ctx.p * gcd(*a_set), ctx.m) ** len(a_set)
     return factor * total
 
 
@@ -143,7 +136,7 @@ def _theta_corrected(
         for d, i in zip(members, tup):
             prod *= bounded_composition_count(kd[d], ctx.p, i)
         total += prod
-    return Fraction(ctx.p * _gcd_of(a_set), ctx.m) * total
+    return Fraction(ctx.p * gcd(*a_set), ctx.m) * total
 
 
 def theta_coefficient_exact(
@@ -231,7 +224,7 @@ def assemble_p_torsion(
                     coeff += c * comb(s, tau)
             if coeff == 0:
                 continue
-            d_param = _gcd_of(a_set) if a_set else m // p
+            d_param = gcd(*a_set) if a_set else m // p
             h = count_wedge_roots(x_r, l1, d_param)
             theta += coeff * h
     return theta

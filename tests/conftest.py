@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from semicoh.cyclotomic import divisors, euler_phi
-from semicoh.fixtures import companion_of_cyclotomic
+from semicoh.cyclotomic import companion_of_cyclotomic, divisors, euler_phi
 from semicoh.groups import GroupSpec
-from semicoh.intmat import IntMatrix
+from semicoh.intmat import IntMatrix, block_diagonal
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
@@ -29,18 +28,6 @@ def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
 
 def random_int_matrix(rng: random.Random, m: int, n: int, bound: int = 5) -> IntMatrix:
     return IntMatrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
-
-
-def block_diagonal(blocks: list[IntMatrix]) -> IntMatrix:
-    size = sum(b.rows for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[offset + i][offset + j] = b.data[i][j]
-        offset += b.rows
-    return IntMatrix(out)
 
 
 def random_companion_spec(rng: random.Random, n_max: int = 6,

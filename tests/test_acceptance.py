@@ -25,13 +25,13 @@ from semicoh.groups import (
     max_finite_subgroup_census,
     rst_decompose,
 )
-from semicoh.intmat import IntMatrix, contragredient
+from semicoh.intmat import IntMatrix, block_diagonal, contragredient
 from semicoh.oracle import e2_table, subgroup_oracle
 from semicoh.report import compare_report, render_report_json
 from semicoh.tables import p_part
 from semicoh.torsion import assemble_p_torsion, bounded_composition_count, one_prime_theta
 
-from conftest import block_diagonal, random_companion_spec, random_unimodular
+from conftest import random_companion_spec, random_unimodular
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"
 

@@ -19,10 +19,8 @@ from semicoh.cyclotomic import (
 )
 from semicoh.errors import NonUnityEigenvalues, NotADivisor
 from semicoh.fixtures import FLAGSHIP_MATRIX, companion_of_cyclotomic, fixture_suite
-from semicoh.intmat import IntMatrix, charpoly, det
+from semicoh.intmat import IntMatrix, block_diagonal, charpoly, det
 from semicoh.intpoly import IntPolynomial
-
-from conftest import block_diagonal
 
 
 def test_cyclotomic_polynomials():

@@ -59,6 +59,8 @@ def test_snf_random_6x6_verifies():
     rng = random.Random(7)
     for _ in range(10):
         check_snf(random_int_matrix(rng, 6, 6))
+    for _ in range(3):
+        check_snf(random_int_matrix(rng, 30, 30, bound=4))
 
 
 @given(
@@ -262,20 +264,22 @@ def test_complete_to_unimodular():
     assert abs(det(full)) == 1
 
 
-def test_numpy_and_python_engines_agree(monkeypatch):
-    # the int64 fast path engages at dimension >= 24; its invariant factors
-    # must match the big-integer reference engine entry for entry
-    import semicoh.intmat as im
-
-    rng = random.Random(99)
-    for _ in range(3):
-        a = random_int_matrix(rng, 30, 30, bound=4)
-        fast = im.invariant_factors(a)
-        monkeypatch.setattr(im, "_NP_MIN_DIM", 10**9)
-        slow = im.invariant_factors(a)
-        monkeypatch.undo()
-        assert fast == slow
-        check_snf(a)
+def test_matmul_int64_guard_matches_python_product():
+    # products of dimension >= 4 run in int64 exactly when
+    # inner * max|a| * max|b| < 2**62; on either side of that bound the
+    # result must equal the pure-Python big-integer product
+    rng = random.Random(11)
+    inner, amax = 5, 1 << 31
+    inside = ((1 << 62) - 1) // (inner * amax)  # largest max|b| in int64
+    # at 4 * inside the extreme entry, inner * amax * bmax, would wrap int64
+    for bmax in (inside, inside + 1, 4 * inside):
+        a = [[rng.randint(-amax, amax) for _ in range(inner)] for _ in range(4)]
+        b = [[rng.randint(-bmax, bmax) for _ in range(6)] for _ in range(inner)]
+        a[0] = [amax] * inner
+        for row in b:
+            row[0] = bmax
+        expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(expected)
 
 
 def test_big_entries_stay_exact():

@@ -207,6 +207,14 @@ def test_cli_determinism():
     assert a.stdout == b.stdout
 
 
+def test_cli_import_does_not_load_numpy():
+    # numpy is imported lazily by the int64 matrix product only
+    code = "import sys, semicoh.cli; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_fixtures_listing():
     result = run_cli("fixtures")
     assert result.returncode == 0
