@@ -90,14 +90,6 @@ class AbelianGroup:
         factors = [f for g in groups for f in g.torsion]
         return cls.from_factors(rank, factors)
 
-    def prime_power_view(self) -> dict[int, tuple[int, ...]]:
-        """Torsion as a map prime -> sorted tuple of prime-power exponents."""
-        exponents: dict[int, list[int]] = {}
-        for f in self.torsion:
-            for p, e in _factorint(f).items():
-                exponents.setdefault(p, []).append(e)
-        return {p: tuple(sorted(es)) for p, es in sorted(exponents.items())}
-
     def p_multiplicity(self, p: int) -> int:
         """Number of Z/p^e summands for the prime p (counting multiplicity)."""
         count = 0

@@ -6,8 +6,8 @@ splits p-locally as
     Z^r (trivial)  +  Z[Z/p]^s (regular)  +  I^t (augmentation ideal),
 
 and the torsion formulas consume r, s, t together with the eigenvalue
-censuses of phi on the trivial block (phi_r) and the free-origin block
-(phi_t).  The counts come from the classical kernel/cokernel procedure
+censuses of phi on the trivial block and the free-origin block.  The
+counts come from the classical kernel/cokernel procedure
 
     t = #(invariant factors = p) in ker(N)/im(psi - 1),    N = 1 + psi + ... + psi^(p-1)
     r = #(invariant factors = p) in ker(psi - 1)/im(N),
@@ -26,7 +26,6 @@ from functools import lru_cache
 from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
-    companion_of_cyclotomic,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -37,6 +36,7 @@ from .errors import (
     NonIntegralK,
     NonInvariantBlock,
     NotADivisor,
+    NotASublattice,
     NotFreeAction,
     NotSquare,
     NotSquareFree,
@@ -46,7 +46,6 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
-    block_diagonal,
     det,
     invariant_factors,
     kernel_basis,
@@ -110,10 +109,9 @@ class RstDecomposition:
     """Per-prime decomposition data.
 
     ``r_basis`` and, when phi-stable, ``t_basis`` are saturated column
-    bases of the trivial and free-origin sublattices; ``phi_r``/``phi_t``
-    realize the block eigenvalue censuses (they are the honest
-    restrictions whenever those exist, block-companion representatives
-    otherwise -- downstream only ever consumes the censuses).
+    bases of the trivial and free-origin sublattices; ``r_census`` and
+    ``t_census`` are the eigenvalue censuses of phi on those blocks, and
+    phi's restriction to each stable block is checked against them.
     """
 
     p: int
@@ -121,8 +119,6 @@ class RstDecomposition:
     s: int
     t: int
     adapted_basis: IntMatrix
-    phi_r: IntMatrix
-    phi_t: IntMatrix
     r_census: CyclotomicCensus
     t_census: CyclotomicCensus
     r_basis: IntMatrix
@@ -180,27 +176,21 @@ def _cyclic_counts(psi: IntMatrix, p: int):
     return r, rest // p, t, r_gens, w_gens
 
 
-def _companion_of_census(census: CyclotomicCensus) -> IntMatrix:
-    """Block-diagonal companion matrix realizing an eigenvalue census."""
-    return block_diagonal(
-        [companion_of_cyclotomic(d) for d, mu in census.multiplicities for _ in range(mu)]
-    )
+def _is_stable_block(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus) -> bool:
+    """Whether span(basis) is a nonzero phi-stable block.
 
-
-def _restrict_or_companion(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus):
-    """Restriction of phi to span(basis) when stable, else a census companion."""
-    if basis is not None and basis.cols:
-        try:
-            block = restrict_to_basis(phi, basis)
-        except Exception:  # noqa: BLE001 - span not phi-stable
-            block = None
-        if block is not None:
-            if matrix_census(block, census.m).as_dict() != census.as_dict():
-                raise NonInvariantBlock(
-                    "restricted block census disagrees with the isotypic census"
-                )
-            return block, True
-    return _companion_of_census(census), False
+    A stable block whose restricted census disagrees with ``census``
+    raises NonInvariantBlock.
+    """
+    if not basis.cols:
+        return False
+    try:
+        block = restrict_to_basis(phi, basis)
+    except NotASublattice:  # span not phi-stable
+        return False
+    if matrix_census(block, census.m).as_dict() != census.as_dict():
+        raise NonInvariantBlock("restricted block census disagrees with the isotypic census")
+    return True
 
 
 def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
@@ -289,8 +279,8 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     t_basis_raw = saturate_span(IntMatrix.from_columns(t_cols, n)) if t_cols else IntMatrix.zeros(n, 0)
     w_gen_matrix = IntMatrix.from_columns(w_cols, n) if w_cols else IntMatrix.zeros(n, 0)
 
-    phi_r, _ = _restrict_or_companion(phi, r_basis, r_census)
-    phi_t, t_stable = _restrict_or_companion(phi, t_basis_raw, t_census)
+    _is_stable_block(phi, r_basis, r_census)  # for its census check only
+    t_stable = _is_stable_block(phi, t_basis_raw, t_census)
     adapted = _adapted_basis(n, r_basis, w_gen_matrix)
     return RstDecomposition(
         p=p,
@@ -298,8 +288,6 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
         s=s,
         t=t,
         adapted_basis=adapted,
-        phi_r=phi_r,
-        phi_t=phi_t,
         r_census=r_census,
         t_census=t_census,
         r_basis=r_basis,
@@ -317,8 +305,8 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
 class IsotropyData:
     """The divisor set D with eigenvalue counts m_d and k_d = m_d/(p-1).
 
-    d | m/p belongs to D when phi_t has an eigenvalue of exact order m/d;
-    every eigenvalue order on the free-origin block is divisible by p.
+    d | m/p belongs to D when phi has an eigenvalue of exact order m/d on
+    the free-origin block; every eigenvalue order there is divisible by p.
     """
 
     p: int
@@ -328,9 +316,6 @@ class IsotropyData:
 
     def k(self, d: int) -> int:
         return dict(self.k_d).get(d, 0)
-
-    def count(self, d: int) -> int:
-        return dict(self.m_d).get(d, 0)
 
 
 def isotropy_data(spec: GroupSpec, p: int, rst: RstDecomposition | None = None) -> IsotropyData:

@@ -91,9 +91,6 @@ class IntMatrix:
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
 
-    def max_abs(self) -> int:
-        return max((abs(x) for row in self.data for x in row), default=0)
-
     def trace(self) -> int:
         if not self.is_square():
             raise NotSquare("trace needs a square matrix")
@@ -264,13 +261,6 @@ class _Smith:
         if self.v is not None:
             for row in self.v:
                 row[j], row[k] = row[k], row[j]
-
-    def col_negate(self, j):
-        for row in self.a:
-            row[j] = -row[j]
-        if self.v is not None:
-            for row in self.v:
-                row[j] = -row[j]
 
     def find_pivot(self, k):
         best = None

@@ -46,13 +46,13 @@ def parse_group_document(text: str) -> GroupSpec:
             raise SpecInputError("missing required field", field=key)
     n = _as_int(doc["n"], "n")
     m = _as_int(doc["m"], "m")
-    phi_raw = doc["phi"]
-    if not isinstance(phi_raw, list) or not all(isinstance(r, list) for r in phi_raw):
+    raw_rows = doc["phi"]
+    if not isinstance(raw_rows, list) or not all(isinstance(r, list) for r in raw_rows):
         raise SpecInputError("must be a list of rows", field="phi")
-    if len(phi_raw) != n:
-        raise SpecInputError(f"expected {n} rows, got {len(phi_raw)}", field="phi")
+    if len(raw_rows) != n:
+        raise SpecInputError(f"expected {n} rows, got {len(raw_rows)}", field="phi")
     rows = []
-    for i, row in enumerate(phi_raw):
+    for i, row in enumerate(raw_rows):
         if len(row) != n:
             raise SpecInputError(
                 f"expected {n} entries, got {len(row)}", field=f"phi[{i}]"

@@ -39,9 +39,6 @@ class CohomologyTable:
                         f"torsion order {f} in degree {l} does not divide m={self.m}"
                     )
 
-    def group(self, l: int) -> AbelianGroup:
-        return self.groups[l]
-
     def rank_column(self) -> tuple[int, ...]:
         return tuple(g.rank for g in self.groups)
 

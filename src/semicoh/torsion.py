@@ -18,6 +18,10 @@ Two coefficient variants ship side by side.
 Both are assembled through the same double sum over (l1, l2) with the
 parity filter l2 = l (mod 2), which is how the closed form is stated; the
 independent Smith-form evaluator is the arbiter whenever they disagree.
+
+Every bounded tuple sum in either variant is a coefficient, or a prefix sum
+of coefficients, of a product of per-divisor polynomials built from
+(1 + x + ... + x^(p-1))^k_d, truncated at the degree budget.
 """
 
 from __future__ import annotations
@@ -83,21 +87,31 @@ class ThetaContext:
     ) -> "ThetaContext":
         return cls(p=p, m=spec.m, s=s, divisors=iso.divisors, k_d=iso.k_d, variant=variant)
 
-    def k(self, d: int) -> int:
-        return dict(self.k_d)[d]
+
+def _truncated_product(factors, top: int) -> list[int]:
+    """Coefficients of x^0..x^top of the product of ``factors``.
+
+    Each factor is a coefficient list, lowest degree first; terms above
+    x^top are dropped as they arise, so the cost does not grow with the
+    full degree of the product.
+
+    >>> _truncated_product([[1, 1], [1, 1], [1, 1]], 2)
+    [1, 3, 3]
+    """
+    out = [1] + [0] * top
+    for factor in factors:
+        nxt = [0] * (top + 1)
+        for i, a in enumerate(out):
+            if a:
+                for j, b in enumerate(factor[: top + 1 - i]):
+                    nxt[i + j] += a * b
+        out = nxt
+    return out
 
 
-def _tuples_bounded(bounds: list[int], budget: int, minimum: int):
-    """All tuples with minimum <= i_d <= bounds[d] and sum <= budget."""
-    if budget < minimum * len(bounds):
-        return
-    if not bounds:
-        yield ()
-        return
-    first, rest = bounds[0], bounds[1:]
-    for i in range(minimum, min(first, budget) + 1):
-        for tail in _tuples_bounded(rest, budget - i, minimum):
-            yield (i,) + tail
+def _composition_poly(k: int, p: int) -> list[int]:
+    """Coefficients of (1 + x + ... + x^(p-1))^k, lowest degree first."""
+    return [bounded_composition_count(k, p, i) for i in range(k * (p - 1) + 1)]
 
 
 def _theta_published(ctx: ThetaContext, a_set: frozenset[int], beta: int) -> Fraction:
@@ -107,14 +121,11 @@ def _theta_published(ctx: ThetaContext, a_set: frozenset[int], beta: int) -> Fra
         # Pinned: nonzero exactly when beta = 0 (mod 4); see module docstring.
         return Fraction(1 if beta % 4 == 0 else 0)
     kd = dict(ctx.k_d)
-    bounds = [kd[d] * (ctx.p - 1) for d in ctx.divisors]
-    positions = {d: i for i, d in enumerate(ctx.divisors)}
-    total = 0
-    for tup in _tuples_bounded(bounds, beta, 0):
-        prod = 1
-        for d in a_set:
-            prod *= bounded_composition_count(kd[d], ctx.p, tup[positions[d]]) - 1
-        total += prod
+    factors = []
+    for d in ctx.divisors:
+        poly = _composition_poly(kd[d], ctx.p)
+        factors.append([c - 1 for c in poly] if d in a_set else [1] * len(poly))
+    total = sum(_truncated_product(factors, beta))
     factor = Fraction(ctx.p * gcd(*a_set), ctx.m) ** len(a_set)
     return factor * total
 
@@ -128,14 +139,8 @@ def _theta_corrected(
         return Fraction(1)
     budget = beta // 2 if cutoff == "half" else beta - 1
     kd = dict(ctx.k_d)
-    members = sorted(a_set)
-    bounds = [kd[d] * (ctx.p - 1) for d in members]
-    total = 0
-    for tup in _tuples_bounded(bounds, budget, 1):
-        prod = 1
-        for d, i in zip(members, tup):
-            prod *= bounded_composition_count(kd[d], ctx.p, i)
-        total += prod
+    factors = [[0] + _composition_poly(kd[d], ctx.p)[1:] for d in a_set]
+    total = sum(_truncated_product(factors, budget))
     return Fraction(ctx.p * gcd(*a_set), ctx.m) * total
 
 
@@ -269,8 +274,9 @@ def s_delta(s: int, p: int, delta: int) -> int:
     """Free-factor multiplicity in degree delta of the regular block.
 
     (1/p) * sum over tuples (i_1..i_s) with sum = delta and some
-    i_k outside {0, p}, of prod C(p, i_k).  Computed by convolution and
-    checked for exact divisibility by p.
+    i_k outside {0, p}, of prod C(p, i_k): the coefficient of x^delta in
+    (sum_i C(p, i) x^i)^s - (1 + x^p)^s, checked for exact divisibility
+    by p.
 
     >>> s_delta(1, 2, 1)
     1
@@ -279,23 +285,8 @@ def s_delta(s: int, p: int, delta: int) -> int:
     """
     if s < 0 or delta < 0 or delta > p * s:
         raise ValueError(f"delta={delta} outside 0..{p * s}")
-    row = [comb(p, i) for i in range(p + 1)]
-    full = [1]
-    for _ in range(s):
-        nxt = [0] * (len(full) + p)
-        for i, a in enumerate(full):
-            if a:
-                for j, b in enumerate(row):
-                    nxt[i + j] += a * b
-        full = nxt
-    excluded = [1]
-    for _ in range(s):
-        nxt = [0] * (len(excluded) + p)
-        for i, a in enumerate(excluded):
-            if a:
-                nxt[i] += a
-                nxt[i + p] += a
-        excluded = nxt
+    full = _truncated_product([[comb(p, i) for i in range(p + 1)]] * s, delta)
+    excluded = _truncated_product([[1] + [0] * (p - 1) + [1]] * s, delta)
     total = full[delta] - excluded[delta]
     q, rem = divmod(total, p)
     if rem:

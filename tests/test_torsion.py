@@ -129,6 +129,61 @@ def test_corrected_orbit_accounting_matches_enumeration(rng):
             assert total == count, (p, m, k_d, beta)
 
 
+def reference_theta(p, m, k_d, variant, cutoff, a_set, beta):
+    """The orbit coefficient summed tuple by tuple, straight from its statement."""
+    if beta < 0 or beta % 2 or (variant == "corrected" and beta == 0):
+        return Fraction(0)
+    if not a_set:
+        return Fraction(1 if variant == "corrected" or beta % 4 == 0 else 0)
+    ratio = Fraction(p * gcd(*a_set), m)
+    if variant == "published":
+        # tuples over all of D, entries from 0; only A's strata are weighted
+        members = sorted(k_d)
+        budget, low = beta, 0
+        factor = ratio ** len(a_set)
+    else:
+        # tuples over A only, strictly positive entries
+        members = sorted(a_set)
+        budget, low = (beta // 2 if cutoff == "half" else beta - 1), 1
+        factor = ratio
+    total = 0
+    ranges = [range(low, k_d[d] * (p - 1) + 1) for d in members]
+    for tup in iproduct(*ranges):
+        if sum(tup) > budget:
+            continue
+        prod = 1
+        for d, i in zip(members, tup):
+            if d in a_set:
+                count = brute_compositions(k_d[d], p, i)
+                prod *= count - 1 if variant == "published" else count
+        total += prod
+    return factor * total
+
+
+def test_theta_matches_tuple_enumeration():
+    cases = [
+        (2, 6, {3: 1}),
+        (3, 6, {2: 1}),
+        (2, 30, {3: 2, 15: 1}),
+        (3, 15, {5: 3}),
+        (2, 10, {5: 2, 1: 1}),
+        (2, 6, {1: 2}),
+    ]
+    pairs = (("published", "half"), ("corrected", "half"), ("corrected", "beta_minus_1"))
+    for p, m, k_d in cases:
+        for variant, cutoff in pairs:
+            context = ctx(p, m, 0, k_d, variant)
+            divisors_ = context.divisors
+            for mask in range(1 << len(divisors_)):
+                a_set = frozenset(d for i, d in enumerate(divisors_) if mask >> i & 1)
+                for beta in range(-2, 13):
+                    got = theta_coefficient_exact(
+                        context, a_set, beta, corrected_cutoff=cutoff
+                    )
+                    want = reference_theta(p, m, k_d, variant, cutoff, a_set, beta)
+                    assert got == want, (p, m, k_d, variant, cutoff, sorted(a_set), beta)
+
+
 FLAGSHIP_PUBLISHED = {
     2: [0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2],
     3: [0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
