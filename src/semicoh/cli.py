@@ -62,6 +62,8 @@ def _add_common(parser: argparse.ArgumentParser, with_engine=True):
 
 
 def _resolve_degree(spec: GroupSpec, value) -> int:
+    if value is not None and value < 0:
+        raise InputError(f"--max-degree must be non-negative, got {value}")
     return spec.n + 3 if value is None else value
 
 
@@ -101,6 +103,7 @@ def _engine_list(args) -> list[str]:
 def cmd_analyze(args) -> int:
     spec = load_group_file(args.input)
     max_degree = _resolve_degree(spec, args.max_degree)
+    primes = _primes_for(args, spec)
     tables = [
         _cached_table(spec, engine, max_degree, not args.no_cache)
         for engine in _engine_list(args)
@@ -111,7 +114,6 @@ def cmd_analyze(args) -> int:
     elif args.format == "md":
         _emit("\n".join(table_markdown(t) for t in tables))
     else:
-        primes = [args.prime] if args.prime else list(spec.primes)
         header = ["degree"]
         for t in tables:
             header += [f"{t.engine}_rank", f"{t.engine}_torsion"]
@@ -131,9 +133,9 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     spec = load_group_file(args.input)
     max_degree = _resolve_degree(spec, args.max_degree)
+    primes = _primes_for(args, spec)
     report = compare_report(spec, max_degree)
-    if args.prime:
-        report["torsion"] = [r for r in report["torsion"] if r["prime"] == args.prime]
+    report["torsion"] = [r for r in report["torsion"] if r["prime"] in primes]
     if args.format == "json":
         _emit(render_report_json(report))
     elif args.format == "md":
@@ -175,7 +177,7 @@ def cmd_rank(args) -> int:
 
 
 def _primes_for(args, spec):
-    if args.prime:
+    if args.prime is not None:
         if args.prime not in spec.primes:
             raise InputError(f"{args.prime} is not a prime factor of m={spec.m}")
         return [args.prime]

@@ -87,7 +87,8 @@ class SpecInputError(InputError):
 # -- internal invariant violations ------------------------------------------
 
 class BadInvariantFactors(InternalInvariantError):
-    """A kernel/image quotient had an invariant factor outside {1, p}."""
+    """An invariant factor the structure theory forbids: outside {1, p} in
+    an (r, s, t) quotient, or not dividing q in a cyclic cohomology group."""
 
 
 class NonInvariantBlock(InternalInvariantError):
@@ -117,10 +118,6 @@ class NonIntegralOrbitCount(InternalInvariantError):
 
 class NonIntegral(InternalInvariantError):
     """An exact integer division inside a combinatorial identity failed."""
-
-
-class InclusionViolated(InternalInvariantError):
-    """im/ker inclusions of the periodic cyclic complex failed."""
 
 
 class TorsionExponentViolation(InternalInvariantError):

@@ -384,7 +384,8 @@ class MaxFiniteCensus:
 
     ``class_counts`` maps a subgroup order q to its class count: for each
     prime p the count of order-p classes inside the index-(m/p) subgroup
-    Z^n x| Z/p (this is p^(n/(p-1)), read off the kernel/image quotient),
+    Z^n x| Z/p (this is p^(n/(p-1)) = |det(psi - 1)|, the order of
+    H^1(Z/p; Z^n) = coker(psi - 1) when psi fixes no nonzero vector),
     and 1 for the full cyclic part q = m.  ``nonzero_type_counts`` is the
     closed-form count p*(p^(n/(p-1)) - 1)/m of maximal order-p classes in
     the full group, reported for reference.
@@ -407,8 +408,7 @@ def max_finite_subgroup_census(spec: GroupSpec) -> MaxFiniteCensus:
         if spec.n % (p - 1):
             raise NonIntegralK(f"free Z/{p}-action needs (p-1) | n, got n={spec.n}")
         k = spec.n // (p - 1)
-        psi = spec.psi(p)
-        quotient = lattice_quotient_of_action(psi, p)
+        quotient = abs(det(spec.psi(p) - IntMatrix.identity(spec.n)))
         if quotient != p**k:
             raise NonIntegralK(
                 f"class count {quotient} differs from p^(n/(p-1)) = {p**k}"
@@ -426,11 +426,3 @@ def max_finite_subgroup_census(spec: GroupSpec) -> MaxFiniteCensus:
         nonzero_type_counts=tuple(sorted(closed.items())),
     )
 
-
-def lattice_quotient_of_action(psi: IntMatrix, p: int) -> int:
-    """|ker N / im(psi - 1)| for a free Z/p-action (N vanishes there)."""
-    from .intmat import lattice_quotient
-
-    one = IntMatrix.identity(psi.rows)
-    group = lattice_quotient(kernel_basis(_norm_matrix(psi, p)), psi - one)
-    return group.torsion_order()

@@ -7,9 +7,9 @@ module exactly and assembles degrees as
 
 which computes the full cohomology for square-free m (the relevant
 spectral sequence collapses and the square-free torsion exponent splits
-the abutment).  Every quotient here is an exact kernel/image lattice
-quotient; no part of the closed-form machinery is consulted, so this
-engine is a genuinely independent arbiter.
+the abutment).  Each cyclic group is read off Smith invariant factors
+of psi - 1 or N; no part of the closed-form machinery is consulted, so
+this engine is a genuinely independent arbiter.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from functools import lru_cache
 
 from .abelian import AbelianGroup
 from .errors import (
+    BadInvariantFactors,
     DimensionTooLarge,
-    InclusionViolated,
     NotADivisor,
     NotSquare,
     WrongOrder,
@@ -29,8 +29,7 @@ from .groups import GroupSpec, _norm_matrix, validate
 from .intmat import (
     IntMatrix,
     contragredient,
-    kernel_basis,
-    lattice_quotient,
+    invariant_factors,
     rank,
     wedge_power,
 )
@@ -61,9 +60,11 @@ class CyclicRep:
 def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """Classical cyclic-group cohomology of a lattice, exactly.
 
-    alpha = 0: the fixed lattice (free).  alpha odd: ker(N)/im(psi - 1).
-    alpha even > 0: ker(psi - 1)/im(N).  Both inclusions hold identically
-    because N*(psi - 1) = 0; a failure is a bug, not an input problem.
+    alpha = 0: the fixed lattice (free).  alpha odd: ker(N)/im(psi - 1);
+    alpha even > 0: ker(psi - 1)/im(N).  Since psi^q = 1 the image of
+    each map has the kernel of the other as its saturation, so these are
+    the torsion of coker(psi - 1) and of coker(N): their nonunit
+    invariant factors, each of which must divide q.
     """
     if alpha < 0:
         raise ValueError("negative degree")
@@ -71,15 +72,10 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     one = IntMatrix.identity(n)
     if alpha == 0:
         return AbelianGroup.free(n - rank(psi - one))
-    norm = _norm_matrix(psi, q)
-    if alpha % 2:
-        ambient, sub = kernel_basis(norm), psi - one
-    else:
-        ambient, sub = kernel_basis(psi - one), norm
-    try:
-        return lattice_quotient(ambient, sub)
-    except Exception as exc:  # pragma: no cover - defends a proven identity
-        raise InclusionViolated(f"periodic complex inclusions failed: {exc}") from exc
+    factors = invariant_factors(psi - one if alpha % 2 else _norm_matrix(psi, q))
+    if any(q % d for d in factors):
+        raise BadInvariantFactors(f"invariant factors {factors} do not all divide q={q}")
+    return AbelianGroup.from_factors(0, factors)
 
 
 @lru_cache(maxsize=64)

@@ -4,14 +4,21 @@ import pytest
 
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import count_wedge_roots, exponent_multiset, matrix_census
-from semicoh.errors import DimensionTooLarge, NotADivisor
+from semicoh.engines import molien_column, rank_column
+from semicoh.errors import BadInvariantFactors, DimensionTooLarge, NotADivisor
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
-from semicoh.intmat import IntMatrix
+from semicoh.intmat import (
+    IntMatrix,
+    contragredient,
+    kernel_basis,
+    lattice_quotient,
+    wedge_power,
+)
 from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
 from semicoh.tables import p_part
 
-from conftest import random_companion_spec
+from conftest import random_companion_spec, random_unimodular
 
 
 def G(rank, *torsion):
@@ -39,6 +46,45 @@ def test_cyclic_cohomology_sign_module():
     rep = CyclicRep(2, IntMatrix([[-1]]))
     assert cyclic_cohomology(rep, 2) == G(0)
     assert cyclic_cohomology(rep, 1) == G(0, 2)
+
+
+def test_cyclic_cohomology_guard_refuses_factor_not_dividing_q():
+    # [[4]] does not have order 2; bypass the CyclicRep check to reach the
+    # guard: psi - 1 = [[3]] has the invariant factor 3, which cannot divide 2
+    rep = object.__new__(CyclicRep)
+    object.__setattr__(rep, "q", 2)
+    object.__setattr__(rep, "matrix", IntMatrix([[4]]))
+    with pytest.raises(BadInvariantFactors):
+        cyclic_cohomology(rep, 1)
+
+
+def _quotient_reference(rep, alpha):
+    """The periodic complex as literal kernel/image lattice quotients."""
+    psi = rep.matrix
+    one = IntMatrix.identity(psi.rows)
+    if alpha == 0:
+        return G(kernel_basis(psi - one).cols)
+    norm = IntMatrix.zeros(psi.rows, psi.rows)
+    for k in range(rep.q):
+        norm = norm + psi**k
+    if alpha % 2:
+        return lattice_quotient(kernel_basis(norm), psi - one)
+    return lattice_quotient(kernel_basis(psi - one), norm)
+
+
+def test_cyclic_cohomology_matches_quotient_reference(rng):
+    for _ in range(40):
+        spec = random_companion_spec(rng, n_max=6, orders=(2, 3, 5, 6, 10, 15, 30))
+        conj = random_unimodular(rng, spec.n)
+        spec = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
+        phi_star = contragredient(spec.phi)
+        for gamma in range(spec.n + 1):
+            rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
+            for alpha in (0, 1, 2):
+                assert cyclic_cohomology(rep, alpha) == _quotient_reference(rep, alpha)
+        top = spec.n + 3
+        oracle_ranks = e2_table(spec, top).rank_column()
+        assert rank_column(spec, top) == molien_column(spec, top) == oracle_ranks
 
 
 def test_e2_dinfty():

@@ -199,6 +199,27 @@ def test_cli_compare_prime_filter():
     assert all(row["prime"] == 3 for row in doc["torsion"])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "--max-degree", "-1"),
+        ("compare", "--max-degree", "-1"),
+        ("rank", "--max-degree", "-1"),
+        ("compare", "--prime", "5", "--format", "json"),
+        ("analyze", "--format", "csv", "--prime", "7"),
+        ("compare", "--prime", "0", "--format", "json"),
+    ],
+    ids=["analyze-degree", "compare-degree", "rank-degree", "compare-prime",
+         "analyze-prime", "compare-prime-zero"],
+)
+def test_cli_refuses_bad_degree_or_prime(args):
+    # z5_z6 has m = 6: 0, 5 and 7 are not prime factors of m
+    result = run_cli(*args, "--no-cache", "fixtures/z5_z6.json")
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_determinism():
     args = ("compare", "--max-degree", "8", "--format", "json", "--no-cache",
             "fixtures/z5_z6.json")
