@@ -1,11 +1,17 @@
-"""Free ranks computed by three genuinely independent routes.
+"""Free ranks computed by three routes.
 
 1. Census + subset count: the rank of H^l is the number of l-element
    subsets of the eigenvalue exponents summing to 0 mod m, evaluated by a
-   dynamic program on the cyclotomic census.
+   dynamic program on the cyclotomic census of charpoly(phi).
 2. Trace average: the same number as an averaged trace of exterior powers
    over the group (a character inner product, hence an exact integer).
+   Each trace is a coefficient of charpoly(phi^j).
 3. Oracle: the free part of the exact Smith-form evaluation.
+
+Routes 1 and 2 share the characteristic polynomial (Faddeev-LeVerrier),
+which the test suite checks against cofactor expansion and, through the
+trace identity, against explicit exterior powers.  Route 3 shares no code
+with either.
 """
 
 from semicoh import (

@@ -1,10 +1,12 @@
 """Run the three-way reconciliation over the whole fixture corpus.
 
-Ranks agree everywhere by construction of the three independent rank
-routes.  Torsion is where the engines earn their keep: the corrected
-closed form tracks the oracle in even degrees unless a documented erratum
-(cutoff, sign twist) bites, the published closed form reproduces its
-reference table, and every disagreement lands in the report.
+Ranks agree everywhere by construction of the three rank routes (the
+census count and the trace average share the characteristic polynomial;
+the oracle shares nothing).  Torsion is where the engines earn their
+keep: the corrected closed form tracks the oracle in even degrees unless
+a documented erratum (cutoff, sign twist) bites, the published closed
+form reproduces its reference table, and every disagreement lands in the
+report.
 """
 
 from semicoh import compare_report

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
+from operator import matmul
 
 from .errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor
 from .intmat import IntMatrix, charpoly
@@ -198,29 +200,26 @@ def count_wedge_roots(x: ExponentMultiset, l: int, d: int) -> int:
     return table[l][0]
 
 
+@lru_cache(maxsize=64)
+def _power_charpolys(phi: IntMatrix, m: int) -> tuple[IntPolynomial, ...]:
+    """charpoly(phi^j) for j < m, shared by every degree of a Molien column."""
+    powers = accumulate([phi] * (m - 1), matmul, initial=IntMatrix.identity(phi.rows))
+    return tuple(map(charpoly, powers))
+
+
 def molien_rank(phi: IntMatrix, m: int, l: int) -> int:
     """Invariant count (1/m) * sum_j trace(wedge_power(phi^j, l)).
 
-    The trace of the l-th exterior power is evaluated as the sum of
-    principal l x l minors.  The average is a character inner product, so
-    it must be an integer; anything else raises NonIntegralAverage.
+    Each trace is a charpoly coefficient (the census count's routine too):
+    tr wedge^l(A) = (-1)^l [x^(n-l)] det(xI - A).  The average is a
+    character inner product, hence an integer, else NonIntegralAverage.
     """
-    from .intmat import det as _det
-
     n = phi.rows
     if l < 0:
         raise ValueError("negative degree")
     if l > n:
         return 0
-    from itertools import combinations
-
-    total = 0
-    power = IntMatrix.identity(n)
-    for _ in range(m):
-        for subset in combinations(range(n), l):
-            minor = IntMatrix([[power.data[i][j] for j in subset] for i in subset])
-            total += _det(minor)
-        power = power @ phi
+    total = (-1) ** l * sum(f.coeffs[n - l] for f in _power_charpolys(phi, m))
     q, r = divmod(total, m)
     if r:
         raise NonIntegralAverage(f"trace average {total}/{m} is not an integer")

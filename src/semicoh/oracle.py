@@ -15,7 +15,7 @@ this engine is a genuinely independent arbiter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .abelian import AbelianGroup
 from .errors import (
@@ -30,7 +30,6 @@ from .intmat import (
     IntMatrix,
     contragredient,
     invariant_factors,
-    rank,
     wedge_power,
 )
 from .tables import CohomologyTable
@@ -56,6 +55,11 @@ class CyclicRep:
         if not (self.matrix ** self.q).is_identity():
             raise WrongOrder(f"matrix order does not divide q={self.q}")
 
+    @cached_property
+    def psi_minus_one_factors(self) -> tuple[int, ...]:
+        """Nonzero invariant factors of psi - 1: one reduction for alpha 0 and odd."""
+        return invariant_factors(self.matrix - IntMatrix.identity(self.matrix.rows))
+
 
 def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """Classical cyclic-group cohomology of a lattice, exactly.
@@ -68,11 +72,10 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """
     if alpha < 0:
         raise ValueError("negative degree")
-    psi, q, n = rep.matrix, rep.q, rep.matrix.rows
-    one = IntMatrix.identity(n)
+    psi, q = rep.matrix, rep.q
     if alpha == 0:
-        return AbelianGroup.free(n - rank(psi - one))
-    factors = invariant_factors(psi - one if alpha % 2 else _norm_matrix(psi, q))
+        return AbelianGroup.free(psi.rows - len(rep.psi_minus_one_factors))
+    factors = rep.psi_minus_one_factors if alpha % 2 else invariant_factors(_norm_matrix(psi, q))
     if any(q % d for d in factors):
         raise BadInvariantFactors(f"invariant factors {factors} do not all divide q={q}")
     return AbelianGroup.from_factors(0, factors)

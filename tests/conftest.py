@@ -47,6 +47,19 @@ def random_companion_spec(rng: random.Random, n_max: int = 6,
     return GroupSpec(n=size, m=m, phi=phi)
 
 
+def count_calls(monkeypatch, module, name) -> list:
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250810)

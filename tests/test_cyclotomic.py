@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+import semicoh.cyclotomic
+import semicoh.intmat
 from semicoh.cyclotomic import (
     CyclotomicCensus,
     count_wedge_roots,
@@ -17,10 +19,19 @@ from semicoh.cyclotomic import (
     matrix_census,
     molien_rank,
 )
+from semicoh.engines import molien_column, rank_column
 from semicoh.errors import NonUnityEigenvalues, NotADivisor
-from semicoh.fixtures import FLAGSHIP_MATRIX, companion_of_cyclotomic, fixture_suite
-from semicoh.intmat import IntMatrix, block_diagonal, charpoly, det
+from semicoh.fixtures import (
+    FLAGSHIP_MATRIX,
+    companion_of_cyclotomic,
+    fixture_by_name,
+    fixture_suite,
+)
+from semicoh.groups import GroupSpec
+from semicoh.intmat import IntMatrix, block_diagonal, charpoly, contragredient, det
 from semicoh.intpoly import IntPolynomial
+
+from conftest import count_calls, random_companion_spec, random_unimodular
 
 
 def test_cyclotomic_polynomials():
@@ -148,6 +159,33 @@ def test_molien_equals_wedge_count_on_fixtures():
         x = exponent_multiset(matrix_census(spec.phi, spec.m))
         for l in range(spec.n + 1):
             assert count_wedge_roots(x, l, spec.m) == molien_rank(spec.phi, spec.m, l)
+
+
+def test_molien_column_costs_m_charpolys_and_no_det(monkeypatch):
+    # one characteristic polynomial per group element, shared by every
+    # degree, and no determinant
+    spec = fixture_by_name("z5_z6").spec
+    expected = rank_column(spec, spec.n + 3)
+    semicoh.cyclotomic._power_charpolys.cache_clear()
+    charpolys = count_calls(monkeypatch, semicoh.cyclotomic, "charpoly")
+    dets = count_calls(monkeypatch, semicoh.intmat, "det")
+    assert molien_column(spec, spec.n + 3) == expected
+    assert len(charpolys) == spec.m
+    assert dets == []
+
+
+def test_molien_equals_wedge_count_on_wide_conjugates():
+    # dense conjugates at n in 12..14
+    rng = random.Random(1214)
+    checked = 0
+    while checked < 8:
+        spec = random_companion_spec(rng, n_max=14, orders=(2, 3, 5, 6, 10, 15, 30))
+        if spec.n < 12:
+            continue
+        conj = random_unimodular(rng, spec.n)
+        spec = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
+        assert rank_column(spec, spec.n + 3) == molien_column(spec, spec.n + 3)
+        checked += 1
 
 
 def test_alternating_sum_identity():

@@ -2,6 +2,8 @@
 
 import pytest
 
+import semicoh.intmat
+import semicoh.oracle
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import count_wedge_roots, exponent_multiset, matrix_census
 from semicoh.engines import molien_column, rank_column
@@ -18,7 +20,7 @@ from semicoh.intmat import (
 from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
 from semicoh.tables import p_part
 
-from conftest import random_companion_spec, random_unimodular
+from conftest import count_calls, random_companion_spec, random_unimodular
 
 
 def G(rank, *torsion):
@@ -85,6 +87,20 @@ def test_cyclic_cohomology_matches_quotient_reference(rng):
         top = spec.n + 3
         oracle_ranks = e2_table(spec, top).rank_column()
         assert rank_column(spec, top) == molien_column(spec, top) == oracle_ranks
+
+
+def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
+    # per layer: psi - 1 once (alpha 0 and odd alpha) and N once (even
+    # alpha); plus one reduction for the contragredient
+    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        semicoh.oracle._layer_data.cache_clear()
+        calls.clear()
+        e2_table(spec, spec.n + 3)
+        assert len(calls) == 2 * (spec.n + 1) + 1, fixture.name
 
 
 def test_e2_dinfty():
