@@ -49,6 +49,7 @@ from .intmat import (
     det,
     invariant_factors,
     kernel_basis,
+    norm_and_power,
     rank,
     restrict_to_basis,
     saturate_span,
@@ -126,15 +127,6 @@ class RstDecomposition:
     t_generators: IntMatrix
 
 
-def _norm_matrix(psi: IntMatrix, p: int) -> IntMatrix:
-    total = IntMatrix.identity(psi.rows)
-    power = IntMatrix.identity(psi.rows)
-    for _ in range(p - 1):
-        power = power @ psi
-        total = total + power
-    return total
-
-
 def _p_quotient(ambient: IntMatrix, generators: IntMatrix, p: int):
     """(count of p-factors, generator columns) of span(ambient)/span(generators).
 
@@ -165,7 +157,7 @@ def _cyclic_counts(psi: IntMatrix, p: int):
     """(r, s, t, r_gens, w_gens) for one Z/p-lattice with generator action psi."""
     n = psi.rows
     one = IntMatrix.identity(n)
-    norm = _norm_matrix(psi, p)
+    norm, _ = norm_and_power(psi, p)
     t, w_gens = _p_quotient(kernel_basis(norm), psi - one, p)
     r, r_gens = _p_quotient(kernel_basis(psi - one), norm, p)
     rest = n - r - (p - 1) * t

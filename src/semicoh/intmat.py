@@ -4,7 +4,11 @@ Everything here is integer arithmetic; no floating point anywhere.
 Smith elimination runs on pure-Python big integers only.  Matrix
 products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
-big integers otherwise, so results are exact in all cases.
+big integers otherwise, so results are exact in all cases.  The powers
+a^1..a^q behind a norm 1 + a + ... + a^(q-1) and the check a^q = 1 come
+from one guarded chain, norm_and_power: int64 arrays while every product
+and partial sum is proven below 2**62, arrays of Python integers after.
+Matrices narrower than 4 never leave pure Python, so they never load numpy.
 """
 
 from __future__ import annotations
@@ -148,6 +152,12 @@ def block_diagonal(blocks) -> IntMatrix:
     return IntMatrix(out)
 
 
+# int64 arithmetic is used only for values proven below this bound, and
+# only on matrices at least this wide (narrower ones never load numpy)
+_INT64_LIMIT = 1 << 62
+_NUMPY_MIN_DIM = 4
+
+
 def _matmul(a, b):
     """Exact product of two list-of-row matrices, numpy-accelerated."""
     inner = len(b)
@@ -155,7 +165,7 @@ def _matmul(a, b):
         return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
     amax = max((abs(x) for row in a for x in row), default=0)
     bmax = max((abs(x) for row in b for x in row), default=0)
-    if min(len(a), inner, len(b[0])) >= 4 and inner * amax * bmax < (1 << 62):
+    if min(len(a), inner, len(b[0])) >= _NUMPY_MIN_DIM and inner * amax * bmax < _INT64_LIMIT:
         # imported here so that callers which never take this branch
         # (the CLI on small fixtures) do not pay for loading numpy
         import numpy as np
@@ -164,6 +174,51 @@ def _matmul(a, b):
         return out.tolist()
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
+    """(1 + a + ... + a^(q-1), a^q) from one chain of q products.
+
+    Only the running power and the running sum are kept.  Matrices at
+    least _NUMPY_MIN_DIM wide run as int64 arrays while each product
+    bound d * max|power| * max|a| and the running total of the summed
+    powers' maxima stay below _INT64_LIMIT, and as arrays of Python
+    integers from the first step that fails it.
+
+    >>> [m.data for m in norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)]
+    [((0, 0), (0, 0)), ((1, 0), (0, 1))]
+    """
+    if not a.is_square():
+        raise NotSquare("powers need a square matrix")
+    if q < 0:
+        raise ValueError("negative power")
+    d = a.rows
+    if d < _NUMPY_MIN_DIM:
+        power, total = IntMatrix.identity(d), IntMatrix.zeros(d, d)
+        for _ in range(q):
+            total = total + power
+            power = power @ a
+        return total, power
+
+    import numpy as np
+
+    amax = max(abs(x) for row in a.data for x in row)  # Python ints: no wrap
+    in_int64 = amax < _INT64_LIMIT
+    dtype = np.int64 if in_int64 else object
+    base = np.array(a.data, dtype=dtype)
+    power = np.identity(d, dtype=dtype)
+    total = np.zeros((d, d), dtype=dtype)
+    pmax, smax = 1, 0  # max|power| and a bound on max|total|
+    for _ in range(q):
+        if in_int64 and (smax + pmax >= _INT64_LIMIT or d * pmax * amax >= _INT64_LIMIT):
+            in_int64 = False
+            base, power, total = (x.astype(object) for x in (base, power, total))
+        total += power
+        power = power @ base
+        if in_int64:
+            smax += pmax
+            pmax = int(np.abs(power).max())
+    return IntMatrix(total.tolist()), IntMatrix(power.tolist())
 
 
 # ---------------------------------------------------------------------------

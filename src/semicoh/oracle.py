@@ -14,7 +14,7 @@ this engine is a genuinely independent arbiter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .abelian import AbelianGroup
@@ -25,11 +25,12 @@ from .errors import (
     NotSquare,
     WrongOrder,
 )
-from .groups import GroupSpec, _norm_matrix, validate
+from .groups import GroupSpec, validate
 from .intmat import (
     IntMatrix,
     contragredient,
     invariant_factors,
+    norm_and_power,
     wedge_power,
 )
 from .tables import CohomologyTable
@@ -44,16 +45,24 @@ ORACLE_ASSUMPTIONS = (
 
 @dataclass(frozen=True)
 class CyclicRep:
-    """A lattice with an action of Z/q given by the matrix of a generator."""
+    """A lattice with an action of Z/q given by the matrix psi of a generator.
+
+    Construction runs one chain of products psi^1..psi^q: it checks
+    psi^q = 1 (WrongOrder otherwise) and keeps the norm
+    N = 1 + psi + ... + psi^(q-1) for the even degrees.
+    """
 
     q: int
     matrix: IntMatrix
+    norm: IntMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.matrix.is_square():
             raise NotSquare("cyclic representations need a square matrix")
-        if not (self.matrix ** self.q).is_identity():
+        norm, power = norm_and_power(self.matrix, self.q)
+        if not power.is_identity():
             raise WrongOrder(f"matrix order does not divide q={self.q}")
+        object.__setattr__(self, "norm", norm)
 
     @cached_property
     def psi_minus_one_factors(self) -> tuple[int, ...]:
@@ -72,10 +81,10 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """
     if alpha < 0:
         raise ValueError("negative degree")
-    psi, q = rep.matrix, rep.q
+    q = rep.q
     if alpha == 0:
-        return AbelianGroup.free(psi.rows - len(rep.psi_minus_one_factors))
-    factors = rep.psi_minus_one_factors if alpha % 2 else invariant_factors(_norm_matrix(psi, q))
+        return AbelianGroup.free(rep.matrix.rows - len(rep.psi_minus_one_factors))
+    factors = rep.psi_minus_one_factors if alpha % 2 else invariant_factors(rep.norm)
     if any(q % d for d in factors):
         raise BadInvariantFactors(f"invariant factors {factors} do not all divide q={q}")
     return AbelianGroup.from_factors(0, factors)

@@ -17,6 +17,7 @@ from semicoh.intmat import (
     invariant_factors,
     kernel_basis,
     lattice_quotient,
+    norm_and_power,
     rank,
     saturate_span,
     smith_normal_form,
@@ -280,6 +281,38 @@ def test_matmul_int64_guard_matches_python_product():
             row[0] = bmax
         expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
         assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(expected)
+
+
+def _power_chain_reference(a, q):
+    norm = IntMatrix.zeros(a.rows, a.rows)
+    for k in range(q):
+        norm = norm + a**k
+    return norm, a**q
+
+
+def test_norm_and_power_int64_guard_matches_python_chain():
+    # on c * ones(4x4) each product meets its bound d * max|P| * max|a|
+    # exactly: a^k = 4^(k-1) c^k ones.  With c = 10**6, a^2 (4e12) is
+    # proven in int64 and a^3 (1.6e19) lies between 2**63 and 2**64, so a
+    # looser guard (a larger limit, or no factor d) would wrap it
+    a = IntMatrix([[10**6] * 4 for _ in range(4)])
+    for q in (0, 1, 2, 3, 4, 12):
+        assert norm_and_power(a, q) == _power_chain_reference(a, q)
+    # 2^20 * identity(4): the chain stays in int64 up to q = 2; the third
+    # product's bound 4 * 2^40 * 2^20 is exactly 2^62, so q = 3 leaves
+    # int64 at the bound, q = 4 just past it and q = 12 far past it
+    diag = IntMatrix.scalar(4, 1 << 20)
+    for q in (2, 3, 4, 12):
+        assert norm_and_power(diag, q) == _power_chain_reference(diag, q)
+    # -2^63 fits int64, but its absolute value does not
+    low = [[0] * 4 for _ in range(4)]
+    low[0][0], low[1][1], low[2][3], low[3][2] = -(1 << 63), 1, 1, 1
+    low = IntMatrix(low)
+    for q in (1, 2, 3):
+        assert norm_and_power(low, q) == _power_chain_reference(low, q)
+    # narrower than 4: the pure-Python chain, far past int64
+    small = IntMatrix([[10**6, -3, 1], [7, 10**6, 0], [1, 1, 1]])
+    assert norm_and_power(small, 9) == _power_chain_reference(small, 9)
 
 
 def test_big_entries_stay_exact():

@@ -1,5 +1,7 @@
 """The Smith-form evaluator: cyclic layers and assembled tables."""
 
+import sys
+
 import pytest
 
 import semicoh.intmat
@@ -101,6 +103,30 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         calls.clear()
         e2_table(spec, spec.n + 3)
         assert len(calls) == 2 * (spec.n + 1) + 1, fixture.name
+
+
+def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
+    # psi^1..psi^q come from one norm_and_power chain per layer, which
+    # yields both N and the psi^q = 1 check; the oracle takes no other power
+    chains = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
+    oracle_powers = []
+    original_pow = IntMatrix.__pow__
+
+    def pow_counted(self, k):
+        if sys._getframe(1).f_globals["__name__"] == "semicoh.oracle":
+            oracle_powers.append(k)
+        return original_pow(self, k)
+
+    monkeypatch.setattr(IntMatrix, "__pow__", pow_counted)
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        semicoh.oracle._layer_data.cache_clear()
+        chains.clear()
+        e2_table(spec, spec.n + 3)
+        assert len(chains) == spec.n + 1, fixture.name
+        assert oracle_powers == [], fixture.name
 
 
 def test_e2_dinfty():

@@ -236,6 +236,20 @@ def test_cli_import_does_not_load_numpy():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare", "--no-cache", "fixtures/p3.json"],
+    ["analyze", "--no-cache", "fixtures/dinfty.json"],
+])
+def test_cli_on_narrow_fixtures_does_not_load_numpy(argv):
+    # every layer of p3 (n=3) and dinfty (n=1) is narrower than 4, so its
+    # products and power chains stay on Python integers
+    code = ("import sys; from semicoh.cli import main; "
+            f"assert main({argv!r}) == 0; assert 'numpy' not in sys.modules")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, cwd=ROOT)
+    assert result.returncode == 0, result.stderr
+
+
 def test_cli_fixtures_listing():
     result = run_cli("fixtures")
     assert result.returncode == 0
