@@ -1,8 +1,17 @@
 """Command-line interface.
 
-Subcommands: analyze, compare, rank, rst, isotropy, census, fixtures.
-Exit codes: 0 ok, 2 invalid input, 3 internal invariant violation,
-4 dimension limit.
+Each computing subcommand reads one JSON group file and takes ``--format``
+plus only the options its handler reads:
+
+    analyze   --format {json,md,csv} --max-degree --no-cache --engine --variant
+    compare   --format {json,md,csv} --max-degree --prime
+    rank      --format {json,md,csv} --max-degree --no-cache
+    rst       --format {json,md} --prime
+    isotropy  --format {json,md} --prime
+    census    --format {json,md}
+
+``fixtures`` takes no input file, only ``--dir``.  Exit codes: 0 ok,
+2 invalid input, 3 internal invariant violation, 4 dimension limit.
 """
 
 from __future__ import annotations
@@ -44,21 +53,6 @@ from .report import (
     render_report_json,
     render_report_markdown,
 )
-
-
-def _add_common(parser: argparse.ArgumentParser, with_engine=True):
-    parser.add_argument("input", help="JSON group description file")
-    parser.add_argument("--max-degree", type=int, default=None, metavar="L",
-                        help="top degree (default n+3)")
-    parser.add_argument("--format", choices=("json", "md", "csv"), default="md")
-    parser.add_argument("--prime", type=int, default=None,
-                        help="restrict torsion reporting to one prime")
-    parser.add_argument("--no-cache", action="store_true")
-    if with_engine:
-        parser.add_argument("--engine", choices=("formula", "oracle", "both"),
-                            default="both")
-        parser.add_argument("--variant", choices=("published", "corrected", "both"),
-                            default="both")
 
 
 def _resolve_degree(spec: GroupSpec, value) -> int:
@@ -103,7 +97,6 @@ def _engine_list(args) -> list[str]:
 def cmd_analyze(args) -> int:
     spec = load_group_file(args.input)
     max_degree = _resolve_degree(spec, args.max_degree)
-    primes = _primes_for(args, spec)
     tables = [
         _cached_table(spec, engine, max_degree, not args.no_cache)
         for engine in _engine_list(args)
@@ -117,14 +110,14 @@ def cmd_analyze(args) -> int:
         header = ["degree"]
         for t in tables:
             header += [f"{t.engine}_rank", f"{t.engine}_torsion"]
-            header += [f"{t.engine}_theta{p}" for p in primes]
+            header += [f"{t.engine}_theta{p}" for p in spec.primes]
         lines = [",".join(header)]
         for l in range(max_degree + 1):
             row = [str(l)]
             for t in tables:
                 g = t.groups[l]
                 row += [str(g.rank), ";".join(str(f) for f in g.torsion)]
-                row += [str(g.p_multiplicity(p)) for p in primes]
+                row += [str(g.p_multiplicity(p)) for p in spec.primes]
             lines.append(",".join(row))
         _emit("\n".join(lines) + "\n")
     return 0
@@ -275,6 +268,30 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+_MAX_DEGREE = ("--max-degree", dict(type=int, default=None, metavar="L",
+                                   help="top degree (default n+3)"))
+_PRIME = ("--prime", dict(type=int, default=None,
+                          help="report only this prime factor of m"))
+_NO_CACHE = ("--no-cache", dict(action="store_true"))
+_ENGINE = ("--engine", dict(choices=("formula", "oracle", "both"), default="both"))
+_VARIANT = ("--variant", dict(choices=("published", "corrected", "both"), default="both"))
+_WITH_CSV, _NO_CSV = ("json", "md", "csv"), ("json", "md")
+
+# (name, handler, help, --format choices, options): each handler reads
+# exactly the options listed for it, besides ``input`` and ``--format``.
+_SUBCOMMANDS = (
+    ("analyze", cmd_analyze, "compute cohomology tables", _WITH_CSV,
+     (_MAX_DEGREE, _NO_CACHE, _ENGINE, _VARIANT)),
+    ("compare", cmd_compare, "three-way reconciliation report", _WITH_CSV,
+     (_MAX_DEGREE, _PRIME)),
+    ("rank", cmd_rank, "free ranks: census count, Molien average, Smith oracle",
+     _WITH_CSV, (_MAX_DEGREE, _NO_CACHE)),
+    ("rst", cmd_rst, "per-prime (r, s, t) decomposition", _NO_CSV, (_PRIME,)),
+    ("isotropy", cmd_isotropy, "isotropy divisors D, m_d, k_d", _NO_CSV, (_PRIME,)),
+    ("census", cmd_census, "eigenvalue census and class counts", _NO_CSV, ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicoh",
@@ -283,31 +300,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"semicoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="compute cohomology tables")
-    _add_common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_compare = sub.add_parser("compare", help="three-way reconciliation report")
-    _add_common(p_compare, with_engine=False)
-    p_compare.set_defaults(func=cmd_compare)
-
-    p_rank = sub.add_parser("rank", help="free ranks, three independent ways")
-    _add_common(p_rank, with_engine=False)
-    p_rank.set_defaults(func=cmd_rank)
-
-    p_rst = sub.add_parser("rst", help="per-prime (r, s, t) decomposition")
-    _add_common(p_rst, with_engine=False)
-    p_rst.set_defaults(func=cmd_rst)
-
-    p_iso = sub.add_parser("isotropy", help="isotropy divisors D, m_d, k_d")
-    _add_common(p_iso, with_engine=False)
-    p_iso.set_defaults(func=cmd_isotropy)
-
-    p_census = sub.add_parser("census", help="eigenvalue census and class counts")
-    _add_common(p_census, with_engine=False)
-    p_census.set_defaults(func=cmd_census)
-
+    for name, handler, help_text, formats, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("input", help="JSON group description file")
+        p.add_argument("--format", choices=formats, default="md")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     p_fix = sub.add_parser("fixtures", help="list or export the fixture corpus")
     p_fix.add_argument("--dir", default=None, help="write fixture JSON files here")
     p_fix.set_defaults(func=cmd_fixtures)

@@ -1,5 +1,6 @@
 """Reports, serialization round-trips, CLI behavior, cache."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from semicoh.cache import cache_get, cache_key, cache_put
+from semicoh.cli import build_parser
 from semicoh.engines import build_table
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
@@ -177,7 +179,7 @@ def test_cli_dimension_exit_code(tmp_path):
 
 def test_cli_compare_and_subcommands():
     for cmd in (
-        ["compare", "--max-degree", "6", "--format", "json", "--no-cache"],
+        ["compare", "--max-degree", "6", "--format", "json"],
         ["rank", "--format", "json", "--no-cache"],
         ["rst", "--format", "json"],
         ["isotropy", "--format", "json"],
@@ -191,7 +193,7 @@ def test_cli_compare_and_subcommands():
 def test_cli_compare_prime_filter():
     result = run_cli(
         "compare", "--max-degree", "6", "--prime", "3", "--format", "json",
-        "--no-cache", "fixtures/z5_z6.json",
+        "fixtures/z5_z6.json",
     )
     assert result.returncode == 0
     doc = json.loads(result.stdout)
@@ -199,30 +201,92 @@ def test_cli_compare_prime_filter():
     assert all(row["prime"] == 3 for row in doc["torsion"])
 
 
+NEGATIVE_DEGREE = "--max-degree must be non-negative"
+FOREIGN_PRIME = "is not a prime factor"
+
+
 @pytest.mark.parametrize(
-    "args",
+    "args, message",
     [
-        ("analyze", "--max-degree", "-1"),
-        ("compare", "--max-degree", "-1"),
-        ("rank", "--max-degree", "-1"),
-        ("compare", "--prime", "5", "--format", "json"),
-        ("analyze", "--format", "csv", "--prime", "7"),
-        ("compare", "--prime", "0", "--format", "json"),
+        (("analyze", "--max-degree", "-1"), NEGATIVE_DEGREE),
+        (("compare", "--max-degree", "-1"), NEGATIVE_DEGREE),
+        (("rank", "--max-degree", "-1"), NEGATIVE_DEGREE),
+        (("compare", "--prime", "5", "--format", "json"), FOREIGN_PRIME),
+        (("rst", "--prime", "5"), FOREIGN_PRIME),
+        (("compare", "--prime", "0", "--format", "json"), FOREIGN_PRIME),
     ],
     ids=["analyze-degree", "compare-degree", "rank-degree", "compare-prime",
-         "analyze-prime", "compare-prime-zero"],
+         "rst-prime", "compare-prime-zero"],
 )
-def test_cli_refuses_bad_degree_or_prime(args):
-    # z5_z6 has m = 6: 0, 5 and 7 are not prime factors of m
-    result = run_cli(*args, "--no-cache", "fixtures/z5_z6.json")
+def test_cli_refuses_bad_degree_or_prime(args, message):
+    # z5_z6 has m = 6: 0 and 5 are not prime factors of m; the message shows
+    # that the handler refused the value, not argparse
+    result = run_cli(*args, "fixtures/z5_z6.json")
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
+    assert message in result.stderr
+
+
+TABLE_FORMATS = ("json", "md", "csv")
+TEXT_FORMATS = ("json", "md")
+SUBCOMMAND_OPTIONS = {
+    "analyze": ({"--max-degree", "--format", "--no-cache", "--engine", "--variant"},
+                TABLE_FORMATS),
+    "compare": ({"--max-degree", "--format", "--prime"}, TABLE_FORMATS),
+    "rank": ({"--max-degree", "--format", "--no-cache"}, TABLE_FORMATS),
+    "rst": ({"--format", "--prime"}, TEXT_FORMATS),
+    "isotropy": ({"--format", "--prime"}, TEXT_FORMATS),
+    "census": ({"--format"}, TEXT_FORMATS),
+    "fixtures": ({"--dir"}, None),
+}
+
+
+def test_cli_subcommands_take_only_the_options_they_read():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(SUBCOMMAND_OPTIONS)
+    for name, (options, formats) in SUBCOMMAND_OPTIONS.items():
+        actions = sub.choices[name]._actions
+        flags = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+        assert flags == options, name
+        positionals = [a.dest for a in actions if not a.option_strings]
+        assert positionals == ([] if name == "fixtures" else ["input"]), name
+        format_choices = [tuple(a.choices) for a in actions if "--format" in a.option_strings]
+        assert format_choices == ([formats] if formats else []), name
+
+
+REMOVED_OPTIONS = [
+    ("analyze", ("--prime", "3")),
+    ("compare", ("--no-cache",)),
+    ("rank", ("--prime", "3")),
+    ("rst", ("--max-degree", "5")),
+    ("rst", ("--no-cache",)),
+    ("rst", ("--format", "csv")),
+    ("isotropy", ("--max-degree", "5")),
+    ("isotropy", ("--no-cache",)),
+    ("isotropy", ("--format", "csv")),
+    ("census", ("--max-degree", "5")),
+    ("census", ("--no-cache",)),
+    ("census", ("--prime", "3")),
+    ("census", ("--format", "csv")),
+]
+
+
+@pytest.mark.parametrize("cmd, extra", REMOVED_OPTIONS,
+                         ids=[f"{cmd}{extra[0]}" for cmd, extra in REMOVED_OPTIONS])
+def test_cli_refuses_option_the_subcommand_does_not_read(cmd, extra):
+    result = run_cli(cmd, "fixtures/z5_z6.json", *extra)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    expected = ("invalid choice: 'csv'" if extra[0] == "--format"
+                else f"unrecognized arguments: {' '.join(extra)}")
+    assert expected in result.stderr
 
 
 def test_cli_determinism():
-    args = ("compare", "--max-degree", "8", "--format", "json", "--no-cache",
-            "fixtures/z5_z6.json")
+    args = ("compare", "--max-degree", "8", "--format", "json", "fixtures/z5_z6.json")
     a = run_cli(*args)
     b = run_cli(*args)
     assert a.stdout == b.stdout
@@ -237,7 +301,7 @@ def test_cli_import_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("argv", [
-    ["compare", "--no-cache", "fixtures/p3.json"],
+    ["compare", "fixtures/p3.json"],
     ["analyze", "--no-cache", "fixtures/dinfty.json"],
 ])
 def test_cli_on_narrow_fixtures_does_not_load_numpy(argv):
