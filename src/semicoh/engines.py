@@ -7,7 +7,7 @@ from .cyclotomic import count_wedge_roots, exponent_multiset, matrix_census, mol
 from .groups import GroupSpec, validate
 from .oracle import e2_table
 from .tables import CohomologyTable
-from .torsion import TorsionVariant, assemble_p_torsion
+from .torsion import VARIANTS, TorsionVariant, assemble_p_torsion, check_variant
 
 
 def full_exponents(spec: GroupSpec):
@@ -38,6 +38,7 @@ def formula_table(
     4-periodic on some inputs).
     """
     validate(spec)
+    check_variant(variant)
     ranks = rank_column(spec, max_degree)
     thetas = {
         p: [assemble_p_torsion(spec, p, l, variant) for l in range(max_degree + 1)]
@@ -71,6 +72,6 @@ def build_table(spec: GroupSpec, max_degree: int, engine: str) -> CohomologyTabl
         return e2_table(spec, max_degree)
     if engine.startswith("formula-"):
         variant = engine.removeprefix("formula-")
-        if variant in ("published", "corrected"):
+        if variant in VARIANTS:
             return formula_table(spec, max_degree, variant)  # type: ignore[arg-type]
     raise ValueError(f"unknown engine {engine!r}")

@@ -88,7 +88,8 @@ class SpecInputError(InputError):
 
 class BadInvariantFactors(InternalInvariantError):
     """An invariant factor the structure theory forbids: outside {1, p} in
-    an (r, s, t) quotient, or not dividing q in a cyclic cohomology group."""
+    an (r, s, t) quotient or in the cokernel of psi - 1 or N over Z/p, or
+    not dividing q in a cyclic cohomology group."""
 
 
 class NonInvariantBlock(InternalInvariantError):

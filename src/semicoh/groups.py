@@ -16,7 +16,9 @@ run once per isotypic sublattice ker(Phi_e(phi) * Phi_pe(phi)) rather than
 once globally.  The refinement is what makes the block censuses canonical:
 each isotypic piece is phi-stable by construction, the counts are basis
 independent, and k_d = m_d/(p-1) is an integer by construction (it equals
-the t-count of one isotypic piece).
+the t-count of one isotypic piece).  The totals are cross-checked against
+the whole lattice, where t and r are the numbers of cokernel invariant
+factors of psi - 1 and of N that equal p.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    _smith_engine,
+    complete_to_unimodular,
     det,
     invariant_factors,
     kernel_basis,
@@ -53,7 +57,6 @@ from .intmat import (
     rank,
     restrict_to_basis,
     saturate_span,
-    smith_transforms,
     solve_columns,
 )
 
@@ -134,32 +137,35 @@ def _p_quotient(ambient: IntMatrix, generators: IntMatrix, p: int):
     structure theory for Z/p-lattices and raises BadInvariantFactors.
     """
     coords = solve_columns(ambient, generators)
-    data = smith_transforms(coords, uinv=True)
-    gens = []
+    eng = _smith_engine(coords, need_uinv=True)
+    diagonal = eng.diagonal
+    count = _count_p_factors(diagonal, p)
+    if len(diagonal) < coords.rows:
+        raise BadInvariantFactors("kernel/image quotient is not finite")
+    gens = [i for i, d in enumerate(diagonal) if d == p]
+    local = IntMatrix([[row[j] for j in gens] for row in eng.uinv])
+    return count, ambient @ local
+
+
+def _count_p_factors(factors, p: int) -> int:
+    """How many ``factors`` equal p; one other than 1 or p raises BadInvariantFactors."""
     count = 0
-    for i, d in enumerate(data["diagonal"]):
-        if d == 1:
-            continue
-        if d != p:
+    for d in factors:
+        if d not in (1, p):
             raise BadInvariantFactors(
                 f"invariant factor {d} outside {{1, {p}}} in a Z/{p} quotient"
             )
-        count += 1
-        gens.append(i)
-    if len(data["diagonal"]) < coords.rows:
-        raise BadInvariantFactors("kernel/image quotient is not finite")
-    uinv = data["uinv"]
-    local = IntMatrix([[uinv.data[i][j] for j in gens] for i in range(coords.rows)])
-    return count, ambient @ local
+        count += d == p
+    return count
 
 
 def _cyclic_counts(psi: IntMatrix, p: int):
     """(r, s, t, r_gens, w_gens) for one Z/p-lattice with generator action psi."""
     n = psi.rows
-    one = IntMatrix.identity(n)
+    psi_minus_one = psi - IntMatrix.identity(n)
     norm, _ = norm_and_power(psi, p)
-    t, w_gens = _p_quotient(kernel_basis(norm), psi - one, p)
-    r, r_gens = _p_quotient(kernel_basis(psi - one), norm, p)
+    t, w_gens = _p_quotient(kernel_basis(norm), psi_minus_one, p)
+    r, r_gens = _p_quotient(kernel_basis(psi_minus_one), norm, p)
     rest = n - r - (p - 1) * t
     if rest < 0 or rest % p:
         raise BadInvariantFactors(
@@ -189,22 +195,16 @@ def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
     """Unimodular basis [r block | complement | t generators], best effort.
 
     When the r block and the t generators are not jointly primitive the
-    joint saturation is completed instead (still unimodular).
+    completed joint saturation is returned as it stands (still unimodular).
     """
-    from .intmat import complete_to_unimodular
-
     joint = r_basis.hstack(w_gens) if w_gens.cols else r_basis
     if joint.cols == 0:
         return IntMatrix.identity(n)
-    if all(f == 1 for f in invariant_factors(joint)):
-        full = complete_to_unimodular(saturate_span(joint))
-        rest = IntMatrix(
-            [[full.data[i][j] for j in range(joint.cols, n)] for i in range(n)]
-        )
-        cols: list[tuple[int, ...]] = r_basis.columns() + rest.columns() + w_gens.columns()
-        return IntMatrix.from_columns(cols, n)
-    sat = saturate_span(joint)
-    return complete_to_unimodular(sat)
+    full = complete_to_unimodular(saturate_span(joint))
+    if any(f != 1 for f in invariant_factors(joint)):
+        return full
+    rest = [row[joint.cols:] for row in full.data]
+    return r_basis.hstack(IntMatrix(rest)).hstack(w_gens)
 
 
 @lru_cache(maxsize=256)
@@ -213,7 +213,9 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
 
     Runs the kernel/cokernel counting procedure on each isotypic
     sublattice ker(Phi_e(phi)*Phi_pe(phi)), e | m/p, and cross-checks the
-    totals against the same procedure run globally.
+    totals against the whole lattice: r and t there are the numbers of
+    cokernel invariant factors of N and of psi - 1 equal to p, and a
+    factor outside {1, p} raises BadInvariantFactors.
     """
     validate(spec)
     if p not in spec.primes:
@@ -250,15 +252,17 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
             w_amb = u_basis @ w_gens
             w_cols.extend(w_amb.columns())
             span_cols = []
-            power = IntMatrix.identity(n)
+            orbit = w_amb  # psi^k applied to the generator columns
             for _ in range(p - 1):
-                span_cols.extend((power @ w_amb).columns())
-                power = power @ psi
+                span_cols.extend(orbit.columns())
+                orbit = psi @ orbit
             t_cols.extend(
                 saturate_span(IntMatrix.from_columns(span_cols, n)).columns()
             )
 
-    r_glob, _, t_glob, _, _ = _cyclic_counts(psi, p)
+    norm, _ = norm_and_power(psi, p)
+    r_glob = _count_p_factors(invariant_factors(norm), p)
+    t_glob = _count_p_factors(invariant_factors(psi - IntMatrix.identity(n)), p)
     if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:
         raise NonInvariantBlock(
             f"isotypic totals (r={r}, t={t}) disagree with the global counts "

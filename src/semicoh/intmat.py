@@ -1,20 +1,22 @@
 """Exact arbitrary-precision integer matrix algebra.
 
 Everything here is integer arithmetic; no floating point anywhere.
-Smith elimination runs on pure-Python big integers only.  Matrix
-products use int64 numpy arrays only when the bound
+Smith elimination runs on pure-Python big integers only, and every
+wrapper below reads its result off one engine run (_smith_engine).
+Matrix products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
 big integers otherwise, so results are exact in all cases.  The powers
 a^1..a^q behind a norm 1 + a + ... + a^(q-1) and the check a^q = 1 come
 from one guarded chain, norm_and_power: int64 arrays while every product
-and partial sum is proven below 2**62, arrays of Python integers after.
-Matrices narrower than 4 never leave pure Python, so they never load numpy.
+and partial sum is proven below 2**62, then the plain IntMatrix loop,
+whose products are exact by the same guard.  Matrices narrower than 4
+never leave pure Python, so they never load numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .errors import DegreeOutOfRange, NotASublattice, NotSquare, NotUnimodular
 from .intpoly import IntPolynomial
@@ -38,7 +40,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(int(x) for x in row) for row in data)
+        rows = tuple(tuple(map(int, row)) for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):
@@ -108,11 +110,15 @@ class IntMatrix:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return IntMatrix([
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
         return IntMatrix([
             [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
@@ -163,8 +169,8 @@ def _matmul(a, b):
     inner = len(b)
     if inner == 0 or len(a) == 0 or len(b[0]) == 0:
         return [[0] * (len(b[0]) if b else 0) for _ in range(len(a))]
-    amax = max((abs(x) for row in a for x in row), default=0)
-    bmax = max((abs(x) for row in b for x in row), default=0)
+    amax = max(map(abs, chain.from_iterable(a)), default=0)
+    bmax = max(map(abs, chain.from_iterable(b)), default=0)
     if min(len(a), inner, len(b[0])) >= _NUMPY_MIN_DIM and inner * amax * bmax < _INT64_LIMIT:
         # imported here so that callers which never take this branch
         # (the CLI on small fixtures) do not pay for loading numpy
@@ -182,8 +188,9 @@ def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
     Only the running power and the running sum are kept.  Matrices at
     least _NUMPY_MIN_DIM wide run as int64 arrays while each product
     bound d * max|power| * max|a| and the running total of the summed
-    powers' maxima stay below _INT64_LIMIT, and as arrays of Python
-    integers from the first step that fails it.
+    powers' maxima stay below _INT64_LIMIT.  Every other step, and every
+    step of a narrower matrix, runs in the plain IntMatrix loop, whose
+    products _matmul keeps exact.
 
     >>> [m.data for m in norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)]
     [((0, 0), (0, 0)), ((1, 0), (0, 1))]
@@ -193,32 +200,27 @@ def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
     if q < 0:
         raise ValueError("negative power")
     d = a.rows
-    if d < _NUMPY_MIN_DIM:
-        power, total = IntMatrix.identity(d), IntMatrix.zeros(d, d)
-        for _ in range(q):
-            total = total + power
-            power = power @ a
-        return total, power
+    power, total = IntMatrix.identity(d), IntMatrix.zeros(d, d)
+    done = 0
+    amax = max(map(abs, chain.from_iterable(a.data)), default=0)  # Python ints: no wrap
+    if d >= _NUMPY_MIN_DIM and amax < _INT64_LIMIT:
+        import numpy as np
 
-    import numpy as np
-
-    amax = max(abs(x) for row in a.data for x in row)  # Python ints: no wrap
-    in_int64 = amax < _INT64_LIMIT
-    dtype = np.int64 if in_int64 else object
-    base = np.array(a.data, dtype=dtype)
-    power = np.identity(d, dtype=dtype)
-    total = np.zeros((d, d), dtype=dtype)
-    pmax, smax = 1, 0  # max|power| and a bound on max|total|
-    for _ in range(q):
-        if in_int64 and (smax + pmax >= _INT64_LIMIT or d * pmax * amax >= _INT64_LIMIT):
-            in_int64 = False
-            base, power, total = (x.astype(object) for x in (base, power, total))
-        total += power
-        power = power @ base
-        if in_int64:
+        base = np.array(a.data, dtype=np.int64)
+        npower = np.identity(d, dtype=np.int64)
+        ntotal = np.zeros((d, d), dtype=np.int64)
+        pmax, smax = 1, 0  # max|power| and a bound on max|total|
+        while done < q and smax + pmax < _INT64_LIMIT and d * pmax * amax < _INT64_LIMIT:
+            ntotal += npower
+            npower = npower @ base
             smax += pmax
-            pmax = int(np.abs(power).max())
-    return IntMatrix(total.tolist()), IntMatrix(power.tolist())
+            pmax = int(np.abs(npower).max())
+            done += 1
+        power, total = IntMatrix(npower.tolist()), IntMatrix(ntotal.tolist())
+    for _ in range(done, q):
+        total = total + power
+        power = power @ a
+    return total, power
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +319,10 @@ class _Smith:
             for row in self.v:
                 row[j], row[k] = row[k], row[j]
 
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.a[i][i] for i in range(min(self.m, self.n)))
+
     def find_pivot(self, k):
         best = None
         for i in range(k, self.m):
@@ -400,29 +406,9 @@ class _Smith:
                 self.row_negate(i)
 
 
-def _smith_engine(matrix: IntMatrix, need_u=False, need_uinv=False, need_v=False):
-    m, n = matrix.rows, matrix.cols
-    eng = _Smith(matrix.data, m, n, need_u, need_uinv, need_v).run()
-    return {
-        "d": [eng.a[i][i] for i in range(min(m, n))],
-        "u": eng.u,
-        "uinv": eng.uinv,
-        "v": eng.v,
-    }
-
-
-def smith_transforms(a: IntMatrix, *, u=False, uinv=False, v=False) -> dict:
-    """Smith elimination with exactly the transforms the caller needs.
-
-    Returns {"diagonal": tuple, "u": IntMatrix|None, "uinv": ..., "v": ...}.
-    """
-    res = _smith_engine(a, need_u=u, need_uinv=uinv, need_v=v)
-    return {
-        "diagonal": tuple(res["d"]),
-        "u": IntMatrix(res["u"]) if res["u"] is not None else None,
-        "uinv": IntMatrix(res["uinv"]) if res["uinv"] is not None else None,
-        "v": IntMatrix(res["v"]) if res["v"] is not None else None,
-    }
+def _smith_engine(matrix: IntMatrix, need_u=False, need_uinv=False, need_v=False) -> _Smith:
+    """One Smith elimination of ``matrix``, tracking only the transforms asked for."""
+    return _Smith(matrix.data, matrix.rows, matrix.cols, need_u, need_uinv, need_v).run()
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -430,18 +416,16 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     Total: works for any shape, including empty matrices.
     """
-    res = _smith_engine(a, need_u=True, need_v=True)
-    d = IntMatrix.zeros(a.rows, a.cols)
-    data = [list(row) for row in d.data]
-    for i, x in enumerate(res["d"]):
-        data[i][i] = x
-    return SmithDecomposition(IntMatrix(res["u"]), IntMatrix(data), IntMatrix(res["v"]))
+    eng = _smith_engine(a, need_u=True, need_v=True)
+    d = [[0] * a.cols for _ in range(a.rows)]
+    for i, x in enumerate(eng.diagonal):
+        d[i][i] = x
+    return SmithDecomposition(IntMatrix(eng.u), IntMatrix(d), IntMatrix(eng.v))
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     """Nonzero Smith diagonal entries (no transform tracking)."""
-    res = _smith_engine(a)
-    return tuple(x for x in res["d"] if x != 0)
+    return tuple(x for x in _smith_engine(a).diagonal if x != 0)
 
 
 def rank(a: IntMatrix) -> int:
@@ -454,12 +438,9 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     The span is pure: Z^cols / span is torsion-free.  A zero kernel gives
     a matrix with zero columns.
     """
-    res = _smith_engine(a, need_v=True)
-    d = res["d"]
-    v = res["v"]
-    r = sum(1 for x in d if x != 0)
-    cols = list(range(r, a.cols))
-    return IntMatrix([[v[i][j] for j in cols] for i in range(a.cols)])
+    eng = _smith_engine(a, need_v=True)
+    r = sum(1 for x in eng.diagonal if x != 0)
+    return IntMatrix([row[r:] for row in eng.v])
 
 
 def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
@@ -470,12 +451,12 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
     """
     if basis.rows != targets.rows:
         raise ValueError("row mismatch")
-    res = _smith_engine(basis, need_u=True, need_v=True)
-    d = res["d"]
+    eng = _smith_engine(basis, need_u=True, need_v=True)
+    d = eng.diagonal
     k = basis.cols
     if sum(1 for x in d if x != 0) != k:
         raise NotASublattice("ambient columns are not independent")
-    ub = _matmul(res["u"], targets.data)
+    ub = _matmul(eng.u, targets.data)
     for i in range(k, basis.rows):
         if any(ub[i][j] != 0 for j in range(targets.cols)):
             raise NotASublattice("column outside the rational span")
@@ -489,7 +470,7 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
                 raise NotASublattice("column not integrally in the span")
             row.append(q)
         w.append(row)
-    return IntMatrix(_matmul(res["v"], w))
+    return IntMatrix(_matmul(eng.v, w))
 
 
 def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
@@ -508,10 +489,9 @@ def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
 
 def saturate_span(m: IntMatrix) -> IntMatrix:
     """Basis of the saturation (pure closure) of the column span."""
-    res = _smith_engine(m, need_uinv=True)
-    r = sum(1 for x in res["d"] if x != 0)
-    uinv = res["uinv"]
-    return IntMatrix([[uinv[i][j] for j in range(r)] for i in range(m.rows)])
+    eng = _smith_engine(m, need_uinv=True)
+    r = sum(1 for x in eng.diagonal if x != 0)
+    return IntMatrix([row[:r] for row in eng.uinv])
 
 
 def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
@@ -521,10 +501,10 @@ def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
 
 def complete_to_unimodular(m: IntMatrix) -> IntMatrix:
     """Extend the columns of a saturated basis to a basis of the whole Z^n."""
-    res = _smith_engine(m, need_uinv=True)
-    if any(x != 1 for x in res["d"]):
+    eng = _smith_engine(m, need_uinv=True)
+    if any(x != 1 for x in eng.diagonal):
         raise NotASublattice("columns do not form a saturated independent set")
-    return IntMatrix(res["uinv"])
+    return IntMatrix(eng.uinv)
 
 
 def det(a: IntMatrix) -> int:
@@ -622,8 +602,8 @@ def contragredient(a: IntMatrix) -> IntMatrix:
     """Inverse transpose of a unimodular matrix, exactly."""
     if not a.is_square():
         raise NotSquare("contragredient needs a square matrix")
-    res = _smith_engine(a, need_u=True, need_v=True)
-    if any(x != 1 for x in res["d"]):
+    eng = _smith_engine(a, need_u=True, need_v=True)
+    if any(x != 1 for x in eng.diagonal):
         raise NotUnimodular("matrix determinant is not +-1")
-    inv = _matmul(res["v"], res["u"])
+    inv = _matmul(eng.v, eng.u)
     return IntMatrix(inv).transpose()

@@ -38,6 +38,15 @@ from .groups import GroupSpec, IsotropyData, isotropy_data, rst_decompose, valid
 
 TorsionVariant = Literal["published", "corrected"]
 VARIANTS: tuple[TorsionVariant, ...] = ("published", "corrected")
+CUTOFFS = ("half", "beta_minus_1")
+
+
+def check_variant(variant: str, cutoff: str = "half") -> None:
+    """ValueError unless ``variant`` is in VARIANTS and ``cutoff`` in CUTOFFS."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown torsion variant {variant!r}; expected one of {VARIANTS}")
+    if cutoff not in CUTOFFS:
+        raise ValueError(f"unknown corrected cutoff {cutoff!r}; expected one of {CUTOFFS}")
 
 
 def _comb0(a: int, b: int) -> int:
@@ -148,6 +157,7 @@ def theta_coefficient_exact(
     ctx: ThetaContext, a_set, beta: int, *, corrected_cutoff: str = "half"
 ) -> Fraction:
     """The orbit coefficient as an exact fraction (before integrality)."""
+    check_variant(ctx.variant, corrected_cutoff)
     a_set = frozenset(a_set)
     if not a_set <= set(ctx.divisors):
         raise ValueError(f"{sorted(a_set)} is not a subset of D={ctx.divisors}")
@@ -208,6 +218,7 @@ def assemble_p_torsion(
     carries no torsion, which the published empty-set convention must be
     prevented from contradicting.
     """
+    check_variant(variant, corrected_cutoff)
     if l < 0:
         raise ValueError("negative degree")
     if l == 0:
@@ -242,6 +253,7 @@ def one_prime_theta(spec: GroupSpec, l: int, variant: TorsionVariant) -> int:
     H-factor is the independent shortcut being cross-checked.
     """
     validate(spec)
+    check_variant(variant)
     if len(spec.primes) != 1 or spec.m != spec.primes[0]:
         raise NotPrimeOrder(f"m={spec.m} is not prime")
     if l < 0:

@@ -2,13 +2,20 @@
 
 import pytest
 
+import semicoh.groups
+from semicoh.cyclotomic import cyclotomic_polynomial, divisors
 from semicoh.errors import (
     NotFreeAction,
     NotSquareFree,
     NotUnimodular,
     WrongOrder,
 )
-from semicoh.fixtures import FLAGSHIP_MATRIX, companion_of_cyclotomic, fixture_by_name
+from semicoh.fixtures import (
+    FLAGSHIP_MATRIX,
+    companion_of_cyclotomic,
+    fixture_by_name,
+    fixture_suite,
+)
 from semicoh.groups import (
     GroupSpec,
     free_outside_origin,
@@ -17,9 +24,9 @@ from semicoh.groups import (
     rst_decompose,
     validate,
 )
-from semicoh.intmat import IntMatrix, det, invariant_factors, saturate_span
+from semicoh.intmat import IntMatrix, det, invariant_factors, kernel_basis, saturate_span
 
-from conftest import random_companion_spec, random_unimodular
+from conftest import count_calls, random_companion_spec, random_unimodular
 
 
 def span_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -123,6 +130,29 @@ def test_rst_invariants_random(rng):
             for d, v in iso.m_d:
                 assert v % (p - 1) == 0
                 assert (spec.m // p) % d == 0
+
+
+def test_rst_global_check_reads_cokernel_factors(monkeypatch):
+    # each non-empty isotypic piece takes two kernel/image quotients (t and
+    # r); the whole-lattice cross-check reads invariant factors and takes none
+    quotients = count_calls(monkeypatch, semicoh.groups, "_p_quotient")
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        for p in spec.primes:
+            pieces = sum(
+                1
+                for e in divisors(spec.m // p)
+                if kernel_basis(
+                    (cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)).eval_matrix(spec.phi)
+                ).cols
+            )
+            rst_decompose.cache_clear()
+            quotients.clear()
+            rst_decompose(spec, p)
+            assert len(quotients) == 2 * pieces, (fixture.name, p)
+            assert pieces == (2 if fixture.name == "z5_z6" else 1), (fixture.name, p)
 
 
 def test_isotropy_flagship():

@@ -283,6 +283,17 @@ def test_matmul_int64_guard_matches_python_product():
         assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(expected)
 
 
+def test_add_and_sub_refuse_shape_mismatch():
+    # zip used to truncate: [[1, 2], [3, 4]] + [[1]] gave [[2]]
+    a = IntMatrix([[1, 2], [3, 4]])
+    for other in (IntMatrix([[1]]), IntMatrix([[1, 2]]), IntMatrix([[1], [2]])):
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                left + right
+            with pytest.raises(ValueError, match="shape mismatch"):
+                left - right
+
+
 def _power_chain_reference(a, q):
     norm = IntMatrix.zeros(a.rows, a.rows)
     for k in range(q):

@@ -321,6 +321,18 @@ def test_cli_fixtures_listing():
         assert name in result.stdout
 
 
+def test_committed_fixtures_equal_generated(tmp_path):
+    # the CLI tests and perfbench read fixtures/*.json, the library tests
+    # read fixture_suite(); the two must not drift apart
+    result = run_cli("fixtures", "--dir", str(tmp_path))
+    assert result.returncode == 0, result.stderr
+    committed = ROOT / "fixtures"
+    names = sorted(path.name for path in tmp_path.glob("*.json"))
+    assert names == sorted(path.name for path in committed.glob("*.json"))
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
 def test_cache_roundtrip(tmp_path, monkeypatch):
     monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
     spec = fixture_by_name("p3").spec

@@ -6,6 +6,7 @@ from math import comb, gcd
 
 import pytest
 
+from semicoh.engines import formula_table
 from semicoh.errors import NonIntegral, NonIntegralOrbitCount, NotPrimeOrder
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name
 from semicoh.groups import GroupSpec
@@ -81,6 +82,28 @@ def test_theta_empty_set_conventions():
 def test_theta_flagship_p3_corrected():
     context = ctx(3, 6, 0, {2: 1}, "corrected")
     assert theta_coefficient(context, {2}, 2) == 1
+
+
+def test_unknown_variant_or_cutoff_is_refused():
+    # a misspelt variant used to assemble the corrected table under its own
+    # label, and an unknown cutoff used to mean beta - 1; degree 0 too
+    spec = fixture_by_name("z5_z6").spec
+    for l in (0, 4):
+        with pytest.raises(ValueError, match="variant 'corected'"):
+            assemble_p_torsion(spec, 2, l, "corected")
+        with pytest.raises(ValueError, match="cutoff 'halve'"):
+            assemble_p_torsion(spec, 2, l, "corrected", corrected_cutoff="halve")
+    # m = 1 has no prime to assemble, and p3 is prime for one_prime_theta
+    for table_spec in (spec, GroupSpec(1, 1, IntMatrix.identity(1))):
+        with pytest.raises(ValueError, match="variant 'corected'"):
+            formula_table(table_spec, 8, "corected")
+    with pytest.raises(ValueError, match="variant 'corected'"):
+        one_prime_theta(fixture_by_name("p3").spec, 0, "corected")
+    for coefficient in (theta_coefficient, theta_coefficient_exact):
+        with pytest.raises(ValueError, match="variant 'corected'"):
+            coefficient(ctx(3, 6, 0, {2: 1}, "corected"), {2}, 2)
+        with pytest.raises(ValueError, match="cutoff 'halve'"):
+            coefficient(ctx(3, 6, 0, {2: 1}, "corrected"), {2}, 2, corrected_cutoff="halve")
 
 
 def test_theta_non_integral_is_reported():
