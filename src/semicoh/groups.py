@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
+
 from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
@@ -54,7 +56,6 @@ from .intmat import (
     invariant_factors,
     kernel_basis,
     norm_and_power,
-    rank,
     restrict_to_basis,
     saturate_span,
     solve_columns,
@@ -83,8 +84,18 @@ def validate(spec: GroupSpec) -> GroupSpec:
     """Check all GroupSpec invariants; returns the spec unchanged.
 
     m must be square-free, phi must be n x n with determinant +-1, and
-    phi^m must be the identity (the order may properly divide m).
+    phi^m must be the identity (the order may properly divide m).  The
+    checks run once per distinct spec; a spec that fails them raises on
+    every call.
     """
+    _check(spec)
+    return spec
+
+
+@lru_cache(maxsize=256)
+def _check(spec: GroupSpec) -> None:
+    # the determinant is checked before phi^m: a non-unimodular phi is
+    # refused before powers whose entries can grow exponentially in m
     if spec.n < 1:
         raise NotSquare(f"lattice rank must be positive, got {spec.n}")
     if spec.phi.rows != spec.n or spec.phi.cols != spec.n:
@@ -100,7 +111,6 @@ def validate(spec: GroupSpec) -> GroupSpec:
         raise NotUnimodular("phi is not invertible over the integers")
     if not (spec.phi ** spec.m).is_identity():
         raise WrongOrder(f"phi^{spec.m} is not the identity")
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +204,18 @@ def _is_stable_block(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus)
 def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
     """Unimodular basis [r block | complement | t generators], best effort.
 
-    When the r block and the t generators are not jointly primitive the
-    completed joint saturation is returned as it stands (still unimodular).
+    When the r block and the t generators are not jointly primitive (of
+    full column rank with unit invariant factors) the completed joint
+    saturation is returned as it stands (still unimodular).  One Smith run
+    of the joint matrix gives both the saturation and that test.
     """
     joint = r_basis.hstack(w_gens) if w_gens.cols else r_basis
     if joint.cols == 0:
         return IntMatrix.identity(n)
-    full = complete_to_unimodular(saturate_span(joint))
-    if any(f != 1 for f in invariant_factors(joint)):
+    eng = _smith_engine(joint, need_uinv=True)
+    r = eng.rank
+    full = complete_to_unimodular(IntMatrix([row[:r] for row in eng.uinv]))
+    if eng.diagonal.count(1) != joint.cols:
         return full
     rest = [row[joint.cols:] for row in full.data]
     return r_basis.hstack(IntMatrix(rest)).hstack(w_gens)
@@ -364,14 +378,23 @@ class FreeActionReport:
         return dict(self.per_prime)[p]
 
 
+def _psi_minus_one_factors(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
+    """Per prime p, the nonzero invariant factors of psi_p - 1.
+
+    psi_p fixes no nonzero vector iff there are n of them, and then their
+    product is |det(psi_p - 1)|, the order of coker(psi_p - 1).
+    """
+    validate(spec)
+    one = IntMatrix.identity(spec.n)
+    return {p: invariant_factors(spec.psi(p) - one) for p in spec.primes}
+
+
 def free_outside_origin(spec: GroupSpec) -> FreeActionReport:
     """True per prime iff psi_p fixes no nonzero lattice vector."""
-    validate(spec)
-    flags = []
-    for p in spec.primes:
-        psi = spec.psi(p)
-        flags.append((p, rank(psi - IntMatrix.identity(spec.n)) == spec.n))
-    return FreeActionReport(tuple(flags), all(f for _, f in flags))
+    flags = tuple(
+        (p, len(factors) == spec.n) for p, factors in _psi_minus_one_factors(spec).items()
+    )
+    return FreeActionReport(flags, all(f for _, f in flags))
 
 
 @dataclass(frozen=True)
@@ -395,16 +418,16 @@ class MaxFiniteCensus:
 
 
 def max_finite_subgroup_census(spec: GroupSpec) -> MaxFiniteCensus:
-    report = free_outside_origin(spec)
-    if not report.overall:
+    per_prime = _psi_minus_one_factors(spec)
+    if any(len(factors) != spec.n for factors in per_prime.values()):
         raise NotFreeAction("the action has nonzero fixed vectors for some prime")
     counts: dict[int, int] = {}
     closed: dict[int, int | None] = {}
-    for p in spec.primes:
+    for p, factors in per_prime.items():
         if spec.n % (p - 1):
             raise NonIntegralK(f"free Z/{p}-action needs (p-1) | n, got n={spec.n}")
         k = spec.n // (p - 1)
-        quotient = abs(det(spec.psi(p) - IntMatrix.identity(spec.n)))
+        quotient = prod(factors)
         if quotient != p**k:
             raise NonIntegralK(
                 f"class count {quotient} differs from p^(n/(p-1)) = {p**k}"

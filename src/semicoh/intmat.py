@@ -123,9 +123,6 @@ class IntMatrix:
             [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self.data])
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -240,13 +237,16 @@ class SmithDecomposition:
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.d.data[i][i] for i in range(min(self.d.rows, self.d.cols)))
 
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return tuple(x for x in self.diagonal if x != 0)
-
 
 class _Smith:
-    """Big-integer Smith elimination with optional transform tracking."""
+    """Big-integer Smith elimination with optional transform tracking.
+
+    Each elementary operation is one loop over the arrays it acts on.  Row
+    operations act on A and U, column operations on A and V, and each row
+    operation also applies its inverse as a column operation on U^-1, so
+    U @ U^-1 stays the identity.  Transforms not asked for are None and
+    take part in no operation.
+    """
 
     def __init__(self, data, m, n, need_u, need_uinv, need_v):
         self.m, self.n = m, n
@@ -254,74 +254,64 @@ class _Smith:
         self.u = [[int(i == j) for j in range(m)] for i in range(m)] if need_u else None
         self.uinv = [[int(i == j) for j in range(m)] for i in range(m)] if need_uinv else None
         self.v = [[int(i == j) for j in range(n)] for i in range(n)] if need_v else None
+        self.row_arrays = [x for x in (self.a, self.u) if x is not None]
+        self.col_arrays = [x for x in (self.a, self.v) if x is not None]
+        self.inverse_rows = self.uinv or []
 
-    # row_i -= q * row_k ; inverse op adds back on Uinv columns
     def row_addmul(self, i, k, q):
-        ai, ak = self.a[i], self.a[k]
-        for j in range(self.n):
-            if ak[j]:
-                ai[j] -= q * ak[j]
-        if self.u is not None:
-            ui, uk = self.u[i], self.u[k]
-            for j in range(self.m):
-                if uk[j]:
-                    ui[j] -= q * uk[j]
-        if self.uinv is not None:
-            for row in self.uinv:
-                if row[i]:
-                    row[k] += q * row[i]
+        """row_i -= q * row_k; on U^-1, column_k += q * column_i."""
+        for arr in self.row_arrays:
+            ri, rk = arr[i], arr[k]
+            for j, x in enumerate(rk):
+                if x:
+                    ri[j] -= q * x
+        for row in self.inverse_rows:
+            if row[i]:
+                row[k] += q * row[i]
 
     def row_swap(self, i, k):
-        self.a[i], self.a[k] = self.a[k], self.a[i]
-        if self.u is not None:
-            self.u[i], self.u[k] = self.u[k], self.u[i]
-        if self.uinv is not None:
-            for row in self.uinv:
-                row[i], row[k] = row[k], row[i]
+        for arr in self.row_arrays:
+            arr[i], arr[k] = arr[k], arr[i]
+        for row in self.inverse_rows:
+            row[i], row[k] = row[k], row[i]
 
     def row_negate(self, i):
-        self.a[i] = [-x for x in self.a[i]]
-        if self.u is not None:
-            self.u[i] = [-x for x in self.u[i]]
-        if self.uinv is not None:
-            for row in self.uinv:
-                row[i] = -row[i]
+        for arr in self.row_arrays:
+            arr[i] = [-x for x in arr[i]]
+        for row in self.inverse_rows:
+            row[i] = -row[i]
 
     def row_transform2(self, i, k, x, y, u, v):
         """rows (i,k) <- (x*ri + y*rk, u*ri + v*rk); x*v - y*u == 1."""
-        for arr, width in ((self.a, self.n), (self.u, self.m)):
-            if arr is None:
-                continue
+        for arr in self.row_arrays:
             ri, rk = arr[i], arr[k]
-            for j in range(width):
-                p, q = ri[j], rk[j]
+            for j, (p, q) in enumerate(zip(ri, rk)):
                 ri[j] = x * p + y * q
                 rk[j] = u * p + v * q
-        if self.uinv is not None:
-            for row in self.uinv:
-                p, q = row[i], row[k]
-                row[i] = v * p - u * q
-                row[k] = -y * p + x * q
+        for row in self.inverse_rows:
+            p, q = row[i], row[k]
+            row[i] = v * p - u * q
+            row[k] = -y * p + x * q
 
     def col_addmul(self, j, k, q):
-        for row in self.a:
-            if row[k]:
-                row[j] -= q * row[k]
-        if self.v is not None:
-            for row in self.v:
+        """column_j -= q * column_k."""
+        for arr in self.col_arrays:
+            for row in arr:
                 if row[k]:
                     row[j] -= q * row[k]
 
     def col_swap(self, j, k):
-        for row in self.a:
-            row[j], row[k] = row[k], row[j]
-        if self.v is not None:
-            for row in self.v:
+        for arr in self.col_arrays:
+            for row in arr:
                 row[j], row[k] = row[k], row[j]
 
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.a[i][i] for i in range(min(self.m, self.n)))
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal if x != 0)
 
     def find_pivot(self, k):
         best = None
@@ -428,10 +418,6 @@ def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
     return tuple(x for x in _smith_engine(a).diagonal if x != 0)
 
 
-def rank(a: IntMatrix) -> int:
-    return len(invariant_factors(a))
-
-
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Basis of the saturated integer kernel {x : a x = 0}, as columns.
 
@@ -439,7 +425,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     a matrix with zero columns.
     """
     eng = _smith_engine(a, need_v=True)
-    r = sum(1 for x in eng.diagonal if x != 0)
+    r = eng.rank
     return IntMatrix([row[r:] for row in eng.v])
 
 
@@ -454,7 +440,7 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
     eng = _smith_engine(basis, need_u=True, need_v=True)
     d = eng.diagonal
     k = basis.cols
-    if sum(1 for x in d if x != 0) != k:
+    if eng.rank != k:
         raise NotASublattice("ambient columns are not independent")
     ub = _matmul(eng.u, targets.data)
     for i in range(k, basis.rows):
@@ -490,7 +476,7 @@ def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
 def saturate_span(m: IntMatrix) -> IntMatrix:
     """Basis of the saturation (pure closure) of the column span."""
     eng = _smith_engine(m, need_uinv=True)
-    r = sum(1 for x in eng.diagonal if x != 0)
+    r = eng.rank
     return IntMatrix([row[:r] for row in eng.uinv])
 
 

@@ -69,12 +69,6 @@ class IntPolynomial:
                     rem[i + j] -= q * b
         return IntPolynomial.of(*quo), IntPolynomial.of(*rem)
 
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
-
     def eval_matrix(self, a):
         """Evaluate at a square IntMatrix by Horner's rule."""
         from .intmat import IntMatrix

@@ -15,7 +15,7 @@ this engine is a genuinely independent arbiter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .abelian import AbelianGroup
 from .errors import (
@@ -90,29 +90,13 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     return AbelianGroup.from_factors(0, factors)
 
 
-@lru_cache(maxsize=64)
-def _layer_data(spec: GroupSpec):
-    """Per-gamma cyclic cohomology of the dual exterior powers.
-
-    Only alpha in {0, 1, 2} is ever evaluated; positive degrees are
-    2-periodic, so these three values determine every degree.
-    """
-    phi_star = contragredient(spec.phi)
-    layers = []
-    for gamma in range(spec.n + 1):
-        rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
-        layers.append(
-            (
-                cyclic_cohomology(rep, 0),
-                cyclic_cohomology(rep, 1),
-                cyclic_cohomology(rep, 2),
-            )
-        )
-    return layers
-
-
 def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
-    """H^0..H^max_degree of Z^n x| Z/m by direct E2 evaluation."""
+    """H^0..H^max_degree of Z^n x| Z/m by direct E2 evaluation.
+
+    Each layer gamma is the cyclic cohomology of the dual exterior power
+    at alpha in {0, 1, 2} only: positive degrees are 2-periodic, so these
+    three values determine every degree.
+    """
     validate(spec)
     if spec.n > _MAX_RANK:
         raise DimensionTooLarge(
@@ -120,7 +104,11 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
         )
     if max_degree < 0:
         raise ValueError("negative max degree")
-    layers = _layer_data(spec)
+    phi_star = contragredient(spec.phi)
+    layers = []
+    for gamma in range(spec.n + 1):
+        rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
+        layers.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
     groups = []
     for l in range(max_degree + 1):
         parts = []

@@ -3,7 +3,9 @@
 import pytest
 
 import semicoh.groups
+import semicoh.intmat
 from semicoh.cyclotomic import cyclotomic_polynomial, divisors
+from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
     NotFreeAction,
     NotSquareFree,
@@ -18,13 +20,22 @@ from semicoh.fixtures import (
 )
 from semicoh.groups import (
     GroupSpec,
+    _adapted_basis,
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
     rst_decompose,
     validate,
 )
-from semicoh.intmat import IntMatrix, det, invariant_factors, kernel_basis, saturate_span
+from semicoh.intmat import (
+    IntMatrix,
+    contragredient,
+    det,
+    invariant_factors,
+    kernel_basis,
+    saturate_span,
+)
+from semicoh.torsion import VARIANTS
 
 from conftest import count_calls, random_companion_spec, random_unimodular
 
@@ -67,6 +78,32 @@ def test_validate_rejects_wrong_order():
 def test_validate_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         validate(GroupSpec(1, 2, IntMatrix([[2]])))
+
+
+def test_validate_checks_each_spec_once(monkeypatch, rng):
+    # a ranks-wide op validates one spec about nine times (both rank columns,
+    # each formula table and the rank column inside it, rst per prime)
+    dets = count_calls(monkeypatch, semicoh.groups, "det")
+    powers = count_calls(monkeypatch, IntMatrix, "__pow__")
+    refused = GroupSpec(1, 30, IntMatrix([[2]]))
+    for _ in range(2):  # refused on every call, before phi^m is formed
+        with pytest.raises(NotUnimodular):
+            validate(refused)
+    assert len(dets) == 2 and powers == []
+    dets.clear()
+    flagship = fixture_by_name("z5_z6").spec
+    conj = random_unimodular(rng, flagship.n)
+    phi = conj @ flagship.phi @ contragredient(conj).transpose()
+    spec = GroupSpec(flagship.n, flagship.m, phi, name="validated-once")
+    top = spec.n + 3
+    rank_column(spec, top)
+    molien_column(spec, top)
+    for variant in VARIANTS:
+        formula_table(spec, top, variant)
+    for p in spec.primes:
+        rst_decompose(spec, p)
+    assert validate(spec) is spec
+    assert len(dets) == 1
 
 
 def test_rst_flagship_p2():
@@ -155,6 +192,31 @@ def test_rst_global_check_reads_cokernel_factors(monkeypatch):
             assert pieces == (2 if fixture.name == "z5_z6" else 1), (fixture.name, p)
 
 
+def test_adapted_basis_is_unimodular_when_columns_repeat():
+    e1 = IntMatrix([[1], [0], [0]])
+    assert abs(det(_adapted_basis(3, e1, e1))) == 1
+
+
+def test_adapted_basis_reduces_the_joint_matrix_once(monkeypatch):
+    # one Smith run of [r block | t generators] gives both its saturation and
+    # the primitivity test; the only other run completes the saturation
+    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            joint = rst.r_basis.hstack(rst.t_generators)
+            calls.clear()
+            assert _adapted_basis(spec.n, rst.r_basis, rst.t_generators) == rst.adapted_basis
+            if joint.cols:
+                assert len(calls) == 2 and calls[0][0] == joint, (fixture.name, p)
+            else:
+                assert calls == [], (fixture.name, p)
+
+
 def test_isotropy_flagship():
     spec = fixture_by_name("z5_z6").spec
     iso2 = isotropy_data(spec, 2)
@@ -187,6 +249,24 @@ def test_max_finite_census_counts():
     assert dict(mf.nonzero_type_counts)[3] == 2  # closed form p(p^k - 1)/m
     with pytest.raises(NotFreeAction):
         max_finite_subgroup_census(fixture_by_name("z5_z6").spec)
+
+
+def test_max_finite_census_reads_one_reduction_per_prime(monkeypatch):
+    # the class count p^(n/(p-1)) is the product of the n invariant factors
+    # of psi - 1, whose count is also the freeness test; no det is taken
+    reductions = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    dets = count_calls(monkeypatch, semicoh.groups, "det")
+    free_specs = [
+        f.spec for f in fixture_suite() if f.valid and free_outside_origin(f.spec).overall
+    ]
+    assert len(free_specs) >= 4
+    for spec in free_specs:
+        reductions.clear()
+        dets.clear()
+        max_finite_subgroup_census(spec)
+        one = IntMatrix.identity(spec.n)
+        assert [args[0] for args in reductions] == [spec.psi(p) - one for p in spec.primes]
+        assert dets == [], spec.name
 
 
 def test_free_action_forces_pure_free_origin_type(rng):

@@ -10,6 +10,7 @@ from semicoh.abelian import AbelianGroup
 from semicoh.errors import DegreeOutOfRange, NotASublattice, NotUnimodular
 from semicoh.intmat import (
     IntMatrix,
+    _smith_engine,
     charpoly,
     complete_to_unimodular,
     contragredient,
@@ -18,7 +19,6 @@ from semicoh.intmat import (
     kernel_basis,
     lattice_quotient,
     norm_and_power,
-    rank,
     saturate_span,
     smith_normal_form,
     solve_columns,
@@ -76,6 +76,22 @@ def test_snf_property(rows):
     check_snf(IntMatrix(rows))
 
 
+def test_smith_engine_tracks_u_uinv_and_v_in_one_run():
+    rng = random.Random(11)
+    cases = [IntMatrix([[4, 0], [0, 6]]), IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 4]])]
+    cases += [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for a in cases:
+        eng = _smith_engine(a, need_u=True, need_uinv=True, need_v=True)
+        d = IntMatrix([
+            [eng.diagonal[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)
+        ])
+        assert IntMatrix(eng.u) @ a @ IntMatrix(eng.v) == d
+        assert (IntMatrix(eng.u) @ IntMatrix(eng.uinv)).is_identity()
+        assert IntMatrix(eng.a) == d
+    # diag(4, 6) is not a divisibility chain: _fix_chain turns it into (2, 12)
+    assert _smith_engine(cases[0]).diagonal == (2, 12)
+
+
 def test_kernel_of_zero_matrix():
     k = kernel_basis(IntMatrix.zeros(2, 2))
     assert k.cols == 2
@@ -106,7 +122,7 @@ def test_kernel_purity_random(rng):
         a = random_int_matrix(rng, 3, 5)
         k = kernel_basis(a)
         assert (a @ k).is_zero()
-        assert k.cols == 5 - rank(a)
+        assert k.cols == 5 - len(invariant_factors(a))
         assert all(f == 1 for f in invariant_factors(k))
 
 

@@ -11,7 +11,7 @@ from semicoh.cyclotomic import count_wedge_roots, exponent_multiset, matrix_cens
 from semicoh.engines import molien_column, rank_column
 from semicoh.errors import BadInvariantFactors, DimensionTooLarge, NotADivisor
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
-from semicoh.groups import GroupSpec
+from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import (
     IntMatrix,
     contragredient,
@@ -22,7 +22,13 @@ from semicoh.intmat import (
 from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
 from semicoh.tables import p_part
 
-from conftest import count_calls, random_companion_spec, random_unimodular
+from conftest import (
+    CYCLE_PLUS_TRIVIAL,
+    count_calls,
+    random_companion_spec,
+    random_permutation_spec,
+    random_unimodular,
+)
 
 
 def G(rank, *torsion):
@@ -76,19 +82,46 @@ def _quotient_reference(rep, alpha):
     return lattice_quotient(kernel_basis(psi - one), norm)
 
 
+def _check_layers_and_ranks(spec):
+    """Every layer against the quotient reference; the three rank columns agree."""
+    phi_star = contragredient(spec.phi)
+    for gamma in range(spec.n + 1):
+        rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
+        for alpha in (0, 1, 2):
+            assert cyclic_cohomology(rep, alpha) == _quotient_reference(rep, alpha)
+    top = spec.n + 3
+    oracle_ranks = e2_table(spec, top).rank_column()
+    assert rank_column(spec, top) == molien_column(spec, top) == oracle_ranks
+
+
 def test_cyclic_cohomology_matches_quotient_reference(rng):
     for _ in range(40):
         spec = random_companion_spec(rng, n_max=6, orders=(2, 3, 5, 6, 10, 15, 30))
         conj = random_unimodular(rng, spec.n)
         spec = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
-        phi_star = contragredient(spec.phi)
-        for gamma in range(spec.n + 1):
-            rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
-            for alpha in (0, 1, 2):
-                assert cyclic_cohomology(rep, alpha) == _quotient_reference(rep, alpha)
-        top = spec.n + 3
-        oracle_ranks = e2_table(spec, top).rank_column()
-        assert rank_column(spec, top) == molien_column(spec, top) == oracle_ranks
+        _check_layers_and_ranks(spec)
+
+
+def test_cyclic_cohomology_matches_quotient_reference_with_regular_blocks(rng):
+    # companion sums never have a regular Z[Z/p] summand (s = 0); cyclic
+    # permutation blocks supply one
+    regular_pairs = 0
+    for _ in range(60):
+        spec = random_permutation_spec(rng, n_max=7)
+        _check_layers_and_ranks(spec)
+        regular_pairs += sum(1 for p in spec.primes if rst_decompose(spec, p).s > 0)
+    assert regular_pairs >= 20
+
+
+def test_trivial_plus_regular_block_pinned():
+    # phi = (3-cycle) + 1: Z + Z[Z/3].  wedge^g(Z + R) = wedge^g R + wedge^(g-1) R
+    # has a trivial summand at g = 0, 1, 3, 4, each adding Z/3 in every
+    # even alpha >= 2, so H^5 gets (Z/3)^2 (g = 1, 3) and H^6 too (g = 0, 4)
+    spec = CYCLE_PLUS_TRIVIAL
+    rst = rst_decompose(spec, 3)
+    assert (rst.r, rst.s, rst.t) == (1, 1, 0)
+    column = p_part(e2_table(spec, 8), 3)
+    assert (column[5], column[6]) == (2, 2)
 
 
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
@@ -99,7 +132,6 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         if not fixture.valid:
             continue
         spec = fixture.spec
-        semicoh.oracle._layer_data.cache_clear()
         calls.clear()
         e2_table(spec, spec.n + 3)
         assert len(calls) == 2 * (spec.n + 1) + 1, fixture.name
@@ -122,7 +154,6 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
         if not fixture.valid:
             continue
         spec = fixture.spec
-        semicoh.oracle._layer_data.cache_clear()
         chains.clear()
         e2_table(spec, spec.n + 3)
         assert len(chains) == spec.n + 1, fixture.name
