@@ -126,9 +126,7 @@ def cmd_analyze(args) -> int:
 def cmd_compare(args) -> int:
     spec = load_group_file(args.input)
     max_degree = _resolve_degree(spec, args.max_degree)
-    primes = _primes_for(args, spec)
-    report = compare_report(spec, max_degree)
-    report["torsion"] = [r for r in report["torsion"] if r["prime"] in primes]
+    report = compare_report(spec, max_degree, _primes_for(args, spec))
     if args.format == "json":
         _emit(render_report_json(report))
     elif args.format == "md":
@@ -170,11 +168,8 @@ def cmd_rank(args) -> int:
 
 
 def _primes_for(args, spec):
-    if args.prime is not None:
-        if args.prime not in spec.primes:
-            raise InputError(f"{args.prime} is not a prime factor of m={spec.m}")
-        return [args.prime]
-    return list(spec.primes)
+    """``--prime`` alone, else every prime of m; rst_decompose refuses a foreign one."""
+    return spec.primes if args.prime is None else (args.prime,)
 
 
 def cmd_rst(args) -> int:

@@ -18,7 +18,8 @@ each isotypic piece is phi-stable by construction, the counts are basis
 independent, and k_d = m_d/(p-1) is an integer by construction (it equals
 the t-count of one isotypic piece).  The totals are cross-checked against
 the whole lattice, where t and r are the numbers of cokernel invariant
-factors of psi - 1 and of N that equal p.
+factors of psi - 1 and of N that equal p; that psi - 1 is reduced once per
+(spec, p) and also serves the freeness test and the class count.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
 
     norm, _ = norm_and_power(psi, p)
     r_glob = _count_p_factors(invariant_factors(norm), p)
-    t_glob = _count_p_factors(invariant_factors(psi - IntMatrix.identity(n)), p)
+    t_glob = _count_p_factors(_psi_minus_one_factors(spec, p), p)
     if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:
         raise NonInvariantBlock(
             f"isotypic totals (r={r}, t={t}) disagree with the global counts "
@@ -329,9 +330,11 @@ class IsotropyData:
 
 
 def isotropy_data(spec: GroupSpec, p: int, rst: RstDecomposition | None = None) -> IsotropyData:
-    """Census the free-origin block of phi and read off D, m_d, k_d."""
+    """Census the free-origin block of phi and read off D, m_d, k_d (``rst`` at p)."""
     if rst is None:
         rst = rst_decompose(spec, p)
+    elif rst.p != p:
+        raise ValueError(f"decomposition at p={rst.p} passed for p={p}")
     m = spec.m
     census = rst.t_census
     for order, mu in census.multiplicities:
@@ -378,21 +381,21 @@ class FreeActionReport:
         return dict(self.per_prime)[p]
 
 
-def _psi_minus_one_factors(spec: GroupSpec) -> dict[int, tuple[int, ...]]:
-    """Per prime p, the nonzero invariant factors of psi_p - 1.
+@lru_cache(maxsize=256)
+def _psi_minus_one_factors(spec: GroupSpec, p: int) -> tuple[int, ...]:
+    """The nonzero invariant factors of psi_p - 1 on the whole lattice.
 
     psi_p fixes no nonzero vector iff there are n of them, and then their
     product is |det(psi_p - 1)|, the order of coker(psi_p - 1).
     """
-    validate(spec)
-    one = IntMatrix.identity(spec.n)
-    return {p: invariant_factors(spec.psi(p) - one) for p in spec.primes}
+    return invariant_factors(spec.psi(p) - IntMatrix.identity(spec.n))
 
 
 def free_outside_origin(spec: GroupSpec) -> FreeActionReport:
     """True per prime iff psi_p fixes no nonzero lattice vector."""
+    validate(spec)
     flags = tuple(
-        (p, len(factors) == spec.n) for p, factors in _psi_minus_one_factors(spec).items()
+        (p, len(_psi_minus_one_factors(spec, p)) == spec.n) for p in spec.primes
     )
     return FreeActionReport(flags, all(f for _, f in flags))
 
@@ -418,12 +421,12 @@ class MaxFiniteCensus:
 
 
 def max_finite_subgroup_census(spec: GroupSpec) -> MaxFiniteCensus:
-    per_prime = _psi_minus_one_factors(spec)
-    if any(len(factors) != spec.n for factors in per_prime.values()):
+    if not free_outside_origin(spec).overall:
         raise NotFreeAction("the action has nonzero fixed vectors for some prime")
     counts: dict[int, int] = {}
     closed: dict[int, int | None] = {}
-    for p, factors in per_prime.items():
+    for p in spec.primes:
+        factors = _psi_minus_one_factors(spec, p)
         if spec.n % (p - 1):
             raise NonIntegralK(f"free Z/{p}-action needs (p-1) | n, got n={spec.n}")
         k = spec.n // (p - 1)

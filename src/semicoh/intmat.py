@@ -15,6 +15,7 @@ never leave pure Python, so they never load numpy.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
@@ -35,12 +36,12 @@ def _xgcd(a: int, b: int):
 
 
 class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+    """Immutable integer matrix of row tuples; a float or str entry is a TypeError."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data):
-        rows = tuple(tuple(map(int, row)) for row in data)
+        rows = tuple(tuple(map(operator.index, row)) for row in data)
         self.rows = len(rows)
         self.cols = len(rows[0]) if rows else 0
         if any(len(r) != self.cols for r in rows):

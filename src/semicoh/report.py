@@ -61,17 +61,16 @@ def _theta_cell(spec, p, l, variant, cutoff="half"):
         return None, str(exc)
 
 
-def compare_report(spec: GroupSpec, max_degree: int) -> dict:
-    """Full three-way comparison for one group."""
-    validate(spec)
-    ranks_wedge = list(rank_column(spec, max_degree))
-    ranks_molien = list(molien_column(spec, max_degree))
-    oracle = e2_table(spec, max_degree)
-    ranks_oracle = list(oracle.rank_column())
-    ranks_agree = ranks_wedge == ranks_molien == ranks_oracle
+def compare_report(spec: GroupSpec, max_degree: int, primes=None) -> dict:
+    """Full three-way comparison for one group, every per-prime part over ``primes``.
 
+    By default that is every prime of m; a foreign one is refused
+    (NotADivisor) by the decompositions, which run before the oracle.
+    """
+    validate(spec)
+    primes = spec.primes if primes is None else tuple(primes)
     per_prime = {}
-    for p in spec.primes:
+    for p in primes:
         rst = rst_decompose(spec, p)
         iso = isotropy_data(spec, p, rst)
         per_prime[str(p)] = {
@@ -82,13 +81,19 @@ def compare_report(spec: GroupSpec, max_degree: int) -> dict:
             "k_d": {str(d): k for d, k in iso.k_d},
         }
 
+    ranks_wedge = list(rank_column(spec, max_degree))
+    ranks_molien = list(molien_column(spec, max_degree))
+    oracle = e2_table(spec, max_degree)
+    ranks_oracle = list(oracle.rank_column())
+    ranks_agree = ranks_wedge == ranks_molien == ranks_oracle
+
     rows = []
     errors = []
     mismatches = 0
-    cutoff_half_ok = {p: True for p in spec.primes}
-    cutoff_alt_ok = {p: True for p in spec.primes}
+    cutoff_half_ok = {p: True for p in primes}
+    cutoff_alt_ok = {p: True for p in primes}
     for l in range(max_degree + 1):
-        for p in spec.primes:
+        for p in primes:
             oracle_theta = oracle.groups[l].p_multiplicity(p)
             published, err_pub = _theta_cell(spec, p, l, "published")
             corrected, err_cor = _theta_cell(spec, p, l, "corrected")
@@ -132,7 +137,7 @@ def compare_report(spec: GroupSpec, max_degree: int) -> dict:
                 "floor_beta_half": cutoff_half_ok[p],
                 "beta_minus_1": cutoff_alt_ok[p],
             }
-            for p in spec.primes
+            for p in primes
         }
     }
     return {

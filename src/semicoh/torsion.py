@@ -34,7 +34,7 @@ from typing import Literal
 
 from .cyclotomic import count_wedge_roots, exponent_multiset
 from .errors import NonIntegral, NonIntegralOrbitCount, NotPrimeOrder
-from .groups import GroupSpec, IsotropyData, isotropy_data, rst_decompose, validate
+from .groups import GroupSpec, isotropy_data, rst_decompose, validate
 
 TorsionVariant = Literal["published", "corrected"]
 VARIANTS: tuple[TorsionVariant, ...] = ("published", "corrected")
@@ -89,12 +89,6 @@ class ThetaContext:
     divisors: tuple[int, ...]
     k_d: tuple[tuple[int, int], ...]
     variant: TorsionVariant
-
-    @classmethod
-    def from_isotropy(
-        cls, spec: GroupSpec, p: int, iso: IsotropyData, s: int, variant: TorsionVariant
-    ) -> "ThetaContext":
-        return cls(p=p, m=spec.m, s=s, divisors=iso.divisors, k_d=iso.k_d, variant=variant)
 
 
 def _truncated_product(factors, top: int) -> list[int]:
@@ -195,7 +189,8 @@ def _subsets(items: tuple[int, ...]):
 def _context_and_rblock(spec: GroupSpec, p: int, variant: TorsionVariant):
     rst = rst_decompose(spec, p)
     iso = isotropy_data(spec, p, rst)
-    ctx = ThetaContext.from_isotropy(spec, p, iso, rst.s, variant)
+    ctx = ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors, k_d=iso.k_d,
+                       variant=variant)
     return ctx, rst.r, exponent_multiset(rst.r_census)
 
 
@@ -247,10 +242,11 @@ def assemble_p_torsion(
 
 
 def one_prime_theta(spec: GroupSpec, l: int, variant: TorsionVariant) -> int:
-    """Specialized assembly for prime m: D = {1}, k_1 = t, H(l1, 1) = C(r, l1).
+    """Specialized assembly for prime m: D within {1}, H(l1, 1) = C(r, l1).
 
-    Must agree with assemble_p_torsion on the same variant; the binomial
-    H-factor is the independent shortcut being cross-checked.
+    Reads the same per-prime context as assemble_p_torsion and must agree
+    with it on the same variant; the binomial H-factor is the independent
+    shortcut being cross-checked.
     """
     validate(spec)
     check_variant(variant)
@@ -261,23 +257,17 @@ def one_prime_theta(spec: GroupSpec, l: int, variant: TorsionVariant) -> int:
     if l == 0:
         return 0
     p = spec.m
-    rst = rst_decompose(spec, p)
-    iso = isotropy_data(spec, p, rst)
-    ctx = ThetaContext.from_isotropy(spec, p, iso, rst.s, variant)
-    r, s = rst.r, rst.s
+    ctx, r, _ = _context_and_rblock(spec, p, variant)
     theta = 0
     for l2 in range(l % 2, l + 1, 2):
         l1 = l - l2
         if l1 > r:
             continue
         coeff = 0
-        for tau in range(s + 1):
-            beta = l2 - p * tau
-            c = theta_coefficient(ctx, frozenset(), beta)
-            if rst.t:
-                c += theta_coefficient(ctx, frozenset({1}), beta)
-            if c:
-                coeff += c * comb(s, tau)
+        for tau in range(ctx.s + 1):
+            c = sum(theta_coefficient(ctx, a_set, l2 - p * tau)
+                    for a_set in _subsets(ctx.divisors))
+            coeff += c * comb(ctx.s, tau)
         theta += coeff * comb(r, l1)
     return theta
 

@@ -7,6 +7,7 @@ import semicoh.intmat
 from semicoh.cyclotomic import cyclotomic_polynomial, divisors
 from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
+    NotADivisor,
     NotFreeAction,
     NotSquareFree,
     NotUnimodular,
@@ -33,6 +34,7 @@ from semicoh.intmat import (
     det,
     invariant_factors,
     kernel_basis,
+    norm_and_power,
     saturate_span,
 )
 from semicoh.torsion import VARIANTS
@@ -253,20 +255,61 @@ def test_max_finite_census_counts():
 
 def test_max_finite_census_reads_one_reduction_per_prime(monkeypatch):
     # the class count p^(n/(p-1)) is the product of the n invariant factors
-    # of psi - 1, whose count is also the freeness test; no det is taken
+    # of psi - 1, whose count is also the freeness test: the two together
+    # reduce each psi - 1 once, and no det is taken
     reductions = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
     dets = count_calls(monkeypatch, semicoh.groups, "det")
     free_specs = [
         f.spec for f in fixture_suite() if f.valid and free_outside_origin(f.spec).overall
     ]
     assert len(free_specs) >= 4
+    semicoh.groups._psi_minus_one_factors.cache_clear()
     for spec in free_specs:
         reductions.clear()
         dets.clear()
+        free_outside_origin(spec)
         max_finite_subgroup_census(spec)
         one = IntMatrix.identity(spec.n)
         assert [args[0] for args in reductions] == [spec.psi(p) - one for p in spec.primes]
         assert dets == [], spec.name
+
+
+def test_whole_lattice_psi_minus_one_reduced_once_per_prime(monkeypatch, rng):
+    # the rst cross-check, the freeness test and the class count read one
+    # reduction of the whole-lattice psi_p - 1 per (spec, p)
+    reduced = count_calls(monkeypatch, semicoh.groups, "invariant_factors")
+    specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
+    specs += [random_companion_spec(rng) for _ in range(5)]
+    for i, spec in enumerate(specs):
+        spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{i}")  # no memo hit
+        reduced.clear()
+        for p in spec.primes:
+            rst_decompose(spec, p)
+        if free_outside_origin(spec).overall:
+            max_finite_subgroup_census(spec)
+        # per prime, rst_decompose reduces N once and psi - 1 once; nothing
+        # reduces psi - 1 again
+        one = IntMatrix.identity(spec.n)
+        expected = []
+        for p in spec.primes:
+            expected += [norm_and_power(spec.psi(p), p)[0], spec.psi(p) - one]
+        assert [a for (a,) in reduced] == expected, spec
+
+
+def test_isotropy_data_refuses_another_primes_decomposition():
+    spec = fixture_by_name("z5_z6").spec
+    with pytest.raises(ValueError, match="p=2 passed for p=3"):
+        isotropy_data(spec, 3, rst_decompose(spec, 2))
+    assert isotropy_data(spec, 3, rst_decompose(spec, 3)) == isotropy_data(spec, 3)
+
+
+def test_rst_decompose_is_the_prime_membership_check():
+    spec = fixture_by_name("z5_z6").spec
+    for p in (0, 5, -2):
+        with pytest.raises(NotADivisor, match=f"{p} is not a prime factor of m=6"):
+            rst_decompose(spec, p)
+        with pytest.raises(NotADivisor):
+            isotropy_data(spec, p)
 
 
 def test_free_action_forces_pure_free_origin_type(rng):

@@ -310,6 +310,18 @@ def test_add_and_sub_refuse_shape_mismatch():
                 left - right
 
 
+def test_entries_must_be_integers():
+    # int() used to truncate floats and parse strings: [[0.9, 1.2], [True, "3"]]
+    # became ((0, 1), (1, 3)), and [[-1.7]] passed validation as phi = (-1)
+    for bad in ([[0.9, 1.2], [1, 3]], [[1, "3"]], [[-1.7]]):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+    np = pytest.importorskip("numpy")
+    m = IntMatrix([[True, np.int64(3)], [np.int8(-2), 5]])
+    assert m.data == ((1, 3), (-2, 5))
+    assert all(type(x) is int for row in m.data for x in row)
+
+
 def _power_chain_reference(a, q):
     norm = IntMatrix.zeros(a.rows, a.rows)
     for k in range(q):

@@ -1,19 +1,27 @@
 """The Smith-form evaluator: cyclic layers and assembled tables."""
 
 import sys
+from math import comb
 
 import pytest
 
 import semicoh.intmat
 import semicoh.oracle
 from semicoh.abelian import AbelianGroup
-from semicoh.cyclotomic import count_wedge_roots, exponent_multiset, matrix_census
+from semicoh.cyclotomic import (
+    count_wedge_roots,
+    divisors,
+    euler_phi,
+    exponent_multiset,
+    matrix_census,
+)
 from semicoh.engines import molien_column, rank_column
 from semicoh.errors import BadInvariantFactors, DimensionTooLarge, NotADivisor
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import (
     IntMatrix,
+    block_diagonal,
     contragredient,
     kernel_basis,
     lattice_quotient,
@@ -25,6 +33,7 @@ from semicoh.tables import p_part
 from conftest import (
     CYCLE_PLUS_TRIVIAL,
     count_calls,
+    cycle_matrix,
     random_companion_spec,
     random_permutation_spec,
     random_unimodular,
@@ -122,6 +131,67 @@ def test_trivial_plus_regular_block_pinned():
     assert (rst.r, rst.s, rst.t) == (1, 1, 0)
     column = p_part(e2_table(spec, 8), 3)
     assert (column[5], column[6]) == (2, 2)
+
+
+def _page_p_part(blocks, m, p, top, sign=1):
+    """p-part per degree 0..top of the direct-sum E2 page of block_diagonal(blocks).
+
+    ``sign=-1`` negates every layer's action (m even).  An empty block list
+    is the rank-0 lattice, whose one layer is wedge^0 = Z.
+    """
+    if blocks:
+        phi_star = contragredient(block_diagonal(blocks))
+        wedges = [wedge_power(phi_star, g) for g in range(phi_star.rows + 1)]
+    else:
+        wedges = [IntMatrix.identity(1)]
+    layers = []  # (odd alpha, even alpha > 0) p-multiplicities per layer
+    for wedge in wedges:
+        rep = CyclicRep(m, IntMatrix.scalar(wedge.rows, sign) @ wedge)
+        layers.append([cyclic_cohomology(rep, a).p_multiplicity(p) for a in (1, 2)])
+    return [
+        sum(layers[g][(l - g + 1) % 2] for g in range(min(l, len(layers))))
+        for l in range(top + 1)
+    ]
+
+
+def _companion_sum(rng, m, rank):
+    """Cyclotomic companion blocks Phi_e, e | m, of total size ``rank``."""
+    blocks = []
+    while sum(b.rows for b in blocks) < rank:
+        room = rank - sum(b.rows for b in blocks)
+        blocks.append(companion_of_cyclotomic(
+            rng.choice([e for e in divisors(m) if euler_phi(e) <= room])))
+    return blocks
+
+
+def test_regular_blocks_shift_the_p_part(rng):
+    # M = M' + R^s with R a p-cycle block (Z[Z/p] under psi): wedge^b(R^s) is
+    # trivial of rank [x^b](1 + x^p)^s plus a Z/p-free summand, so
+    #     theta_M(l) = sum_j C(s, j) theta_M'^(j)(l - j*p),
+    # where theta^(j) is the page of M' with every layer action negated when
+    # p = 2 and j is odd (the sign action on wedge^2 of a 2-cycle).  A second
+    # check of the oracle at s > 0 that does not use the quotient reference.
+    cases = [(m, p, s) for m in (2, 3, 5, 6, 10, 15, 30) for p in (2, 3, 5)
+             for s in (1, 2) if m % p == 0 and s * p <= 7]
+    twisted = 0
+    for m, p, s in cases * 3:
+        rest = _companion_sum(rng, m, rng.randint(0, 7 - s * p))  # M', rank <= 7 - sp
+        blocks = rest + [cycle_matrix(p)] * s
+        n = sum(b.rows for b in blocks)
+        conj = random_unimodular(rng, n)
+        spec = GroupSpec(n, m, conj @ block_diagonal(blocks) @ contragredient(conj).transpose())
+        assert rst_decompose(spec, p).s == s
+        top = n + 3
+        pages = [_page_p_part(rest, m, p, top, sign)
+                 for sign in ((1, -1) if p == 2 else (1,))]
+        expected = [
+            sum(comb(s, j) * pages[j % len(pages)][l - j * p]
+                for j in range(s + 1) if l >= j * p)
+            for l in range(top + 1)
+        ]
+        assert list(p_part(e2_table(spec, top), p)) == expected, (m, p, s, rest)
+        twisted += p == 2 and bool(rest)
+    assert twisted >= 5
 
 
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+import semicoh.report
 from semicoh.cache import cache_get, cache_key, cache_put
-from semicoh.cli import build_parser
+from semicoh.cli import build_parser, main
 from semicoh.engines import build_table
+from semicoh.errors import NotADivisor
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
 from semicoh.iojson import (
@@ -20,6 +22,8 @@ from semicoh.iojson import (
     render_table,
 )
 from semicoh.report import compare_report, render_report_json, render_report_markdown
+
+from conftest import count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"
@@ -199,6 +203,54 @@ def test_cli_compare_prime_filter():
     doc = json.loads(result.stdout)
     assert doc["torsion"]
     assert all(row["prime"] == 3 for row in doc["torsion"])
+
+
+@pytest.mark.parametrize("name, p", [("z5_z6", 2), ("z5_z6", 3), ("p6", 2), ("p6", 3)])
+def test_compare_prime_covers_that_prime_in_every_part(name, p, capsys):
+    # --prime used to filter the torsion rows only: the summary counts,
+    # formula errors, decomposition and calibration still covered every prime
+    assert main(["compare", "--prime", str(p), "--format", "json",
+                 str(ROOT / "fixtures" / f"{name}.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    full = json.loads(render_report_json(compare_report(fixture_by_name(name).spec,
+                                                        doc["max_degree"])))
+    calibration = "corrected_cutoff_matches_oracle_even_degrees"
+    assert set(doc["decomposition"]) == set(doc["calibration"][calibration]) == {str(p)}
+    assert {row["prime"] for row in doc["torsion"]} == {p}
+    assert doc["torsion"] == [row for row in full["torsion"] if row["prime"] == p]
+    assert doc["formula_errors"] == [e for e in full["formula_errors"] if e["prime"] == p]
+    assert doc["decomposition"][str(p)] == full["decomposition"][str(p)]
+    assert doc["calibration"][calibration][str(p)] == full["calibration"][calibration][str(p)]
+    mismatched = [row for row in doc["torsion"]
+                  if False in (row["published_matches"], row["corrected_matches"])]
+    assert doc["summary"]["torsion_mismatch_cells"] == len(mismatched)
+    assert doc["summary"]["error_cells"] == len(doc["formula_errors"])
+    shared = set(full) - {"decomposition", "torsion", "formula_errors", "calibration", "summary"}
+    assert {k: doc[k] for k in shared} == {k: full[k] for k in shared}
+
+
+def test_compare_refuses_a_foreign_prime_before_the_oracle(monkeypatch):
+    oracle_calls = count_calls(monkeypatch, semicoh.report, "e2_table")
+    spec = fixture_by_name("z5_z6").spec
+    for p in (5, 0):
+        with pytest.raises(NotADivisor, match=f"{p} is not a prime factor of m=6"):
+            compare_report(spec, 6, [p])
+    assert oracle_calls == []
+
+
+def test_cli_census_reduces_each_psi_minus_one_once():
+    # the freeness test and the class count read one reduction per prime of
+    # m = 6; each used to reduce every psi_p - 1 itself
+    code = (
+        "import sys, semicoh.intmat as im, semicoh.cli as cli\n"
+        "calls, engine = [], im._smith_engine\n"
+        "im._smith_engine = lambda *a, **k: calls.append(a) or engine(*a, **k)\n"
+        "status = cli.main(['census', '--format', 'json', 'fixtures/p6.json'])\n"
+        "print(status, len(calls), file=sys.stderr)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, cwd=ROOT)
+    assert result.stderr.split() == ["0", "2"], result.stderr
 
 
 NEGATIVE_DEGREE = "--max-degree must be non-negative"
