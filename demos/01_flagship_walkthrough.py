@@ -50,6 +50,6 @@ for l, g in enumerate(oracle.groups):
     print(f"  H^{l} = {g}")
 print(
     "\nThe published engine reproduces the published reference table for this"
-    "\ngroup; the oracle (exact Smith-form evaluation) disagrees with it in"
+    "\ngroup; the oracle (exact rank-mod-p evaluation) disagrees with it in"
     "\nmany degrees, and the reconciliation report documents every cell."
 )

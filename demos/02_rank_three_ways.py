@@ -6,7 +6,7 @@
 2. Trace average: the same number as an averaged trace of exterior powers
    over the group (a character inner product, hence an exact integer).
    Each trace is a coefficient of charpoly(phi^j).
-3. Oracle: the free part of the exact Smith-form evaluation.
+3. Oracle: the free part of the exact evaluation, tr(N)/q of each layer.
 
 Routes 1 and 2 share the characteristic polynomial (Faddeev-LeVerrier),
 which the test suite checks against cofactor expansion and, through the

@@ -24,7 +24,7 @@ class InternalInvariantError(CohomologyError):
 
 
 class DimensionTooLarge(CohomologyError):
-    """Refusing a computation whose exterior powers are astronomically large."""
+    """Refusing a computation whose widest exterior power is over the oracle's cap."""
 
 
 # -- input errors -----------------------------------------------------------
@@ -88,8 +88,10 @@ class SpecInputError(InputError):
 
 class BadInvariantFactors(InternalInvariantError):
     """An invariant factor the structure theory forbids: outside {1, p} in
-    an (r, s, t) quotient or in the cokernel of psi - 1 or N over Z/p, or
-    not dividing q in a cyclic cohomology group."""
+    an (r, s, t) quotient or in the cokernel of psi - 1 or N over Z/p; or,
+    in a cyclic cohomology group, a rank that contradicts every nonunit
+    factor dividing q (tr(N)/q not an integer, a rank mod l other than
+    tr(N)/q, or a rank mod p above the rank over Q)."""
 
 
 class NonInvariantBlock(InternalInvariantError):

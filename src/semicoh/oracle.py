@@ -1,4 +1,4 @@
-"""Independent Smith-form evaluator for H^*(Z^n x| Z/m).
+"""Independent rank-mod-p evaluator for H^*(Z^n x| Z/m).
 
 Evaluates the two-column periodic complex of each cyclic coefficient
 module exactly and assembles degrees as
@@ -7,35 +7,50 @@ module exactly and assembles degrees as
 
 which computes the full cohomology for square-free m (the relevant
 spectral sequence collapses and the square-free torsion exponent splits
-the abutment).  Each cyclic group is read off Smith invariant factors
-of psi - 1 or N; no part of the closed-form machinery is consulted, so
-this engine is a genuinely independent arbiter.
+the abutment).  Each layer is read off ranks: since psi^q = 1 with q
+square-free, every nonunit invariant factor of psi - 1 and of N divides
+q, so the p-part of each cyclic group is how far a rank over Q drops mod
+p.  The rank over Q comes from the layer's own trace identity
+dim Fix psi = tr(N)/q, certified by a rank mod a prime that does not
+divide q.  No part of the closed-form machinery is consulted (no
+eigenvalue census, Molien series or torsion formula), so this engine is
+a genuinely independent arbiter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, _factorint
 from .errors import (
     BadInvariantFactors,
     DimensionTooLarge,
     NotADivisor,
     NotSquare,
+    NotSquareFree,
     WrongOrder,
 )
 from .groups import GroupSpec, validate
 from .intmat import (
+    _NUMPY_MIN_DIM,
     IntMatrix,
     contragredient,
-    invariant_factors,
-    norm_and_power,
+    exterior_powers,
+    norm_trace_chain,
+    rank_mod_p,
     wedge_power,
 )
 from .tables import CohomologyTable
 
-_MAX_RANK = 24
+# the widest exterior layer, C(n, n // 2), may have at most this many rows:
+# n = 14 (94 MB per float64 layer array); n = 16 would need 1.3 GB per array
+_MAX_LAYER_DIM = 3432
+
+# fixed_rank's certificate prime, the largest prime below 2**23: rank_mod_p
+# is exact for it in 64-column panels, and it must not divide q
+_CERTIFICATE_PRIME = 8388593
 
 ORACLE_ASSUMPTIONS = (
     "collapse: the degree assembly is the direct-sum E2 page, valid for square-free m",
@@ -45,48 +60,92 @@ ORACLE_ASSUMPTIONS = (
 
 @dataclass(frozen=True)
 class CyclicRep:
-    """A lattice with an action of Z/q given by the matrix psi of a generator.
+    """A lattice with an action of Z/q, q square-free, given by the matrix psi of a generator.
 
-    Construction runs one chain of products psi^1..psi^q: it checks
-    psi^q = 1 (WrongOrder otherwise) and keeps the norm
-    N = 1 + psi + ... + psi^(q-1) for the even degrees.
+    ``matrix`` is an IntMatrix or, for e2_table's wide layers, a square
+    integer numpy array.  Construction runs one chain of products
+    psi^1..psi^q: it checks psi^q = 1 (WrongOrder otherwise) and keeps the
+    norm N = 1 + psi + ... + psi^(q-1) and its trace for the ranks.
     """
 
     q: int
-    matrix: IntMatrix
-    norm: IntMatrix = field(init=False, repr=False, compare=False)
+    matrix: object
 
     def __post_init__(self):
-        if not self.matrix.is_square():
+        rows, cols = _shape(self.matrix)
+        if rows != cols:
             raise NotSquare("cyclic representations need a square matrix")
-        norm, power = norm_and_power(self.matrix, self.q)
-        if not power.is_identity():
+        if self.q < 1 or any(e > 1 for e in _factorint(self.q).values()):
+            raise NotSquareFree(f"q={self.q} is not a positive square-free integer")
+        if self.q % _CERTIFICATE_PRIME == 0:
+            raise ValueError(f"q={self.q} is divisible by the certificate prime")
+        if not self._chain[2]:
             raise WrongOrder(f"matrix order does not divide q={self.q}")
-        object.__setattr__(self, "norm", norm)
 
     @cached_property
-    def psi_minus_one_factors(self) -> tuple[int, ...]:
-        """Nonzero invariant factors of psi - 1: one reduction for alpha 0 and odd."""
-        return invariant_factors(self.matrix - IntMatrix.identity(self.matrix.rows))
+    def _chain(self):
+        """(N, tr N, psi^q == 1) from one chain of products psi^1..psi^q."""
+        return norm_trace_chain(self.matrix, self.q)
+
+    @cached_property
+    def fixed_rank(self) -> int:
+        """rk_Q(N) = dim Fix psi = tr(N)/q, certified by the rank of N mod a prime not dividing q.
+
+        Both facts hold once psi^q = 1: N/q projects onto the fixed
+        space, and every nonzero invariant factor of N divides q.  So a
+        non-integral trace quotient or a different certificate rank means
+        the evaluation itself went wrong.
+        """
+        norm, trace, _ = self._chain
+        rank, remainder = divmod(trace, self.q)
+        if remainder:
+            raise BadInvariantFactors(f"tr N = {trace} is not divisible by q={self.q}")
+        certificate = rank_mod_p(norm, _CERTIFICATE_PRIME)
+        if certificate != rank:
+            raise BadInvariantFactors(
+                f"rank of N mod {_CERTIFICATE_PRIME} is {certificate}, tr(N)/q is {rank}"
+            )
+        return rank
+
+
+def _shape(matrix) -> tuple[int, int]:
+    return (matrix.rows, matrix.cols) if isinstance(matrix, IntMatrix) else matrix.shape
+
+
+def _minus_identity(matrix):
+    if isinstance(matrix, IntMatrix):
+        return matrix - IntMatrix.identity(matrix.rows)
+    import numpy as np
+
+    return matrix - np.identity(len(matrix), dtype=matrix.dtype)
 
 
 def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """Classical cyclic-group cohomology of a lattice, exactly.
 
-    alpha = 0: the fixed lattice (free).  alpha odd: ker(N)/im(psi - 1);
-    alpha even > 0: ker(psi - 1)/im(N).  Since psi^q = 1 the image of
-    each map has the kernel of the other as its saturation, so these are
-    the torsion of coker(psi - 1) and of coker(N): their nonunit
-    invariant factors, each of which must divide q.
+    alpha = 0: the fixed lattice, free of rank tr(N)/q.  alpha odd:
+    ker(N)/im(psi - 1); alpha even > 0: ker(psi - 1)/im(N).  Since
+    psi^q = 1 the image of each map has the kernel of the other as its
+    saturation, so these are the torsion of coker(psi - 1) and of
+    coker(N), whose nonunit invariant factors all divide the square-free
+    q.  The p-exponent is therefore rk_Q - rk_p of that map, with
+    rk_Q(N) = tr(N)/q and rk_Q(psi - 1) = dim - tr(N)/q.
     """
     if alpha < 0:
         raise ValueError("negative degree")
-    q = rep.q
+    fixed = rep.fixed_rank
     if alpha == 0:
-        return AbelianGroup.free(rep.matrix.rows - len(rep.psi_minus_one_factors))
-    factors = rep.psi_minus_one_factors if alpha % 2 else invariant_factors(rep.norm)
-    if any(q % d for d in factors):
-        raise BadInvariantFactors(f"invariant factors {factors} do not all divide q={q}")
+        return AbelianGroup.free(fixed)
+    if alpha % 2:
+        matrix, rank = _minus_identity(rep.matrix), _shape(rep.matrix)[0] - fixed
+    else:
+        matrix, rank = rep._chain[0], fixed
+    factors = []
+    for p in sorted(_factorint(rep.q)):
+        drop = rank - rank_mod_p(matrix, p)
+        if drop < 0:
+            raise BadInvariantFactors(f"rank mod {p} exceeds the rank {rank} over Q")
+        factors += [p] * drop
     return AbelianGroup.from_factors(0, factors)
 
 
@@ -95,19 +154,28 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
 
     Each layer gamma is the cyclic cohomology of the dual exterior power
     at alpha in {0, 1, 2} only: positive degrees are 2-periodic, so these
-    three values determine every degree.
+    three values determine every degree.  Layers come from one pass of
+    exterior_powers, as numpy arrays; a lattice of rank below
+    _NUMPY_MIN_DIM has no layer that wide, and its layers come from
+    wedge_power in pure Python.
     """
     validate(spec)
-    if spec.n > _MAX_RANK:
+    widest = comb(spec.n, spec.n // 2)
+    if widest > _MAX_LAYER_DIM:
         raise DimensionTooLarge(
-            f"n={spec.n} exceeds the exterior-power budget (max {_MAX_RANK})"
+            f"n={spec.n}: the widest exterior layer has {widest} rows, over the "
+            f"oracle's cap of {_MAX_LAYER_DIM} rows (n <= 14)"
         )
     if max_degree < 0:
         raise ValueError("negative max degree")
     phi_star = contragredient(spec.phi)
+    if spec.n < _NUMPY_MIN_DIM:
+        wedges = (wedge_power(phi_star, gamma) for gamma in range(spec.n + 1))
+    else:
+        wedges = exterior_powers(phi_star)
     layers = []
-    for gamma in range(spec.n + 1):
-        rep = CyclicRep(spec.m, wedge_power(phi_star, gamma))
+    for wedge in wedges:
+        rep = CyclicRep(spec.m, wedge)
         layers.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
     groups = []
     for l in range(max_degree + 1):

@@ -17,7 +17,7 @@ Two coefficient variants ship side by side.
 
 Both are assembled through the same double sum over (l1, l2) with the
 parity filter l2 = l (mod 2), which is how the closed form is stated; the
-independent Smith-form evaluator is the arbiter whenever they disagree.
+independent rank-mod-p evaluator is the arbiter whenever they disagree.
 
 Every bounded tuple sum in either variant is a coefficient, or a prefix sum
 of coefficients, of a product of per-divisor polynomials built from

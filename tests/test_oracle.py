@@ -1,4 +1,4 @@
-"""The Smith-form evaluator: cyclic layers and assembled tables."""
+"""The rank-mod-p evaluator: cyclic layers and assembled tables."""
 
 import sys
 from math import comb
@@ -16,15 +16,24 @@ from semicoh.cyclotomic import (
     matrix_census,
 )
 from semicoh.engines import molien_column, rank_column
-from semicoh.errors import BadInvariantFactors, DimensionTooLarge, NotADivisor
+from semicoh.errors import (
+    BadInvariantFactors,
+    DimensionTooLarge,
+    InternalInvariantError,
+    NotADivisor,
+    NotSquareFree,
+)
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import (
     IntMatrix,
     block_diagonal,
     contragredient,
+    exterior_powers,
+    invariant_factors,
     kernel_basis,
     lattice_quotient,
+    norm_and_power,
     wedge_power,
 )
 from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
@@ -194,23 +203,78 @@ def test_regular_blocks_shift_the_p_part(rng):
     assert twisted >= 5
 
 
+def _smith_cyclic_reference(psi, q, alpha):
+    """One layer read off integer Smith forms: the reference for the rank-mod-p reading."""
+    minus_one = invariant_factors(psi - IntMatrix.identity(psi.rows))
+    if alpha == 0:
+        return G(psi.rows - len(minus_one))
+    if alpha % 2:
+        return AbelianGroup.from_factors(0, minus_one)
+    norm, _ = norm_and_power(psi, q)
+    return AbelianGroup.from_factors(0, invariant_factors(norm))
+
+
+def _smith_table_reference(spec, top):
+    phi_star = contragredient(spec.phi)
+    layers = [
+        [_smith_cyclic_reference(wedge_power(phi_star, g), spec.m, a) for a in (0, 1, 2)]
+        for g in range(spec.n + 1)
+    ]
+    return [
+        AbelianGroup.direct_sum(*(
+            layers[g][0 if l == g else 2 - (l - g) % 2] for g in range(min(l, spec.n) + 1)
+        ))
+        for l in range(top + 1)
+    ]
+
+
+def _reference_specs(rng):
+    """Valid fixtures, 12 dense companion conjugates (m = 6, 10, 15), 12 permutation specs."""
+    specs = [fixture.spec for fixture in fixture_suite() if fixture.valid]
+    for m in (6, 10, 15):
+        for _ in range(4):
+            spec = random_companion_spec(rng, n_max=8, orders=(m,))
+            conj = random_unimodular(rng, spec.n)
+            specs.append(GroupSpec(spec.n, m, conj @ spec.phi @ contragredient(conj).transpose()))
+    return specs + [random_permutation_spec(rng, n_max=8) for _ in range(12)]
+
+
+def test_e2_table_matches_the_smith_reference(rng):
+    for spec in _reference_specs(rng):
+        top = spec.n + 3
+        assert list(e2_table(spec, top).groups) == _smith_table_reference(spec, top), spec
+
+
+def test_exterior_powers_match_wedge_power(rng):
+    for spec in _reference_specs(rng):
+        phi_star = contragredient(spec.phi)
+        layers = list(exterior_powers(phi_star))
+        assert len(layers) == spec.n + 1
+        for gamma, layer in enumerate(layers):
+            assert layer.tolist() == [list(row) for row in wedge_power(phi_star, gamma).data]
+
+
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
-    # per layer: psi - 1 once (alpha 0 and odd alpha) and N once (even
-    # alpha); plus one reduction for the contragredient
-    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    # one Smith reduction in all, for the contragredient; per layer, psi - 1
+    # and N are each eliminated once mod every prime of m, and N once more
+    # mod the certificate prime
+    smith = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    ranks = count_calls(monkeypatch, semicoh.oracle, "rank_mod_p")
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
         spec = fixture.spec
-        calls.clear()
+        smith.clear()
+        ranks.clear()
         e2_table(spec, spec.n + 3)
-        assert len(calls) == 2 * (spec.n + 1) + 1, fixture.name
+        assert len(smith) == 1, fixture.name
+        assert len(ranks) == (spec.n + 1) * (2 * len(spec.primes) + 1), fixture.name
 
 
 def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
-    # psi^1..psi^q come from one norm_and_power chain per layer, which
-    # yields both N and the psi^q = 1 check; the oracle takes no other power
-    chains = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
+    # psi^1..psi^q come from one norm_trace_chain per layer, which yields N,
+    # tr N and the psi^q = 1 check; the oracle takes no other power
+    chains = count_calls(monkeypatch, semicoh.oracle, "norm_trace_chain")
     oracle_powers = []
     original_pow = IntMatrix.__pow__
 
@@ -228,6 +292,23 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
         e2_table(spec, spec.n + 3)
         assert len(chains) == spec.n + 1, fixture.name
         assert oracle_powers == [], fixture.name
+
+
+def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
+    # rk_l(N) = tr(N)/q is a theorem once psi^q = 1, so a certificate rank
+    # one short must surface as an internal invariant failure
+    original = semicoh.oracle.rank_mod_p
+    monkeypatch.setattr(semicoh.oracle, "rank_mod_p", lambda a, p: original(a, p) - 1)
+    for name in ("z5_z6", "p3"):
+        spec = fixture_by_name(name).spec
+        with pytest.raises(InternalInvariantError):
+            e2_table(spec, spec.n + 3)
+
+
+def test_cyclic_rep_needs_a_square_free_order():
+    # the p-parts are read off ranks mod p, which needs a square-free q
+    with pytest.raises(NotSquareFree):
+        CyclicRep(4, IntMatrix([[-1]]))
 
 
 def test_e2_dinfty():
@@ -335,6 +416,15 @@ def test_dimension_limit():
     big = IntMatrix.identity(25)
     with pytest.raises(DimensionTooLarge):
         e2_table(GroupSpec(25, 2, big), 3)
+
+
+def test_dimension_limit_refuses_before_any_layer(monkeypatch):
+    # n = 15: the widest layer, C(15, 7) = 6435 rows, is over the cap
+    built = count_calls(monkeypatch, semicoh.oracle, "exterior_powers")
+    built += count_calls(monkeypatch, semicoh.oracle, "wedge_power")
+    with pytest.raises(DimensionTooLarge, match="3432"):
+        e2_table(GroupSpec(15, 2, IntMatrix.identity(15)), 3)
+    assert built == []
 
 
 def test_degree_zero_is_z(rng):
