@@ -20,8 +20,8 @@ a genuinely independent arbiter.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb
+from functools import cached_property, lru_cache
+from math import comb, isqrt
 
 from .abelian import AbelianGroup, _factorint
 from .errors import (
@@ -37,8 +37,7 @@ from .intmat import (
     _NUMPY_MIN_DIM,
     IntMatrix,
     contragredient,
-    exterior_powers,
-    norm_trace_chain,
+    norm_and_power,
     rank_mod_p,
     wedge_power,
 )
@@ -48,24 +47,21 @@ from .tables import CohomologyTable
 # n = 14 (94 MB per float64 layer array); n = 16 would need 1.3 GB per array
 _MAX_LAYER_DIM = 3432
 
-# fixed_rank's certificate prime, the largest prime below 2**23: rank_mod_p
-# is exact for it in 64-column panels, and it must not divide q
-_CERTIFICATE_PRIME = 8388593
-
 ORACLE_ASSUMPTIONS = (
     "collapse: the degree assembly is the direct-sum E2 page, valid for square-free m",
     "splitting: square-free torsion exponent splits every extension in sight",
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CyclicRep:
     """A lattice with an action of Z/q, q square-free, given by the matrix psi of a generator.
 
-    ``matrix`` is an IntMatrix or, for e2_table's wide layers, a square
-    integer numpy array.  Construction runs one chain of products
-    psi^1..psi^q: it checks psi^q = 1 (WrongOrder otherwise) and keeps the
-    norm N = 1 + psi + ... + psi^(q-1) and its trace for the ranks.
+    ``matrix`` is an IntMatrix or, for e2_table's layers at least
+    _NUMPY_MIN_DIM wide, a square integer numpy array.  Construction runs
+    one chain of products psi^1..psi^q: it checks psi^q = 1 (WrongOrder
+    otherwise) and keeps the norm N = 1 + psi + ... + psi^(q-1) and its
+    trace for the ranks.
     """
 
     q: int
@@ -77,15 +73,23 @@ class CyclicRep:
             raise NotSquare("cyclic representations need a square matrix")
         if self.q < 1 or any(e > 1 for e in _factorint(self.q).values()):
             raise NotSquareFree(f"q={self.q} is not a positive square-free integer")
-        if self.q % _CERTIFICATE_PRIME == 0:
-            raise ValueError(f"q={self.q} is divisible by the certificate prime")
         if not self._chain[2]:
             raise WrongOrder(f"matrix order does not divide q={self.q}")
 
     @cached_property
     def _chain(self):
         """(N, tr N, psi^q == 1) from one chain of products psi^1..psi^q."""
-        return norm_trace_chain(self.matrix, self.q)
+        if isinstance(self.matrix, IntMatrix):
+            norm, power = norm_and_power(self.matrix, self.q)
+            return norm, norm.trace(), power.is_identity()
+        from . import layers
+
+        return layers.norm_trace_chain(self.matrix, self.q)
+
+    @property
+    def norm(self):
+        """N = 1 + psi + ... + psi^(q-1), of the same kind as ``matrix``."""
+        return self._chain[0]
 
     @cached_property
     def fixed_rank(self) -> int:
@@ -96,28 +100,50 @@ class CyclicRep:
         non-integral trace quotient or a different certificate rank means
         the evaluation itself went wrong.
         """
-        norm, trace, _ = self._chain
-        rank, remainder = divmod(trace, self.q)
+        rank, remainder = divmod(self._chain[1], self.q)
         if remainder:
-            raise BadInvariantFactors(f"tr N = {trace} is not divisible by q={self.q}")
-        certificate = rank_mod_p(norm, _CERTIFICATE_PRIME)
+            raise BadInvariantFactors(f"tr N = {self._chain[1]} is not divisible by q={self.q}")
+        ell = _certificate_prime(self.q)
+        certificate = _rank_mod_p(self.norm, ell)
         if certificate != rank:
-            raise BadInvariantFactors(
-                f"rank of N mod {_CERTIFICATE_PRIME} is {certificate}, tr(N)/q is {rank}"
-            )
+            raise BadInvariantFactors(f"rank of N mod {ell} is {certificate}, tr(N)/q is {rank}")
         return rank
+
+
+@lru_cache(maxsize=64)
+def _certificate_prime(q: int) -> int:
+    """The largest prime below 2**23 that does not divide q.
+
+    Primes this small keep layers.rank_mod_p exact in 64-column panels.
+
+    >>> _certificate_prime(6), _certificate_prime(8388593)
+    (8388593, 8388587)
+    """
+    ell = 1 << 23
+    while True:
+        ell -= 1
+        if q % ell and all(ell % d for d in range(2, isqrt(ell) + 1)):
+            return ell
 
 
 def _shape(matrix) -> tuple[int, int]:
     return (matrix.rows, matrix.cols) if isinstance(matrix, IntMatrix) else matrix.shape
 
 
+def _rank_mod_p(matrix, p: int) -> int:
+    if isinstance(matrix, IntMatrix):
+        return rank_mod_p(matrix, p)
+    from . import layers
+
+    return layers.rank_mod_p(matrix, p)
+
+
 def _minus_identity(matrix):
     if isinstance(matrix, IntMatrix):
         return matrix - IntMatrix.identity(matrix.rows)
-    import numpy as np
-
-    return matrix - np.identity(len(matrix), dtype=matrix.dtype)
+    shifted = matrix.copy()
+    shifted.flat[:: len(matrix) + 1] -= 1  # the diagonal
+    return shifted
 
 
 def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
@@ -139,10 +165,10 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     if alpha % 2:
         matrix, rank = _minus_identity(rep.matrix), _shape(rep.matrix)[0] - fixed
     else:
-        matrix, rank = rep._chain[0], fixed
+        matrix, rank = rep.norm, fixed
     factors = []
     for p in sorted(_factorint(rep.q)):
-        drop = rank - rank_mod_p(matrix, p)
+        drop = rank - _rank_mod_p(matrix, p)
         if drop < 0:
             raise BadInvariantFactors(f"rank mod {p} exceeds the rank {rank} over Q")
         factors += [p] * drop
@@ -154,10 +180,10 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
 
     Each layer gamma is the cyclic cohomology of the dual exterior power
     at alpha in {0, 1, 2} only: positive degrees are 2-periodic, so these
-    three values determine every degree.  Layers come from one pass of
-    exterior_powers, as numpy arrays; a lattice of rank below
+    three values determine every degree.  A lattice of rank below
     _NUMPY_MIN_DIM has no layer that wide, and its layers come from
-    wedge_power in pure Python.
+    wedge_power in pure Python; a wider one imports layers.py and gets
+    every layer as a numpy array from one pass of exterior_powers.
     """
     validate(spec)
     widest = comb(spec.n, spec.n // 2)
@@ -172,22 +198,24 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
     if spec.n < _NUMPY_MIN_DIM:
         wedges = (wedge_power(phi_star, gamma) for gamma in range(spec.n + 1))
     else:
-        wedges = exterior_powers(phi_star)
-    layers = []
+        from . import layers
+
+        wedges = layers.exterior_powers(phi_star)
+    per_layer = []
     for wedge in wedges:
         rep = CyclicRep(spec.m, wedge)
-        layers.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
+        per_layer.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
     groups = []
     for l in range(max_degree + 1):
         parts = []
         for gamma in range(min(l, spec.n) + 1):
             alpha = l - gamma
             if alpha == 0:
-                parts.append(layers[gamma][0])
+                parts.append(per_layer[gamma][0])
             elif alpha % 2:
-                parts.append(layers[gamma][1])
+                parts.append(per_layer[gamma][1])
             else:
-                parts.append(layers[gamma][2])
+                parts.append(per_layer[gamma][2])
         groups.append(AbelianGroup.direct_sum(*parts))
     return CohomologyTable(
         engine="oracle",

@@ -1,4 +1,4 @@
-"""Exact linear algebra: Smith forms, kernels, quotients, wedges, ranks mod p."""
+"""Exact linear algebra: Smith forms, kernels, quotients, wedges."""
 
 import random
 
@@ -10,19 +10,15 @@ from semicoh.abelian import AbelianGroup
 from semicoh.errors import DegreeOutOfRange, NotASublattice, NotUnimodular
 from semicoh.intmat import (
     IntMatrix,
-    _rank_mod_p_rows,
     _smith_engine,
     charpoly,
     complete_to_unimodular,
     contragredient,
     det,
-    exterior_powers,
     invariant_factors,
     kernel_basis,
     lattice_quotient,
     norm_and_power,
-    norm_trace_chain,
-    rank_mod_p,
     saturate_span,
     smith_normal_form,
     solve_columns,
@@ -356,54 +352,6 @@ def test_norm_and_power_int64_guard_matches_python_chain():
     # narrower than 4: the pure-Python chain, far past int64
     small = IntMatrix([[10**6, -3, 1], [7, 10**6, 0], [1, 1, 1]])
     assert norm_and_power(small, 9) == _power_chain_reference(small, 9)
-
-
-def test_norm_trace_chain_fallbacks_match_python_chain():
-    # c * ones(4x4), c = 10**6: a^1, a^2 are proven in float64 and a^3 needs
-    # Python ints.  2^17 * identity(4): a^3's bound 4 * 2^34 * 2^17 = 2^53
-    # leaves float64 for int64, and a^4's leaves int64
-    np = pytest.importorskip("numpy")
-    for a, qs in ((IntMatrix([[10**6] * 4 for _ in range(4)]), range(13)),
-                  (IntMatrix.scalar(4, 1 << 17), range(7))):
-        for q in qs:
-            norm, power = _power_chain_reference(a, q)
-            for dtype in (np.int64, object):
-                got, trace, is_one = norm_trace_chain(np.array(a.data, dtype=dtype), q)
-                assert got.tolist() == [list(row) for row in norm.data], (a, q)
-                assert (trace, is_one) == (norm.trace(), power.is_identity())
-    # an order-6 conjugate: the chain ends at the identity
-    psi = random_unimodular(random.Random(6), 5)
-    psi = psi @ IntMatrix([[0, -1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
-                           [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]) @ contragredient(psi).transpose()
-    norm, trace, is_one = norm_trace_chain(np.array(psi.data), 6)
-    assert is_one and trace == norm_and_power(psi, 6)[0].trace()
-
-
-def test_rank_mod_p_matches_row_elimination(rng):
-    # products of random factors give every rank; widths past one panel
-    # and the certificate prime exercise the blocked trailing update
-    np = pytest.importorskip("numpy")
-    for trial in range(40):
-        rows, cols = rng.randint(1, 150), rng.randint(1, 150)
-        inner = rng.randint(0, min(rows, cols))
-        a = (random_int_matrix(rng, rows, inner, 3) @ random_int_matrix(rng, inner, cols, 3)
-             if inner else IntMatrix.zeros(rows, cols))
-        p = (2, 3, 5, 8388593)[trial % 4]
-        expected = _rank_mod_p_rows(a.data, p)
-        assert rank_mod_p(a, p) == expected
-        for dtype in (np.int64, np.float64):
-            assert rank_mod_p(np.array(a.data, dtype=dtype), p) == expected, (rows, cols, p)
-    assert rank_mod_p(IntMatrix([[3, 6], [9, 1]]), 3) == 1  # narrow: pure Python
-
-
-def test_exterior_powers_big_entries_leave_int64():
-    # max|a| = 2^40: wedge^2 bound 2 * 2^40 * 2^41 passes 2^62, so that
-    # layer is built from Python ints
-    a = IntMatrix([[1 << 40, 3, 0, 1], [5, 1 << 41, 2, 0], [0, 1, 1, 7], [2, 0, 3, 1]])
-    layers = list(exterior_powers(a))
-    for gamma, layer in enumerate(layers):
-        assert layer.tolist() == [list(row) for row in wedge_power(a, gamma).data]
-    assert layers[1].dtype != object and layers[2].dtype == object
 
 
 def test_big_entries_stay_exact():

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import semicoh.intmat
+import semicoh.layers
 import semicoh.oracle
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import (
@@ -29,13 +30,13 @@ from semicoh.intmat import (
     IntMatrix,
     block_diagonal,
     contragredient,
-    exterior_powers,
     invariant_factors,
     kernel_basis,
     lattice_quotient,
     norm_and_power,
     wedge_power,
 )
+from semicoh.layers import exterior_powers
 from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
 from semicoh.tables import p_part
 
@@ -245,6 +246,20 @@ def test_e2_table_matches_the_smith_reference(rng):
         assert list(e2_table(spec, top).groups) == _smith_table_reference(spec, top), spec
 
 
+def test_e2_table_on_python_int_layers_matches_the_smith_reference(monkeypatch):
+    # a conjugate with 95-bit entries: layers 1..4 are Python-int arrays, and
+    # the chains of layers 1..3 run on Python ints from their first step
+    k = 1 << 31
+    p = IntMatrix([[1, k, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) @ IntMatrix(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [k, 0, 1, 0], [0, 0, k, 1]]
+    )
+    s = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    spec = GroupSpec(4, 2, p @ s @ contragredient(p).transpose())
+    chains = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
+    assert list(e2_table(spec, 7).groups) == _smith_table_reference(spec, 7)
+    assert [a.dtype == object for a, _ in chains] == [False, True, True, True, True]
+
+
 def test_exterior_powers_match_wedge_power(rng):
     for spec in _reference_specs(rng):
         phi_star = contragredient(spec.phi)
@@ -259,7 +274,7 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
     # and N are each eliminated once mod every prime of m, and N once more
     # mod the certificate prime
     smith = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
-    ranks = count_calls(monkeypatch, semicoh.oracle, "rank_mod_p")
+    ranks = count_calls(monkeypatch, semicoh.oracle, "_rank_mod_p")
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
@@ -272,9 +287,11 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
 
 
 def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
-    # psi^1..psi^q come from one norm_trace_chain per layer, which yields N,
-    # tr N and the psi^q = 1 check; the oracle takes no other power
-    chains = count_calls(monkeypatch, semicoh.oracle, "norm_trace_chain")
+    # psi^1..psi^q come from one chain per layer, which yields N, tr N and
+    # the psi^q = 1 check: norm_and_power on the pure-Python layers of
+    # n < 4, norm_trace_chain on the array layers; no other power is taken
+    narrow = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
+    wide = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
     oracle_powers = []
     original_pow = IntMatrix.__pow__
 
@@ -288,20 +305,27 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
         if not fixture.valid:
             continue
         spec = fixture.spec
-        chains.clear()
+        narrow.clear()
+        wide.clear()
         e2_table(spec, spec.n + 3)
-        assert len(chains) == spec.n + 1, fixture.name
+        assert len(narrow if spec.n < 4 else wide) == spec.n + 1, fixture.name
+        assert len(wide if spec.n < 4 else narrow) == 0, fixture.name
         assert oracle_powers == [], fixture.name
 
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
     # rk_l(N) = tr(N)/q is a theorem once psi^q = 1, so a certificate rank
-    # one short must surface as an internal invariant failure
-    original = semicoh.oracle.rank_mod_p
-    monkeypatch.setattr(semicoh.oracle, "rank_mod_p", lambda a, p: original(a, p) - 1)
+    # one short must surface as an internal invariant failure; z5_z6 has
+    # array layers, p3 pure-Python ones
+    original = semicoh.oracle._rank_mod_p
+    ell = semicoh.oracle._certificate_prime(6)
+    assert ell == semicoh.oracle._certificate_prime(3) == 8388593
+    monkeypatch.setattr(
+        semicoh.oracle, "_rank_mod_p", lambda a, p: original(a, p) - (p == ell)
+    )
     for name in ("z5_z6", "p3"):
         spec = fixture_by_name(name).spec
-        with pytest.raises(InternalInvariantError):
+        with pytest.raises(InternalInvariantError, match=f"mod {ell}"):
             e2_table(spec, spec.n + 3)
 
 
@@ -420,11 +444,11 @@ def test_dimension_limit():
 
 def test_dimension_limit_refuses_before_any_layer(monkeypatch):
     # n = 15: the widest layer, C(15, 7) = 6435 rows, is over the cap
-    built = count_calls(monkeypatch, semicoh.oracle, "exterior_powers")
-    built += count_calls(monkeypatch, semicoh.oracle, "wedge_power")
+    built = count_calls(monkeypatch, semicoh.layers, "exterior_powers")
+    wedges = count_calls(monkeypatch, semicoh.oracle, "wedge_power")
     with pytest.raises(DimensionTooLarge, match="3432"):
         e2_table(GroupSpec(15, 2, IntMatrix.identity(15)), 3)
-    assert built == []
+    assert built == [] and wedges == []
 
 
 def test_degree_zero_is_z(rng):
