@@ -2,8 +2,8 @@
 
 Two closed-form torsion engines (the published formulas as printed, and
 the orbit-count correction their own arguments support) are reconciled
-degree by degree against an independent Smith-normal-form evaluator of
-the cyclic-cohomology layers.  All arithmetic is exact.
+degree by degree against an independent rank-mod-p evaluator of the
+cyclic-cohomology layers.  All arithmetic is exact.
 """
 
 __version__ = "0.1.0"

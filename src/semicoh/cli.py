@@ -279,7 +279,7 @@ _SUBCOMMANDS = (
      (_MAX_DEGREE, _NO_CACHE, _ENGINE, _VARIANT)),
     ("compare", cmd_compare, "three-way reconciliation report", _WITH_CSV,
      (_MAX_DEGREE, _PRIME)),
-    ("rank", cmd_rank, "free ranks: census count, Molien average, Smith oracle",
+    ("rank", cmd_rank, "free ranks: census count, Molien average, rank-mod-p oracle",
      _WITH_CSV, (_MAX_DEGREE, _NO_CACHE)),
     ("rst", cmd_rst, "per-prime (r, s, t) decomposition", _NO_CSV, (_PRIME,)),
     ("isotropy", cmd_isotropy, "isotropy divisors D, m_d, k_d", _NO_CSV, (_PRIME,)),
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicoh",
         description="Exact integral cohomology of Z^n x| Z/m (m square-free): "
-        "closed-form engines reconciled against a Smith-form evaluator.",
+        "closed-form engines reconciled against a rank-mod-p evaluator.",
     )
     parser.add_argument("--version", action="version", version=f"semicoh {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

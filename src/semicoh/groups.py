@@ -7,19 +7,22 @@ splits p-locally as
 
 and the torsion formulas consume r, s, t together with the eigenvalue
 censuses of phi on the trivial block and the free-origin block.  The
-counts come from the classical kernel/cokernel procedure
+counts are the classical quotients
 
-    t = #(invariant factors = p) in ker(N)/im(psi - 1),    N = 1 + psi + ... + psi^(p-1)
-    r = #(invariant factors = p) in ker(psi - 1)/im(N),
+    t = #(p-factors) of ker(N)/im(psi - 1),    N = 1 + psi + ... + psi^(p-1)
+    r = #(p-factors) of ker(psi - 1)/im(N),
 
-run once per isotypic sublattice ker(Phi_e(phi) * Phi_pe(phi)) rather than
-once globally.  The refinement is what makes the block censuses canonical:
-each isotypic piece is phi-stable by construction, the counts are basis
-independent, and k_d = m_d/(p-1) is an integer by construction (it equals
-the t-count of one isotypic piece).  The totals are cross-checked against
-the whole lattice, where t and r are the numbers of cokernel invariant
-factors of psi - 1 and of N that equal p; that psi - 1 is reduced once per
-(spec, p) and also serves the freeness test and the class count.
+read off cokernels: since psi^p = 1, ker N is the saturation of
+im(psi - 1) and ker(psi - 1) that of im N (Brown, Cohomology of Groups,
+VI), so each quotient is the torsion of coker(psi - 1) or of coker N, and
+one Smith run of each matrix gives its count and generators.  The counts
+are taken on each isotypic sublattice ker(Phi_e(phi) * Phi_pe(phi))
+rather than once globally.  The refinement is what makes the block
+censuses canonical: each isotypic piece is phi-stable by construction,
+the counts are basis independent, and k_d = m_d/(p-1) is an integer by
+construction (it equals the t-count of one isotypic piece).  The totals
+are cross-checked against the whole lattice, where psi - 1 is reduced
+once per (spec, p) and also serves the freeness test and the class count.
 """
 
 from __future__ import annotations
@@ -52,14 +55,12 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     _smith_engine,
-    complete_to_unimodular,
     det,
     invariant_factors,
     kernel_basis,
     norm_and_power,
     restrict_to_basis,
     saturate_span,
-    solve_columns,
 )
 
 
@@ -141,23 +142,6 @@ class RstDecomposition:
     t_generators: IntMatrix
 
 
-def _p_quotient(ambient: IntMatrix, generators: IntMatrix, p: int):
-    """(count of p-factors, generator columns) of span(ambient)/span(generators).
-
-    Every invariant factor must be 1 or p; anything else violates the
-    structure theory for Z/p-lattices and raises BadInvariantFactors.
-    """
-    coords = solve_columns(ambient, generators)
-    eng = _smith_engine(coords, need_uinv=True)
-    diagonal = eng.diagonal
-    count = _count_p_factors(diagonal, p)
-    if len(diagonal) < coords.rows:
-        raise BadInvariantFactors("kernel/image quotient is not finite")
-    gens = [i for i, d in enumerate(diagonal) if d == p]
-    local = IntMatrix([[row[j] for j in gens] for row in eng.uinv])
-    return count, ambient @ local
-
-
 def _count_p_factors(factors, p: int) -> int:
     """How many ``factors`` equal p; one other than 1 or p raises BadInvariantFactors."""
     count = 0
@@ -170,13 +154,34 @@ def _count_p_factors(factors, p: int) -> int:
     return count
 
 
+def _cokernel_torsion(a: IntMatrix, p: int) -> tuple[int, IntMatrix]:
+    """(rank of a, generator columns of the torsion of coker a), from one Smith run.
+
+    With U a V = D, a V = U^-1 D: the first rank(a) columns u_i of U^-1
+    span the saturation of im a, and im a is spanned by the d_i u_i, so
+    the u_i with d_i = p generate the torsion.  A nonzero factor other
+    than 1 or p raises BadInvariantFactors.
+    """
+    eng = _smith_engine(a, need_uinv=True)
+    factors = eng.diagonal[: eng.rank]
+    _count_p_factors(factors, p)
+    gens = [i for i, d in enumerate(factors) if d == p]
+    return eng.rank, IntMatrix([[row[j] for j in gens] for row in eng.uinv])
+
+
 def _cyclic_counts(psi: IntMatrix, p: int):
-    """(r, s, t, r_gens, w_gens) for one Z/p-lattice with generator action psi."""
+    """(r, s, t, r_gens, w_gens) for one Z/p-lattice with generator action psi.
+
+    ker N is the saturation of im(psi - 1) and ker(psi - 1) that of im N
+    exactly when their ranks add up to n; otherwise BadInvariantFactors.
+    """
     n = psi.rows
-    psi_minus_one = psi - IntMatrix.identity(n)
     norm, _ = norm_and_power(psi, p)
-    t, w_gens = _p_quotient(kernel_basis(norm), psi_minus_one, p)
-    r, r_gens = _p_quotient(kernel_basis(psi_minus_one), norm, p)
+    image_rank, w_gens = _cokernel_torsion(psi - IntMatrix.identity(n), p)
+    norm_rank, r_gens = _cokernel_torsion(norm, p)
+    if image_rank + norm_rank != n:
+        raise BadInvariantFactors("kernel/image quotient is not finite")
+    r, t = r_gens.cols, w_gens.cols
     rest = n - r - (p - 1) * t
     if rest < 0 or rest % p:
         raise BadInvariantFactors(
@@ -205,20 +210,19 @@ def _is_stable_block(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus)
 def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
     """Unimodular basis [r block | complement | t generators], best effort.
 
-    When the r block and the t generators are not jointly primitive (of
-    full column rank with unit invariant factors) the completed joint
-    saturation is returned as it stands (still unimodular).  One Smith run
-    of the joint matrix gives both the saturation and that test.
+    One Smith run of the joint matrix gives U^-1, whose first rank columns
+    span the joint saturation and whose rest complete it to Z^n.  When
+    the r block and the t generators are not jointly primitive (of full
+    column rank with unit invariant factors) U^-1 is returned as it
+    stands.
     """
     joint = r_basis.hstack(w_gens) if w_gens.cols else r_basis
     if joint.cols == 0:
         return IntMatrix.identity(n)
     eng = _smith_engine(joint, need_uinv=True)
-    r = eng.rank
-    full = complete_to_unimodular(IntMatrix([row[:r] for row in eng.uinv]))
     if eng.diagonal.count(1) != joint.cols:
-        return full
-    rest = [row[joint.cols:] for row in full.data]
+        return IntMatrix(eng.uinv)
+    rest = [row[joint.cols:] for row in eng.uinv]
     return r_basis.hstack(IntMatrix(rest)).hstack(w_gens)
 
 
@@ -226,11 +230,10 @@ def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
 def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     """Decompose Z^n over Z/p (psi = phi^(m/p)) into (r, s, t) data.
 
-    Runs the kernel/cokernel counting procedure on each isotypic
+    Reads r and t off the cokernels of N and psi - 1 on each isotypic
     sublattice ker(Phi_e(phi)*Phi_pe(phi)), e | m/p, and cross-checks the
-    totals against the whole lattice: r and t there are the numbers of
-    cokernel invariant factors of N and of psi - 1 equal to p, and a
-    factor outside {1, p} raises BadInvariantFactors.
+    totals against the same counts on the whole lattice; a factor outside
+    {1, p} raises BadInvariantFactors.
     """
     validate(spec)
     if p not in spec.primes:
@@ -266,14 +269,10 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
             t_mults[p * e] = t_e // phi_e
             w_amb = u_basis @ w_gens
             w_cols.extend(w_amb.columns())
-            span_cols = []
             orbit = w_amb  # psi^k applied to the generator columns
             for _ in range(p - 1):
-                span_cols.extend(orbit.columns())
+                t_cols.extend(orbit.columns())
                 orbit = psi @ orbit
-            t_cols.extend(
-                saturate_span(IntMatrix.from_columns(span_cols, n)).columns()
-            )
 
     norm, _ = norm_and_power(psi, p)
     r_glob = _count_p_factors(invariant_factors(norm), p)

@@ -7,10 +7,8 @@ Matrix products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
 big integers otherwise, so results are exact in all cases.  The powers
 a^1..a^q behind a norm 1 + a + ... + a^(q-1) and the check a^q = 1 come
-from one guarded chain, norm_and_power: int64 arrays while every product
-and partial sum is proven below 2**62, then the plain IntMatrix loop,
-whose products are exact by the same guard.  Matrices narrower than 4
-never leave pure Python, so they never load numpy.  The oracle's
+from one chain of IntMatrix products, norm_and_power.  Matrices narrower
+than 4 never leave pure Python, so they never load numpy.  The oracle's
 float64 kernels for exterior layers at least 4 wide are in layers.py.
 """
 
@@ -184,12 +182,8 @@ def _matmul(a, b):
 def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
     """(1 + a + ... + a^(q-1), a^q) from one chain of q products.
 
-    Only the running power and the running sum are kept.  Matrices at
-    least _NUMPY_MIN_DIM wide run as int64 arrays while each product
-    bound d * max|power| * max|a| and the running total of the summed
-    powers' maxima stay below _INT64_LIMIT.  Every other step, and every
-    step of a narrower matrix, runs in the plain IntMatrix loop, whose
-    products _matmul keeps exact.
+    Only the running power and the running sum are kept; _matmul keeps
+    each product exact.
 
     >>> [m.data for m in norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)]
     [((0, 0), (0, 0)), ((1, 0), (0, 1))]
@@ -198,25 +192,8 @@ def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
         raise NotSquare("powers need a square matrix")
     if q < 0:
         raise ValueError("negative power")
-    d = a.rows
-    power, total = IntMatrix.identity(d), IntMatrix.zeros(d, d)
-    done = 0
-    amax = max(map(abs, chain.from_iterable(a.data)), default=0)  # Python ints: no wrap
-    if d >= _NUMPY_MIN_DIM and amax < _INT64_LIMIT:
-        import numpy as np
-
-        base = np.array(a.data, dtype=np.int64)
-        npower = np.identity(d, dtype=np.int64)
-        ntotal = np.zeros((d, d), dtype=np.int64)
-        pmax, smax = 1, 0  # max|power| and a bound on max|total|
-        while done < q and smax + pmax < _INT64_LIMIT and d * pmax * amax < _INT64_LIMIT:
-            ntotal += npower
-            npower = npower @ base
-            smax += pmax
-            pmax = int(np.abs(npower).max())
-            done += 1
-        power, total = IntMatrix(npower.tolist()), IntMatrix(ntotal.tolist())
-    for _ in range(done, q):
+    power, total = IntMatrix.identity(a.rows), IntMatrix.zeros(a.rows, a.rows)
+    for _ in range(q):
         total = total + power
         power = power @ a
     return total, power
@@ -507,14 +484,6 @@ def saturate_span(m: IntMatrix) -> IntMatrix:
 def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
     """Matrix of a on the span of ``basis``; NotASublattice if not stable."""
     return solve_columns(basis, a @ basis)
-
-
-def complete_to_unimodular(m: IntMatrix) -> IntMatrix:
-    """Extend the columns of a saturated basis to a basis of the whole Z^n."""
-    eng = _smith_engine(m, need_uinv=True)
-    if any(x != 1 for x in eng.diagonal):
-        raise NotASublattice("columns do not form a saturated independent set")
-    return IntMatrix(eng.uinv)
 
 
 def det(a: IntMatrix) -> int:

@@ -7,6 +7,7 @@ import semicoh.intmat
 from semicoh.cyclotomic import cyclotomic_polynomial, divisors
 from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
+    BadInvariantFactors,
     NotADivisor,
     NotFreeAction,
     NotSquareFree,
@@ -22,6 +23,7 @@ from semicoh.fixtures import (
 from semicoh.groups import (
     GroupSpec,
     _adapted_basis,
+    _cyclic_counts,
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
@@ -34,12 +36,18 @@ from semicoh.intmat import (
     det,
     invariant_factors,
     kernel_basis,
+    lattice_quotient,
     norm_and_power,
     saturate_span,
 )
 from semicoh.torsion import VARIANTS
 
-from conftest import count_calls, random_companion_spec, random_unimodular
+from conftest import (
+    count_calls,
+    random_companion_spec,
+    random_permutation_spec,
+    random_unimodular,
+)
 
 
 def span_equal(a: IntMatrix, b: IntMatrix) -> bool:
@@ -172,9 +180,9 @@ def test_rst_invariants_random(rng):
 
 
 def test_rst_global_check_reads_cokernel_factors(monkeypatch):
-    # each non-empty isotypic piece takes two kernel/image quotients (t and
-    # r); the whole-lattice cross-check reads invariant factors and takes none
-    quotients = count_calls(monkeypatch, semicoh.groups, "_p_quotient")
+    # each non-empty isotypic piece reads t off one Smith run of psi - 1 and
+    # r off one of N; the whole-lattice cross-check reads invariant factors
+    runs = count_calls(monkeypatch, semicoh.groups, "_cokernel_torsion")
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
@@ -188,10 +196,60 @@ def test_rst_global_check_reads_cokernel_factors(monkeypatch):
                 ).cols
             )
             rst_decompose.cache_clear()
-            quotients.clear()
+            runs.clear()
             rst_decompose(spec, p)
-            assert len(quotients) == 2 * pieces, (fixture.name, p)
+            assert len(runs) == 2 * pieces, (fixture.name, p)
             assert pieces == (2 if fixture.name == "z5_z6" else 1), (fixture.name, p)
+
+
+def test_rst_smith_runs_per_decomposition(monkeypatch):
+    # four per isotypic piece (its kernel basis, the restriction of psi,
+    # psi - 1 and N), two for the whole-lattice cross-check, then one per
+    # non-empty block saturation, one per block stability check and one
+    # for the adapted basis: p3 has one piece and no r block, z5_z6 two
+    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
+    for name, p, runs in (("p3", 3, 9), ("z5_z6", 2, 15), ("z5_z6", 3, 15)):
+        spec = fixture_by_name(name).spec
+        spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{name}")  # no memo hit
+        calls.clear()
+        rst_decompose(spec, p)
+        assert len(calls) == runs, (name, p)
+
+
+def test_rst_generators_match_the_kernel_image_quotients(rng):
+    # reference for the cokernel reading: the t generators complete
+    # im(psi - 1) to ker N and the r block completes im N to ker(psi - 1),
+    # as the kernel-basis quotients of the classical procedure say
+    specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
+    for _ in range(5):
+        spec = random_companion_spec(rng)
+        conj = random_unimodular(rng, spec.n)
+        specs.append(GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose()))
+    specs += [random_permutation_spec(rng, n_max=8) for _ in range(5)]  # s > 0 too
+    for spec in specs:
+        one = IntMatrix.identity(spec.n)
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            psi_minus_one = spec.psi(p) - one
+            norm, _ = norm_and_power(spec.psi(p), p)
+            assert (norm @ rst.t_generators).is_zero(), (spec, p)
+            assert (psi_minus_one @ rst.r_basis).is_zero(), (spec, p)
+            assert rst.t_generators.cols == rst.t, (spec, p)
+            t_quotient = lattice_quotient(
+                kernel_basis(norm), psi_minus_one.hstack(rst.t_generators)
+            )
+            r_quotient = lattice_quotient(
+                kernel_basis(psi_minus_one), norm.hstack(rst.r_basis)
+            )
+            assert t_quotient.is_zero(), (spec, p)
+            assert r_quotient.is_zero(), (spec, p)
+
+
+def test_cyclic_counts_refuses_an_infinite_quotient():
+    # psi = [[1, 1], [0, 1]] has psi^3 != 1: rank(psi - 1) + rank(N) = 1 + 2
+    with pytest.raises(BadInvariantFactors, match="not finite"):
+        _cyclic_counts(IntMatrix([[1, 1], [0, 1]]), 3)
 
 
 def test_adapted_basis_is_unimodular_when_columns_repeat():
@@ -200,8 +258,8 @@ def test_adapted_basis_is_unimodular_when_columns_repeat():
 
 
 def test_adapted_basis_reduces_the_joint_matrix_once(monkeypatch):
-    # one Smith run of [r block | t generators] gives both its saturation and
-    # the primitivity test; the only other run completes the saturation
+    # one Smith run of [r block | t generators] gives its saturation, the
+    # primitivity test and, in U^-1, the completion to Z^n
     calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
     monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
     for fixture in fixture_suite():
@@ -214,7 +272,7 @@ def test_adapted_basis_reduces_the_joint_matrix_once(monkeypatch):
             calls.clear()
             assert _adapted_basis(spec.n, rst.r_basis, rst.t_generators) == rst.adapted_basis
             if joint.cols:
-                assert len(calls) == 2 and calls[0][0] == joint, (fixture.name, p)
+                assert len(calls) == 1 and calls[0][0] == joint, (fixture.name, p)
             else:
                 assert calls == [], (fixture.name, p)
 

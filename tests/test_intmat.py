@@ -12,7 +12,6 @@ from semicoh.intmat import (
     IntMatrix,
     _smith_engine,
     charpoly,
-    complete_to_unimodular,
     contragredient,
     det,
     invariant_factors,
@@ -275,12 +274,6 @@ def test_solve_and_saturate(rng):
     assert all(f == 1 for f in invariant_factors(sat))
 
 
-def test_complete_to_unimodular():
-    m = IntMatrix([[1], [1], [0]])
-    full = complete_to_unimodular(m)
-    assert abs(det(full)) == 1
-
-
 def test_matmul_int64_guard_matches_python_product():
     # products of dimension >= 4 run in int64 exactly when
     # inner * max|a| * max|b| < 2**62; on either side of that bound the
@@ -330,16 +323,15 @@ def _power_chain_reference(a, q):
 
 
 def test_norm_and_power_int64_guard_matches_python_chain():
-    # on c * ones(4x4) each product meets its bound d * max|P| * max|a|
-    # exactly: a^k = 4^(k-1) c^k ones.  With c = 10**6, a^2 (4e12) is
-    # proven in int64 and a^3 (1.6e19) lies between 2**63 and 2**64, so a
-    # looser guard (a larger limit, or no factor d) would wrap it
+    # each product of the chain goes through _matmul's int64 guard; on
+    # c * ones(4x4), a^k = 4^(k-1) c^k ones, and with c = 10**6, a^3
+    # (1.6e19) lies between 2**63 and 2**64, so a looser guard would wrap it
     a = IntMatrix([[10**6] * 4 for _ in range(4)])
     for q in (0, 1, 2, 3, 4, 12):
         assert norm_and_power(a, q) == _power_chain_reference(a, q)
-    # 2^20 * identity(4): the chain stays in int64 up to q = 2; the third
-    # product's bound 4 * 2^40 * 2^20 is exactly 2^62, so q = 3 leaves
-    # int64 at the bound, q = 4 just past it and q = 12 far past it
+    # 2^20 * identity(4): the third product's bound 4 * 2^40 * 2^20 is
+    # exactly 2^62, so q = 3 meets the guard at the bound, q = 4 just past
+    # it and q = 12 far past it
     diag = IntMatrix.scalar(4, 1 << 20)
     for q in (2, 3, 4, 12):
         assert norm_and_power(diag, q) == _power_chain_reference(diag, q)
