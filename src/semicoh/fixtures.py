@@ -1,9 +1,8 @@
 """The shipped fixture corpus.
 
 Expected values carry a provenance note: ``published-table`` (stated in
-the published reference computation), ``hand-checked`` (verified by an
-independent hand computation before this package was built), or
-``derived-oracle`` (frozen from the Smith-form evaluator).
+the published reference computation) or ``hand-checked`` (verified by an
+independent hand computation before this package was built).
 """
 
 from __future__ import annotations

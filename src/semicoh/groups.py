@@ -124,10 +124,12 @@ def _check(spec: GroupSpec) -> None:
 class RstDecomposition:
     """Per-prime decomposition data.
 
-    ``r_basis`` and, when phi-stable, ``t_basis`` are saturated column
-    bases of the trivial and free-origin sublattices; ``r_census`` and
-    ``t_census`` are the eigenvalue censuses of phi on those blocks, and
-    phi's restriction to each stable block is checked against them.
+    ``r_basis`` saturates the span of the r generators found on each
+    isotypic piece, and ``t_basis``, when phi-stable, that of the
+    psi-orbits of ``t_generators``: ker(psi - 1) and ker N if s = 0, but
+    Smith-pivot dependent if s > 0.  ``r_census`` and ``t_census`` are the
+    eigenvalue censuses of phi on those blocks, and phi's restriction to
+    each stable block is checked against them.
     """
 
     p: int
@@ -176,7 +178,7 @@ def _cyclic_counts(psi: IntMatrix, p: int):
     exactly when their ranks add up to n; otherwise BadInvariantFactors.
     """
     n = psi.rows
-    norm, _ = norm_and_power(psi, p)
+    norm = norm_and_power(psi, p)[0]
     image_rank, w_gens = _cokernel_torsion(psi - IntMatrix.identity(n), p)
     norm_rank, r_gens = _cokernel_torsion(norm, p)
     if image_rank + norm_rank != n:
@@ -274,7 +276,7 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
                 t_cols.extend(orbit.columns())
                 orbit = psi @ orbit
 
-    norm, _ = norm_and_power(psi, p)
+    norm = norm_and_power(psi, p)[0]
     r_glob = _count_p_factors(invariant_factors(norm), p)
     t_glob = _count_p_factors(_psi_minus_one_factors(spec, p), p)
     if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:

@@ -5,8 +5,8 @@ Smith elimination runs on pure-Python big integers only, and every
 wrapper below reads its result off one engine run (_smith_engine).
 Matrix products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
-big integers otherwise, so results are exact in all cases.  The powers
-a^1..a^q behind a norm 1 + a + ... + a^(q-1) and the check a^q = 1 come
+big integers otherwise, so results are exact in all cases.  The norm
+1 + a + ... + a^(q-1), its terms' traces and the check a^q = 1 come
 from one chain of IntMatrix products, norm_and_power.  Matrices narrower
 than 4 never leave pure Python, so they never load numpy.  The oracle's
 float64 kernels for exterior layers at least 4 wide are in layers.py.
@@ -179,24 +179,26 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, IntMatrix]:
-    """(1 + a + ... + a^(q-1), a^q) from one chain of q products.
+def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, list[int], bool]:
+    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one chain of q products.
 
     Only the running power and the running sum are kept; _matmul keeps
     each product exact.
 
-    >>> [m.data for m in norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)]
-    [((0, 0), (0, 0)), ((1, 0), (0, 1))]
+    >>> norm, traces, is_one = norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)
+    >>> norm.data, traces, is_one
+    (((0, 0), (0, 0)), [2, -1, -1], True)
     """
     if not a.is_square():
         raise NotSquare("powers need a square matrix")
     if q < 0:
         raise ValueError("negative power")
-    power, total = IntMatrix.identity(a.rows), IntMatrix.zeros(a.rows, a.rows)
+    power, total, traces = IntMatrix.identity(a.rows), IntMatrix.zeros(a.rows, a.rows), []
     for _ in range(q):
         total = total + power
+        traces.append(power.trace())
         power = power @ a
-    return total, power
+    return total, traces, power.is_identity()
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:

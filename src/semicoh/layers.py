@@ -9,9 +9,9 @@ exactly; past a bound the arithmetic moves to arrays of Python ints.
 
 - exterior_powers builds every exterior power by Laplace expansion, as
   int64 arrays while proven below 2**62.
-- norm_trace_chain runs the powers a^1..a^q as float64 (BLAS) products
-  while proven below 2**53.
-- rank_mod_p eliminates over F_p in float64 panels.
+- norm_trace_chain runs the chain a^1..a^q as float64 (BLAS) products
+  while proven below 2**53, for N, the traces of a^k and a^q = 1.
+- rank_mod_p eliminates N over F_p in float64 panels.
 """
 
 from __future__ import annotations
@@ -77,23 +77,23 @@ def exterior_powers(a: IntMatrix):
 
 
 def norm_trace_chain(a, q: int):
-    """(N, tr N, a^q == 1) for N = 1 + a + ... + a^(q-1), from one chain of q products.
+    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one chain of q products.
 
     ``a`` is a square integer numpy array.  The chain runs as float64
     (BLAS) products while d * max|a^k| * max|a| and the bound on the
-    running sum stay below _FLOAT64_LIMIT, so every partial sum is an
-    exactly represented integer.  From the first step that fails the
-    bound it runs on arrays of Python ints, and never switches back.  N
-    comes back as float64 (integers below 2**53) or as Python ints; tr N
-    is a Python int.
+    running sum stay below _FLOAT64_LIMIT, so every partial sum, and every
+    trace (|tr a^k| <= d * max|a^k|), is an exactly represented integer.
+    From the first step that fails the bound it runs on arrays of Python
+    ints, and never switches back.  N comes back as float64 (integers
+    below 2**53) or as Python ints; the traces are Python ints.
 
-    >>> norm, trace, is_one = norm_trace_chain(np.array([[0, -1], [1, -1]]), 3)
-    >>> norm.tolist(), trace, is_one
-    ([[0.0, 0.0], [0.0, 0.0]], 0, True)
+    >>> norm, traces, is_one = norm_trace_chain(np.array([[0, -1], [1, -1]]), 3)
+    >>> norm.tolist(), traces, is_one
+    ([[0.0, 0.0], [0.0, 0.0]], [2, -1, -1], True)
     """
     d = len(a)
     amax = _abs_max(a)
-    power, total, base = np.identity(d), np.zeros((d, d)), None
+    power, total, base, traces = np.identity(d), np.zeros((d, d)), None, []
     pmax, smax = 1, 0  # max|power| and a bound on max|total|
     for _ in range(q):
         if power.dtype != object and max(d * pmax * amax, smax + pmax) >= _FLOAT64_LIMIT:
@@ -104,11 +104,11 @@ def norm_trace_chain(a, q: int):
             # reached in float64 only when max|a| < 2**53, so the cast is exact
             base = a.astype(power.dtype)
         total += power
+        traces.append(int(power.trace()))
         power = power @ base
         smax += pmax
         pmax = _abs_max(power)
-    trace = sum(map(int, total.diagonal()))
-    return total, trace, bool(np.array_equal(power, np.identity(d)))
+    return total, traces, bool(np.array_equal(power, np.identity(d)))
 
 
 def _reduce(x, p: int):

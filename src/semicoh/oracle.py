@@ -1,20 +1,20 @@
 """Independent rank-mod-p evaluator for H^*(Z^n x| Z/m).
 
-Evaluates the two-column periodic complex of each cyclic coefficient
-module exactly and assembles degrees as
+Evaluates the cyclic cohomology of each coefficient module exactly and
+assembles degrees as
 
     H^l = direct sum over gamma of H^(l-gamma)(Z/m; wedge^gamma of the dual lattice)
 
 which computes the full cohomology for square-free m (the relevant
 spectral sequence collapses and the square-free torsion exponent splits
-the abutment).  Each layer is read off ranks: since psi^q = 1 with q
-square-free, every nonunit invariant factor of psi - 1 and of N divides
-q, so the p-part of each cyclic group is how far a rank over Q drops mod
-p.  The rank over Q comes from the layer's own trace identity
-dim Fix psi = tr(N)/q, certified by a rank mod a prime that does not
-divide q.  No part of the closed-form machinery is consulted (no
-eigenvalue census, Molien series or torsion formula), so this engine is
-a genuinely independent arbiter.
+the abutment).  Each layer is read off one matrix, its norm N, and the
+traces of the powers that build it: the rank over Q of N is the trace
+identity dim Fix psi = tr(N)/q, certified by a rank mod a prime that
+does not divide q; the p-part of even degrees is how far that rank drops
+mod p; and the Herbrand quotient, a trace count, gives the odd degrees
+from the even ones.  No part of the closed-form machinery is consulted
+(no eigenvalue census, Molien series or torsion formula), so this engine
+is a genuinely independent arbiter.
 """
 
 from __future__ import annotations
@@ -60,15 +60,16 @@ class CyclicRep:
     ``matrix`` is an IntMatrix or, for e2_table's layers at least
     _NUMPY_MIN_DIM wide, a square integer numpy array.  Construction runs
     one chain of products psi^1..psi^q: it checks psi^q = 1 (WrongOrder
-    otherwise) and keeps the norm N = 1 + psi + ... + psi^(q-1) and its
-    trace for the ranks.
+    otherwise) and keeps the norm N = 1 + psi + ... + psi^(q-1) and the
+    traces of psi^0..psi^(q-1), which are all the ranks read.
     """
 
     q: int
     matrix: object
 
     def __post_init__(self):
-        rows, cols = _shape(self.matrix)
+        m = self.matrix
+        rows, cols = (m.rows, m.cols) if isinstance(m, IntMatrix) else m.shape
         if rows != cols:
             raise NotSquare("cyclic representations need a square matrix")
         if self.q < 1 or any(e > 1 for e in _factorint(self.q).values()):
@@ -78,10 +79,9 @@ class CyclicRep:
 
     @cached_property
     def _chain(self):
-        """(N, tr N, psi^q == 1) from one chain of products psi^1..psi^q."""
+        """(N, [tr psi^k for k < q], psi^q == 1) from one chain of products psi^1..psi^q."""
         if isinstance(self.matrix, IntMatrix):
-            norm, power = norm_and_power(self.matrix, self.q)
-            return norm, norm.trace(), power.is_identity()
+            return norm_and_power(self.matrix, self.q)
         from . import layers
 
         return layers.norm_trace_chain(self.matrix, self.q)
@@ -91,23 +91,51 @@ class CyclicRep:
         """N = 1 + psi + ... + psi^(q-1), of the same kind as ``matrix``."""
         return self._chain[0]
 
+    def _fixed_dim(self, k: int) -> int:
+        """dim Fix psi^k = (k/q)(tr psi^0 + tr psi^k + ... + tr psi^(q-k)), for k dividing q."""
+        dim, remainder = divmod(k * sum(self._chain[1][::k]), self.q)
+        if remainder:
+            raise BadInvariantFactors(f"traces give dim Fix psi^{k} = {dim + remainder / self.q}")
+        return dim
+
     @cached_property
     def fixed_rank(self) -> int:
         """rk_Q(N) = dim Fix psi = tr(N)/q, certified by the rank of N mod a prime not dividing q.
 
         Both facts hold once psi^q = 1: N/q projects onto the fixed
         space, and every nonzero invariant factor of N divides q.  So a
-        non-integral trace quotient or a different certificate rank means
+        non-integral trace average or a different certificate rank means
         the evaluation itself went wrong.
         """
-        rank, remainder = divmod(self._chain[1], self.q)
-        if remainder:
-            raise BadInvariantFactors(f"tr N = {self._chain[1]} is not divisible by q={self.q}")
+        rank = self._fixed_dim(1)
         ell = _certificate_prime(self.q)
         certificate = _rank_mod_p(self.norm, ell)
         if certificate != rank:
             raise BadInvariantFactors(f"rank of N mod {ell} is {certificate}, tr(N)/q is {rank}")
         return rank
+
+    @cached_property
+    def p_ranks(self) -> dict[int, tuple[int, int]]:
+        """{p: (p-rank of H^even, p-rank of H^odd)} in positive degrees, for each prime p of q.
+
+        The p-part of H^i(Z/q; M), i >= 1, is H^i(Z/p; L) for L the
+        psi^p-fixed part of M localised at p (stable elements, as p does
+        not divide q/p).  Over Z_(p), L is Z^r + Z[zeta_p]^t + Z[Z/p]^s
+        with H^even = (Z/p)^r and H^odd = (Z/p)^t.  Every nonunit
+        invariant factor of N divides q, so r = rk_Q(N) - rk_p(N).  With
+        f = r + s = dim Fix psi and f_p = rank L = dim Fix psi^p, the
+        Herbrand quotient gives r - t = (p f - f_p)/(p - 1).
+        """
+        fixed, ranks = self.fixed_rank, {}
+        for p in sorted(_factorint(self.q)):
+            even = fixed - _rank_mod_p(self.norm, p)
+            shift, remainder = divmod(p * fixed - self._fixed_dim(p), p - 1)
+            if remainder or min(even, even - shift) < 0:
+                raise BadInvariantFactors(
+                    f"mod {p}: even rank {even}, Herbrand shift {shift + remainder / (p - 1)}"
+                )
+            ranks[p] = (even, even - shift)
+        return ranks
 
 
 @lru_cache(maxsize=64)
@@ -126,10 +154,6 @@ def _certificate_prime(q: int) -> int:
             return ell
 
 
-def _shape(matrix) -> tuple[int, int]:
-    return (matrix.rows, matrix.cols) if isinstance(matrix, IntMatrix) else matrix.shape
-
-
 def _rank_mod_p(matrix, p: int) -> int:
     if isinstance(matrix, IntMatrix):
         return rank_mod_p(matrix, p)
@@ -138,41 +162,19 @@ def _rank_mod_p(matrix, p: int) -> int:
     return layers.rank_mod_p(matrix, p)
 
 
-def _minus_identity(matrix):
-    if isinstance(matrix, IntMatrix):
-        return matrix - IntMatrix.identity(matrix.rows)
-    shifted = matrix.copy()
-    shifted.flat[:: len(matrix) + 1] -= 1  # the diagonal
-    return shifted
-
-
 def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     """Classical cyclic-group cohomology of a lattice, exactly.
 
-    alpha = 0: the fixed lattice, free of rank tr(N)/q.  alpha odd:
-    ker(N)/im(psi - 1); alpha even > 0: ker(psi - 1)/im(N).  Since
-    psi^q = 1 the image of each map has the kernel of the other as its
-    saturation, so these are the torsion of coker(psi - 1) and of
-    coker(N), whose nonunit invariant factors all divide the square-free
-    q.  The p-exponent is therefore rk_Q - rk_p of that map, with
-    rk_Q(N) = tr(N)/q and rk_Q(psi - 1) = dim - tr(N)/q.
+    alpha = 0: the fixed lattice, free of rank tr(N)/q.  alpha > 0: a sum
+    of (Z/p)^e over the primes p of q, e read off CyclicRep.p_ranks.
     """
     if alpha < 0:
         raise ValueError("negative degree")
-    fixed = rep.fixed_rank
     if alpha == 0:
-        return AbelianGroup.free(fixed)
-    if alpha % 2:
-        matrix, rank = _minus_identity(rep.matrix), _shape(rep.matrix)[0] - fixed
-    else:
-        matrix, rank = rep.norm, fixed
-    factors = []
-    for p in sorted(_factorint(rep.q)):
-        drop = rank - _rank_mod_p(matrix, p)
-        if drop < 0:
-            raise BadInvariantFactors(f"rank mod {p} exceeds the rank {rank} over Q")
-        factors += [p] * drop
-    return AbelianGroup.from_factors(0, factors)
+        return AbelianGroup.free(rep.fixed_rank)
+    return AbelianGroup.from_factors(
+        0, [p for p, ranks in rep.p_ranks.items() for _ in range(ranks[alpha % 2])]
+    )
 
 
 def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
@@ -205,18 +207,13 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
     for wedge in wedges:
         rep = CyclicRep(spec.m, wedge)
         per_layer.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
-    groups = []
-    for l in range(max_degree + 1):
-        parts = []
-        for gamma in range(min(l, spec.n) + 1):
-            alpha = l - gamma
-            if alpha == 0:
-                parts.append(per_layer[gamma][0])
-            elif alpha % 2:
-                parts.append(per_layer[gamma][1])
-            else:
-                parts.append(per_layer[gamma][2])
-        groups.append(AbelianGroup.direct_sum(*parts))
+    groups = [
+        AbelianGroup.direct_sum(*(
+            per_layer[gamma][0 if l == gamma else 2 - (l - gamma) % 2]
+            for gamma in range(min(l, spec.n) + 1)
+        ))
+        for l in range(max_degree + 1)
+    ]
     return CohomologyTable(
         engine="oracle",
         n=spec.n,

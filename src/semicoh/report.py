@@ -15,9 +15,9 @@ from .iojson import canonical_dumps
 from .oracle import e2_table
 from .torsion import assemble_p_torsion
 
-# Known divergences between the published closed form and the orbit/Smith
-# arithmetic, phrased self-contained; the published engine is "as printed"
-# except where a note says a convention had to be pinned.
+# Known divergences between the published closed form and the orbit-count
+# and oracle arithmetic, phrased self-contained; the published engine is
+# "as printed" except where a note says a convention had to be pinned.
 ERRATUM_NOTES = (
     "block-count display swap: the displayed degree-1/degree-2 identification of the "
     "trivial and free-origin block counts is swapped relative to the procedure text; "

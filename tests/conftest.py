@@ -100,6 +100,15 @@ def count_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def power_chain_reference(a: IntMatrix, q: int):
+    """(N, [tr a^k for k < q], a^q == 1) from separate powers a**k: the power chains' reference."""
+    powers = [a**k for k in range(q + 1)]
+    norm = IntMatrix.zeros(a.rows, a.rows)
+    for power in powers[:q]:
+        norm = norm + power
+    return norm, [power.trace() for power in powers[:q]], powers[q].is_identity()
+
+
 @pytest.fixture
 def rng():
     return random.Random(20250810)

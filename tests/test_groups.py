@@ -232,7 +232,7 @@ def test_rst_generators_match_the_kernel_image_quotients(rng):
         for p in spec.primes:
             rst = rst_decompose(spec, p)
             psi_minus_one = spec.psi(p) - one
-            norm, _ = norm_and_power(spec.psi(p), p)
+            norm = norm_and_power(spec.psi(p), p)[0]
             assert (norm @ rst.t_generators).is_zero(), (spec, p)
             assert (psi_minus_one @ rst.r_basis).is_zero(), (spec, p)
             assert rst.t_generators.cols == rst.t, (spec, p)
@@ -244,6 +244,33 @@ def test_rst_generators_match_the_kernel_image_quotients(rng):
             )
             assert t_quotient.is_zero(), (spec, p)
             assert r_quotient.is_zero(), (spec, p)
+
+
+def test_rst_blocks_are_the_kernels_when_s_is_zero(rng):
+    # with s = 0 the blocks are canonical: r_basis spans ker(psi - 1), and a
+    # phi-stable t_basis spans ker N (each lies in its kernel, with a zero
+    # quotient)
+    specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
+    for _ in range(6):
+        spec = random_companion_spec(rng, n_max=8)
+        conj = random_unimodular(rng, spec.n)
+        specs.append(GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose()))
+    specs += [random_permutation_spec(rng, n_max=8) for _ in range(12)]
+    checked = stable = 0
+    for spec in specs:
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            if rst.s:
+                continue
+            psi = spec.psi(p)
+            fixed = kernel_basis(psi - IntMatrix.identity(spec.n))
+            assert lattice_quotient(fixed, rst.r_basis).is_zero(), (spec, p)
+            if rst.t_basis is not None:
+                norm_kernel = kernel_basis(norm_and_power(psi, p)[0])
+                assert lattice_quotient(norm_kernel, rst.t_basis).is_zero(), (spec, p)
+                stable += 1
+            checked += 1
+    assert checked >= 20 and stable >= 10, (checked, stable)
 
 
 def test_cyclic_counts_refuses_an_infinite_quotient():

@@ -25,7 +25,7 @@ from semicoh.intmat import (
 )
 from semicoh.intpoly import IntPolynomial
 
-from conftest import random_int_matrix, random_unimodular
+from conftest import power_chain_reference, random_int_matrix, random_unimodular
 
 
 def check_snf(a: IntMatrix):
@@ -315,35 +315,29 @@ def test_entries_must_be_integers():
     assert all(type(x) is int for row in m.data for x in row)
 
 
-def _power_chain_reference(a, q):
-    norm = IntMatrix.zeros(a.rows, a.rows)
-    for k in range(q):
-        norm = norm + a**k
-    return norm, a**q
-
-
 def test_norm_and_power_int64_guard_matches_python_chain():
-    # each product of the chain goes through _matmul's int64 guard; on
+    # each product of the chain goes through _matmul's int64 guard, and a^k
+    # shows in N and tr a^k for k < q (a^q only in the identity check); on
     # c * ones(4x4), a^k = 4^(k-1) c^k ones, and with c = 10**6, a^3
     # (1.6e19) lies between 2**63 and 2**64, so a looser guard would wrap it
     a = IntMatrix([[10**6] * 4 for _ in range(4)])
     for q in (0, 1, 2, 3, 4, 12):
-        assert norm_and_power(a, q) == _power_chain_reference(a, q)
+        assert norm_and_power(a, q) == power_chain_reference(a, q)
     # 2^20 * identity(4): the third product's bound 4 * 2^40 * 2^20 is
     # exactly 2^62, so q = 3 meets the guard at the bound, q = 4 just past
     # it and q = 12 far past it
     diag = IntMatrix.scalar(4, 1 << 20)
     for q in (2, 3, 4, 12):
-        assert norm_and_power(diag, q) == _power_chain_reference(diag, q)
+        assert norm_and_power(diag, q) == power_chain_reference(diag, q)
     # -2^63 fits int64, but its absolute value does not
     low = [[0] * 4 for _ in range(4)]
     low[0][0], low[1][1], low[2][3], low[3][2] = -(1 << 63), 1, 1, 1
     low = IntMatrix(low)
     for q in (1, 2, 3):
-        assert norm_and_power(low, q) == _power_chain_reference(low, q)
+        assert norm_and_power(low, q) == power_chain_reference(low, q)
     # narrower than 4: the pure-Python chain, far past int64
     small = IntMatrix([[10**6, -3, 1], [7, 10**6, 0], [1, 1, 1]])
-    assert norm_and_power(small, 9) == _power_chain_reference(small, 9)
+    assert norm_and_power(small, 9) == power_chain_reference(small, 9)
 
 
 def test_big_entries_stay_exact():

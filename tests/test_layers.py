@@ -8,14 +8,7 @@ from semicoh.intmat import IntMatrix, contragredient, norm_and_power, rank_mod_p
 from semicoh.layers import exterior_powers, norm_trace_chain
 from semicoh.layers import rank_mod_p as array_rank_mod_p
 
-from conftest import random_int_matrix, random_unimodular
-
-
-def _power_chain_reference(a, q):
-    norm = IntMatrix.zeros(a.rows, a.rows)
-    for k in range(q):
-        norm = norm + a**k
-    return norm, a**q
+from conftest import power_chain_reference, random_int_matrix, random_unimodular
 
 
 def test_norm_trace_chain_leaves_float64_at_its_bound():
@@ -25,26 +18,28 @@ def test_norm_trace_chain_leaves_float64_at_its_bound():
     # is exactly 2^53, which leaves float64 as well
     for a in (IntMatrix([[10**6 + 1] * 4 for _ in range(4)]), IntMatrix.scalar(4, 1 << 17)):
         for q in range(8):
-            norm, power = _power_chain_reference(a, q)
+            norm, traces, is_one = power_chain_reference(a, q)
             for dtype in (np.int64, object):
-                got, trace, is_one = norm_trace_chain(np.array(a.data, dtype=dtype), q)
-                assert got.dtype == (np.float64 if q <= 2 else object), (a, q)
-                assert got.tolist() == [list(row) for row in norm.data], (a, q)
-                assert (trace, is_one) == (norm.trace(), power.is_identity())
+                got = norm_trace_chain(np.array(a.data, dtype=dtype), q)
+                assert got[0].dtype == (np.float64 if q <= 2 else object), (a, q)
+                assert got[0].tolist() == [list(row) for row in norm.data], (a, q)
+                assert got[1:] == (traces, is_one), (a, q)
+                assert all(type(t) is int for t in got[1]), (a, q)
     # entries past 2**53 never enter float64
     big = IntMatrix.scalar(4, 1 << 60)
-    got, trace, _ = norm_trace_chain(np.array(big.data, dtype=object), 2)
-    assert got.dtype == object and trace == 4 * (1 + (1 << 60))
+    norm, traces, _ = norm_trace_chain(np.array(big.data, dtype=object), 2)
+    assert norm.dtype == object and traces == power_chain_reference(big, 2)[1]
 
 
 def test_norm_trace_chain_ends_at_the_identity_on_a_conjugate():
     psi = random_unimodular(random.Random(6), 5)
     psi = psi @ IntMatrix([[0, -1, 0, 0, 0], [1, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                            [0, 0, 0, 0, 1], [0, 0, 0, 1, 0]]) @ contragredient(psi).transpose()
-    norm, trace, is_one = norm_trace_chain(np.array(psi.data), 6)
-    expected, _ = norm_and_power(psi, 6)
-    assert is_one and trace == expected.trace()
-    assert norm.tolist() == [list(row) for row in expected.data]
+    norm, traces, is_one = norm_trace_chain(np.array(psi.data), 6)
+    expected = power_chain_reference(psi, 6)
+    assert (traces, is_one) == expected[1:] and is_one
+    assert norm.tolist() == [list(row) for row in expected[0].data]
+    assert norm_and_power(psi, 6) == expected
     assert not norm_trace_chain(np.array(psi.data), 4)[2]
 
 

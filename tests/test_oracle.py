@@ -3,6 +3,7 @@
 import sys
 from math import comb
 
+import numpy as np
 import pytest
 
 import semicoh.intmat
@@ -211,7 +212,7 @@ def _smith_cyclic_reference(psi, q, alpha):
         return G(psi.rows - len(minus_one))
     if alpha % 2:
         return AbelianGroup.from_factors(0, minus_one)
-    norm, _ = norm_and_power(psi, q)
+    norm = norm_and_power(psi, q)[0]
     return AbelianGroup.from_factors(0, invariant_factors(norm))
 
 
@@ -270,37 +271,51 @@ def test_exterior_powers_match_wedge_power(rng):
 
 
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
-    # one Smith reduction in all, for the contragredient; per layer, psi - 1
-    # and N are each eliminated once mod every prime of m, and N once more
-    # mod the certificate prime
+    # one Smith reduction in all, for the contragredient; per layer, only N
+    # is eliminated: once mod every prime of m, shared by odd and even
+    # degrees, and once mod the certificate prime
     smith = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
     ranks = count_calls(monkeypatch, semicoh.oracle, "_rank_mod_p")
+    reps = []
+    original_init = CyclicRep.__post_init__
+
+    def init_recorded(self):
+        original_init(self)
+        reps.append(self)
+
+    monkeypatch.setattr(CyclicRep, "__post_init__", init_recorded)
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
         spec = fixture.spec
         smith.clear()
         ranks.clear()
+        reps.clear()
         e2_table(spec, spec.n + 3)
         assert len(smith) == 1, fixture.name
-        assert len(ranks) == (spec.n + 1) * (2 * len(spec.primes) + 1), fixture.name
+        assert len(reps) == spec.n + 1, fixture.name
+        assert len(ranks) == (spec.n + 1) * (len(spec.primes) + 1), fixture.name
+        norms = [id(rep.norm) for rep in reps]
+        assert sorted(id(a) for a, _ in ranks) == sorted(
+            norm for norm in norms for _ in range(len(spec.primes) + 1)
+        ), fixture.name
 
 
 def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
-    # psi^1..psi^q come from one chain per layer, which yields N, tr N and
-    # the psi^q = 1 check: norm_and_power on the pure-Python layers of
-    # n < 4, norm_trace_chain on the array layers; no other power is taken
+    # psi^1..psi^q come from one chain per layer, which yields N, the traces
+    # of psi^0..psi^(q-1) and the psi^q = 1 check: norm_and_power on the
+    # pure-Python layers of n < 4, norm_trace_chain on the array layers; no
+    # other power is taken, and no psi - 1 is built
     narrow = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
     wide = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
-    oracle_powers = []
-    original_pow = IntMatrix.__pow__
+    oracle_ops = []
+    for op in ("__pow__", "__sub__"):
+        def counted(self, other, op=op, original=getattr(IntMatrix, op)):
+            if sys._getframe(1).f_globals["__name__"] == "semicoh.oracle":
+                oracle_ops.append(op)
+            return original(self, other)
 
-    def pow_counted(self, k):
-        if sys._getframe(1).f_globals["__name__"] == "semicoh.oracle":
-            oracle_powers.append(k)
-        return original_pow(self, k)
-
-    monkeypatch.setattr(IntMatrix, "__pow__", pow_counted)
+        monkeypatch.setattr(IntMatrix, op, counted)
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
@@ -310,7 +325,7 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
         e2_table(spec, spec.n + 3)
         assert len(narrow if spec.n < 4 else wide) == spec.n + 1, fixture.name
         assert len(wide if spec.n < 4 else narrow) == 0, fixture.name
-        assert oracle_powers == [], fixture.name
+        assert oracle_ops == [], fixture.name
 
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
@@ -327,6 +342,31 @@ def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
         spec = fixture_by_name(name).spec
         with pytest.raises(InternalInvariantError, match=f"mod {ell}"):
             e2_table(spec, spec.n + 3)
+
+
+@pytest.mark.parametrize("q, dim, traces, match", [
+    # q = 6, Z: tr N = 6 still, but f_2 = 2 * (1 + 2 + 1) / 6 is not an integer
+    (6, 1, [1, 0, 2, 1, 1, 1], "Fix psi\\^2"),
+    # q = 3, Z: f = 1, f_3 = 2, Herbrand shift (3 - 2) / 2 is not an integer
+    (3, 1, [2, 1, 0], "shift 0.5"),
+    # q = 2, Z: f = 1, even 1, f_2 = 0, shift 2 leaves odd = -1; then the
+    # array path on Z^4 with f = 4, f_2 = 3
+    (2, 1, [0, 2], "even rank 1"),
+    (2, 4, [3, 5], "even rank 4"),
+])
+def test_tampered_chain_traces_are_an_internal_error(monkeypatch, q, dim, traces, match):
+    # f_p = dim Fix psi^p and the Herbrand shift (p f - f_p)/(p - 1) are
+    # integers, and the odd exponent is nonnegative, once psi^q = 1; traces
+    # that break one of them must surface as an internal invariant failure
+    for module, name in ((semicoh.oracle, "norm_and_power"), (semicoh.layers, "norm_trace_chain")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda a, order, f=original: (f(a, order)[0], traces, True))
+    one = IntMatrix.identity(dim)
+    rep = CyclicRep(q, one if dim < 4 else np.array(one.data))
+    assert cyclic_cohomology(rep, 0) == G(sum(traces) // q)
+    for alpha in (1, 2):
+        with pytest.raises(BadInvariantFactors, match=match):
+            cyclic_cohomology(rep, alpha)
 
 
 def test_cyclic_rep_needs_a_square_free_order():
