@@ -7,11 +7,11 @@ cohomology is Z, 0, (Z/2)^2, 0, (Z/2)^2, ...
 """
 
 from semicoh import (
+    assemble_p_torsion,
     cyclic_cohomology,
     CyclicRep,
     e2_table,
     max_finite_subgroup_census,
-    one_prime_theta,
     rst_decompose,
     validate,
 )
@@ -33,6 +33,6 @@ table = e2_table(spec, 8)
 for l, g in enumerate(table.groups):
     print(f"H^{l} =", g)
 
-print("\ncorrected closed form, degree 2:", one_prime_theta(spec, 2, "corrected"))
-print("published closed form, degree 2:", one_prime_theta(spec, 2, "published"),
+print("\ncorrected closed form, degree 2:", assemble_p_torsion(spec, 2, 2, "corrected"))
+print("published closed form, degree 2:", assemble_p_torsion(spec, 2, 2, "published"),
       " (as printed; the reconciliation report flags the difference)")

@@ -50,8 +50,6 @@ from .torsion import (
     ThetaContext,
     assemble_p_torsion,
     bounded_composition_count,
-    one_prime_theta,
-    s_delta,
     theta_coefficient,
 )
 
@@ -91,11 +89,9 @@ __all__ = [
     "max_finite_subgroup_census",
     "molien_column",
     "molien_rank",
-    "one_prime_theta",
     "p_part",
     "rank_column",
     "rst_decompose",
-    "s_delta",
     "smith_normal_form",
     "subgroup_oracle",
     "theta_coefficient",

@@ -49,10 +49,6 @@ class NotADivisor(InputError):
     """A parameter that must divide m (or m/p) does not."""
 
 
-class NotPrimeOrder(InputError):
-    """The one-prime shortcut needs m itself to be prime."""
-
-
 class DegreeOutOfRange(InputError):
     """Exterior-power degree outside 0..n."""
 
@@ -117,10 +113,6 @@ class NonIntegralOrbitCount(InternalInvariantError):
     of the class set are not stable under the complementary group action;
     comparison reports record this instead of aborting.
     """
-
-
-class NonIntegral(InternalInvariantError):
-    """An exact integer division inside a combinatorial identity failed."""
 
 
 class TorsionExponentViolation(InternalInvariantError):

@@ -33,8 +33,8 @@ from math import comb, gcd
 from typing import Literal
 
 from .cyclotomic import count_wedge_roots, exponent_multiset
-from .errors import NonIntegral, NonIntegralOrbitCount, NotPrimeOrder
-from .groups import GroupSpec, isotropy_data, rst_decompose, validate
+from .errors import NonIntegralOrbitCount
+from .groups import GroupSpec, isotropy_data, rst_decompose
 
 TorsionVariant = Literal["published", "corrected"]
 VARIANTS: tuple[TorsionVariant, ...] = ("published", "corrected")
@@ -239,58 +239,3 @@ def assemble_p_torsion(
             h = count_wedge_roots(x_r, l1, d_param)
             theta += coeff * h
     return theta
-
-
-def one_prime_theta(spec: GroupSpec, l: int, variant: TorsionVariant) -> int:
-    """Specialized assembly for prime m: D within {1}, H(l1, 1) = C(r, l1).
-
-    Reads the same per-prime context as assemble_p_torsion and must agree
-    with it on the same variant; the binomial H-factor is the independent
-    shortcut being cross-checked.
-    """
-    validate(spec)
-    check_variant(variant)
-    if len(spec.primes) != 1 or spec.m != spec.primes[0]:
-        raise NotPrimeOrder(f"m={spec.m} is not prime")
-    if l < 0:
-        raise ValueError("negative degree")
-    if l == 0:
-        return 0
-    p = spec.m
-    ctx, r, _ = _context_and_rblock(spec, p, variant)
-    theta = 0
-    for l2 in range(l % 2, l + 1, 2):
-        l1 = l - l2
-        if l1 > r:
-            continue
-        coeff = 0
-        for tau in range(ctx.s + 1):
-            c = sum(theta_coefficient(ctx, a_set, l2 - p * tau)
-                    for a_set in _subsets(ctx.divisors))
-            coeff += c * comb(ctx.s, tau)
-        theta += coeff * comb(r, l1)
-    return theta
-
-
-def s_delta(s: int, p: int, delta: int) -> int:
-    """Free-factor multiplicity in degree delta of the regular block.
-
-    (1/p) * sum over tuples (i_1..i_s) with sum = delta and some
-    i_k outside {0, p}, of prod C(p, i_k): the coefficient of x^delta in
-    (sum_i C(p, i) x^i)^s - (1 + x^p)^s, checked for exact divisibility
-    by p.
-
-    >>> s_delta(1, 2, 1)
-    1
-    >>> s_delta(2, 3, 3)
-    6
-    """
-    if s < 0 or delta < 0 or delta > p * s:
-        raise ValueError(f"delta={delta} outside 0..{p * s}")
-    full = _truncated_product([[comb(p, i) for i in range(p + 1)]] * s, delta)
-    excluded = _truncated_product([[1] + [0] * (p - 1) + [1]] * s, delta)
-    total = full[delta] - excluded[delta]
-    q, rem = divmod(total, p)
-    if rem:
-        raise NonIntegral(f"tuple sum {total} is not divisible by p={p}")
-    return q

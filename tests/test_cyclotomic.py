@@ -107,7 +107,8 @@ def test_count_wedge_roots_examples():
     # trivial-block exponents of the flagship at p = 2: primitive cube roots
     x = ExponentMultiset.of(6, {2: 1, 4: 1})
     assert [count_wedge_roots(x, l, 3) for l in (0, 1, 2)] == [1, 0, 1]
-    assert count_wedge_roots(x, 0, 1) == 1
+    # d = 1 counts every root: H(l, 1) = C(r, l), here with r = 2
+    assert [count_wedge_roots(x, l, 1) for l in range(4)] == [1, 2, 1, 0]
     sign = ExponentMultiset.of(2, {1: 1})
     assert count_wedge_roots(sign, 1, 2) == 0
     with pytest.raises(NotADivisor):

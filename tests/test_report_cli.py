@@ -345,7 +345,8 @@ def test_cli_determinism():
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy is imported lazily by the int64 matrix product only
+    # numpy is imported lazily, by the int64 matrix product and by the
+    # oracle's layers module for exterior layers at least 4 wide
     code = "import sys, semicoh.cli; assert 'numpy' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
@@ -357,7 +358,7 @@ def test_cli_import_does_not_load_numpy():
     ["analyze", "--no-cache", "fixtures/dinfty.json"],
 ])
 def test_cli_on_narrow_fixtures_does_not_load_numpy(argv):
-    # every layer of p3 (n=3) and dinfty (n=1) is narrower than 4, so its
+    # every layer of p3 (n=2) and dinfty (n=1) is narrower than 4, so its
     # products and power chains stay on Python integers
     code = ("import sys; from semicoh.cli import main; "
             f"assert main({argv!r}) == 0; assert 'numpy' not in sys.modules")

@@ -8,7 +8,7 @@ from math import comb, gcd
 import pytest
 
 from semicoh.engines import formula_table
-from semicoh.errors import NonIntegral, NonIntegralOrbitCount, NotPrimeOrder
+from semicoh.errors import NonIntegralOrbitCount
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name
 from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import IntMatrix
@@ -19,8 +19,6 @@ from semicoh.torsion import (
     ThetaContext,
     assemble_p_torsion,
     bounded_composition_count,
-    one_prime_theta,
-    s_delta,
     theta_coefficient,
     theta_coefficient_exact,
 )
@@ -100,12 +98,10 @@ def test_unknown_variant_or_cutoff_is_refused():
             assemble_p_torsion(spec, 2, l, "corected")
         with pytest.raises(ValueError, match="cutoff 'halve'"):
             assemble_p_torsion(spec, 2, l, "corrected", corrected_cutoff="halve")
-    # m = 1 has no prime to assemble, and p3 is prime for one_prime_theta
+    # m = 1 has no prime to assemble
     for table_spec in (spec, GroupSpec(1, 1, IntMatrix.identity(1))):
         with pytest.raises(ValueError, match="variant 'corected'"):
             formula_table(table_spec, 8, "corected")
-    with pytest.raises(ValueError, match="variant 'corected'"):
-        one_prime_theta(fixture_by_name("p3").spec, 0, "corected")
     for coefficient in (theta_coefficient, theta_coefficient_exact):
         with pytest.raises(ValueError, match="variant 'corected'"):
             coefficient(ctx(3, 6, 0, {2: 1}, "corected"), {2}, 2)
@@ -260,50 +256,14 @@ def test_identity_action_corrected_matches_product_group():
     assert got == expected
 
 
-def test_one_prime_consistency():
-    for name in ("dinfty", "p3", "phi5", "id_n2_m3", "id_n1_m2"):
-        spec = fixture_by_name(name).spec
-        if len(spec.primes) != 1:
-            continue
-        for variant in ("published", "corrected"):
-            for l in range(spec.n + 5):
-                assert one_prime_theta(spec, l, variant) == assemble_p_torsion(
-                    spec, spec.m, l, variant
-                ), (name, variant, l)
-
-
-def test_one_prime_rejects_composite():
-    with pytest.raises(NotPrimeOrder):
-        one_prime_theta(fixture_by_name("z5_z6").spec, 2, "corrected")
-
-
 def test_one_prime_dihedral_oracle_value():
-    # Smith-form oracle gives (Z/2)^2 in degree 2 for the infinite dihedral
-    # group; the corrected engine reproduces it, the published engine is
-    # recorded as printed.
+    # The infinite dihedral group has H^2 = (Z/2)^2.  The rank-mod-p oracle
+    # reads it, the corrected engine reproduces it, and the published engine
+    # is recorded as printed.
     spec = fixture_by_name("dinfty").spec
-    assert one_prime_theta(spec, 2, "corrected") == 2
-    assert one_prime_theta(spec, 2, "published") == 0
-
-
-def test_s_delta_examples():
-    assert s_delta(1, 2, 1) == 1
-    assert s_delta(1, 2, 2) == 0
-    assert s_delta(2, 3, 3) == 6
-
-
-def test_s_delta_rank_identity():
-    for p in (2, 3, 5):
-        for s in range(4):
-            for delta in range(p * s + 1):
-                lhs = comb(p * s, delta)
-                fixed = comb(s, delta // p) if delta % p == 0 else 0
-                assert lhs == fixed + p * s_delta(s, p, delta)
-
-
-def test_s_delta_range_check():
-    with pytest.raises(ValueError):
-        s_delta(1, 2, 3)
+    assert p_part(e2_table(spec, 2), 2)[2] == 2
+    assert assemble_p_torsion(spec, 2, 2, "corrected") == 2
+    assert assemble_p_torsion(spec, 2, 2, "published") == 0
 
 
 def test_formula_theta_eventually_periodic_corrected():
