@@ -5,13 +5,15 @@
    dynamic program on the cyclotomic census of charpoly(phi).
 2. Trace average: the same number as an averaged trace of exterior powers
    over the group (a character inner product, hence an exact integer).
-   Each trace is a coefficient of charpoly(phi^j).
+   Each trace is a coefficient of charpoly(phi^j), and one chain of
+   products phi^0..phi^(m-1) gives every charpoly(phi^j).
 3. Oracle: the free part of the exact evaluation, tr(N)/q of each layer.
 
-Routes 1 and 2 share the characteristic polynomial (Faddeev-LeVerrier),
-which the test suite checks against cofactor expansion and, through the
-trace identity, against explicit exterior powers.  Route 3 shares no code
-with either.
+Routes 1 and 2 share the characteristic polynomial: Newton's identities
+on the traces of one norm_and_power chain, which the test suite checks
+against cofactor expansion and, through the trace identity, against
+explicit exterior powers.  Route 3 shares only that generic product
+chain, and only for n < 4.
 """
 
 from semicoh import (

@@ -10,8 +10,8 @@ plus only the options its handler reads:
     isotropy  --format {json,md} --prime
     census    --format {json,md}
 
-``fixtures`` takes no input file, only ``--dir``.  Exit codes: 0 ok,
-2 invalid input, 3 internal invariant violation, 4 dimension limit.
+``fixtures`` takes no input file, only ``--dir``.  Exit codes: 0 ok, 2 invalid
+input or a file error, 3 internal invariant violation, 4 dimension limit.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     except DimensionTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

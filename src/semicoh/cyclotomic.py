@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd
-from operator import matmul
 
-from .errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor
-from .intmat import IntMatrix, charpoly
+from .errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor, WrongOrder
+from .intmat import IntMatrix, charpoly, charpoly_from_traces, norm_and_power
 from .intpoly import IntPolynomial
 
 
@@ -202,17 +200,21 @@ def count_wedge_roots(x: ExponentMultiset, l: int, d: int) -> int:
 
 @lru_cache(maxsize=64)
 def _power_charpolys(phi: IntMatrix, m: int) -> tuple[IntPolynomial, ...]:
-    """charpoly(phi^j) for j < m, shared by every degree of a Molien column."""
-    powers = accumulate([phi] * (m - 1), matmul, initial=IntMatrix.identity(phi.rows))
-    return tuple(map(charpoly, powers))
+    """charpoly(phi^j), j < m, off one chain: phi^m = 1 gives tr (phi^j)^k = tr phi^(jk mod m)."""
+    _, traces, is_one = norm_and_power(phi, m)
+    if not is_one:
+        raise WrongOrder(f"phi^{m} is not the identity")
+    n = phi.rows
+    return tuple(charpoly_from_traces([traces[j * k % m] for k in range(n + 1)]) for j in range(m))
 
 
 def molien_rank(phi: IntMatrix, m: int, l: int) -> int:
     """Invariant count (1/m) * sum_j trace(wedge_power(phi^j, l)).
 
     Each trace is a charpoly coefficient (the census count's routine too):
-    tr wedge^l(A) = (-1)^l [x^(n-l)] det(xI - A).  The average is a
-    character inner product, hence an integer, else NonIntegralAverage.
+    tr wedge^l(A) = (-1)^l [x^(n-l)] det(xI - A).  WrongOrder unless
+    phi^m = 1; the average is then a character inner product, hence an
+    integer, else NonIntegralAverage.
     """
     n = phi.rows
     if l < 0:

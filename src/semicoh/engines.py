@@ -23,7 +23,7 @@ def rank_column(spec: GroupSpec, max_degree: int) -> tuple[int, ...]:
 
 
 def molien_column(spec: GroupSpec, max_degree: int) -> tuple[int, ...]:
-    """The same ranks as a trace average over the group, from charpoly(phi^j)."""
+    """The same ranks as a trace average over the group, from one chain phi^0..phi^(m-1)."""
     validate(spec)
     return tuple(molien_rank(spec.phi, spec.m, l) for l in range(max_degree + 1))
 

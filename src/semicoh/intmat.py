@@ -7,9 +7,10 @@ Matrix products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
 big integers otherwise, so results are exact in all cases.  The norm
 1 + a + ... + a^(q-1), its terms' traces and the check a^q = 1 come
-from one chain of IntMatrix products, norm_and_power.  Matrices narrower
-than 4 never leave pure Python, so they never load numpy.  The oracle's
-float64 kernels for exterior layers at least 4 wide are in layers.py.
+from one chain of IntMatrix products, norm_and_power; charpoly reads
+its traces by Newton's identities.  Matrices narrower than 4 never leave
+pure Python, so they never load numpy.  The oracle's float64 kernels
+for exterior layers at least 4 wide are in layers.py.
 """
 
 from __future__ import annotations
@@ -516,27 +517,24 @@ def det(a: IntMatrix) -> int:
 
 
 def charpoly(a: IntMatrix) -> IntPolynomial:
-    """det(xI - a) by the fraction-free Faddeev-LeVerrier recursion.
+    """det(xI - a) from the traces of one norm_and_power chain a^0..a^n.
 
     >>> print(charpoly(IntMatrix([[0, -1], [1, -1]])))
     x^2 + x + 1
     """
-    if not a.is_square():
-        raise NotSquare("characteristic polynomial needs a square matrix")
-    n = a.rows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        t = am.trace()
-        if t % k:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        c = -(t // k)
-        coeffs[n - k] = c
-        if k < n:
-            m = am + IntMatrix.scalar(n, c)
-    return IntPolynomial.of(*coeffs)
+    return charpoly_from_traces(norm_and_power(a, a.rows + 1)[1])
+
+
+def charpoly_from_traces(traces) -> IntPolynomial:
+    """det(xI - a) from [tr a^k for k <= n] by Newton's identities; each division by k is exact."""
+    coeffs = [1]
+    for k in range(1, len(traces)):
+        # k*c_k = -sum_(i<=k) c_(k-i)*tr a^i, with c_k the coefficient of x^(n-k)
+        c, r = divmod(-sum(coeffs[k - i] * traces[i] for i in range(1, k + 1)), k)
+        if r:
+            raise ArithmeticError("Newton's identities: trace sum not divisible")
+        coeffs.append(c)
+    return IntPolynomial.of(*reversed(coeffs))
 
 
 def wedge_power(a: IntMatrix, gamma: int) -> IntMatrix:

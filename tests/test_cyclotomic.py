@@ -20,7 +20,7 @@ from semicoh.cyclotomic import (
     molien_rank,
 )
 from semicoh.engines import molien_column, rank_column
-from semicoh.errors import NonUnityEigenvalues, NotADivisor
+from semicoh.errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor, WrongOrder
 from semicoh.fixtures import (
     FLAGSHIP_MATRIX,
     companion_of_cyclotomic,
@@ -144,12 +144,28 @@ def test_molien_flagship():
     assert molien_rank(FLAGSHIP_MATRIX, 6, 5) == 1
 
 
-def test_molien_rejects_non_integral_average():
-    from semicoh.errors import NonIntegralAverage
-
-    # order-2 matrix averaged over a group of order 3: not a character average
-    with pytest.raises(NonIntegralAverage):
+def test_molien_rejects_wrong_order():
+    # order-2 matrix averaged over a group of order 3: the chain's own
+    # phi^m = 1 check refuses it before any average is formed
+    with pytest.raises(WrongOrder):
         molien_rank(IntMatrix([[0, 1], [1, 0]]), 3, 1)
+
+
+def test_molien_rejects_non_integral_average(monkeypatch):
+    # one trace off by one: for n = 1 Newton's identities divide by 1 only,
+    # so the error surfaces at the average, (1 + 0) / 2
+    original = semicoh.cyclotomic.norm_and_power
+
+    def off_by_one(a, q):
+        norm, traces, is_one = original(a, q)
+        return norm, traces[:-1] + [traces[-1] + 1], is_one
+
+    # the uncached function, so that no perturbed entry outlives the test
+    uncached = semicoh.cyclotomic._power_charpolys.__wrapped__
+    monkeypatch.setattr(semicoh.cyclotomic, "_power_charpolys", uncached)
+    monkeypatch.setattr(semicoh.cyclotomic, "norm_and_power", off_by_one)
+    with pytest.raises(NonIntegralAverage):
+        molien_rank(IntMatrix([[-1]]), 2, 1)
 
 
 def test_molien_equals_wedge_count_on_fixtures():
@@ -162,17 +178,36 @@ def test_molien_equals_wedge_count_on_fixtures():
             assert count_wedge_roots(x, l, spec.m) == molien_rank(spec.phi, spec.m, l)
 
 
-def test_molien_column_costs_m_charpolys_and_no_det(monkeypatch):
-    # one characteristic polynomial per group element, shared by every
-    # degree, and no determinant
+def test_molien_column_costs_one_chain_and_no_charpoly_or_det(monkeypatch):
+    # one power chain phi^0..phi^(m-1) for the whole column, read by
+    # Newton's identities: no characteristic polynomial of a power of phi
+    # and no determinant
     spec = fixture_by_name("z5_z6").spec
     expected = rank_column(spec, spec.n + 3)
     semicoh.cyclotomic._power_charpolys.cache_clear()
+    chains = count_calls(monkeypatch, semicoh.cyclotomic, "norm_and_power")
     charpolys = count_calls(monkeypatch, semicoh.cyclotomic, "charpoly")
     dets = count_calls(monkeypatch, semicoh.intmat, "det")
     assert molien_column(spec, spec.n + 3) == expected
-    assert len(charpolys) == spec.m
+    assert chains == [(spec.phi, spec.m)]
+    assert charpolys == []
     assert dets == []
+
+
+@pytest.mark.parametrize(
+    "n, m, phi",
+    [
+        (3, 30, IntMatrix.scalar(3, -1)),
+        (3, 6, IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]])),
+        (4, 1, IntMatrix.identity(4)),
+    ],
+    ids=["minus-one-m30", "three-cycle-m6", "m1"],
+)
+def test_molien_equals_wedge_count_when_order_divides_m(n, m, phi):
+    # phi's order 2, 3 or 1 divides m (properly in the first two), and
+    # tr (phi^j)^k = tr phi^(jk mod m) still holds
+    spec = GroupSpec(n, m, phi)
+    assert molien_column(spec, n + 3) == rank_column(spec, n + 3)
 
 
 def test_molien_equals_wedge_count_on_wide_conjugates():

@@ -12,6 +12,7 @@ from semicoh.intmat import (
     IntMatrix,
     _smith_engine,
     charpoly,
+    charpoly_from_traces,
     contragredient,
     det,
     invariant_factors,
@@ -215,6 +216,27 @@ def test_charpoly_against_cofactor_oracle(rng):
     for _ in range(12):
         a = random_int_matrix(rng, 4, 4, bound=3)
         assert charpoly(a) == _charpoly_cofactor(a)
+
+
+def test_charpoly_against_cofactor_oracle_on_big_entries(rng):
+    # entries up to 10^6: a^3 leaves int64, so the power chain takes the
+    # big-integer product branch and Newton's identities divide big traces
+    for n in (5, 6):
+        for _ in range(2):
+            a = random_int_matrix(rng, n, n, bound=10**6)
+            assert charpoly(a) == _charpoly_cofactor(a)
+
+
+def test_charpoly_empty_and_one_by_one():
+    assert charpoly(IntMatrix([])) == IntPolynomial.of(1)
+    assert charpoly(IntMatrix([[7]])) == IntPolynomial.of(-7, 1)
+    assert charpoly(IntMatrix([[-10**30]])) == IntPolynomial.of(10**30, 1)
+
+
+def test_charpoly_from_traces_refuses_non_trace_power_sums():
+    # 2*c_2 = -(c_1*p_1 + p_2) = -1 for the power sums (p_1, p_2) = (1, 2)
+    with pytest.raises(ArithmeticError):
+        charpoly_from_traces([2, 1, 2])
 
 
 def test_wedge_trivial_degrees():

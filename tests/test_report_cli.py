@@ -280,6 +280,46 @@ def test_cli_refuses_bad_degree_or_prime(args, message):
     assert message in result.stderr
 
 
+def _missing(tmp_path):
+    return ["analyze", str(tmp_path / "missing.json")]
+
+
+def _directory(tmp_path):
+    return ["analyze", str(tmp_path)]
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    return ["analyze", str(path)]
+
+
+def _dir_is_a_file(tmp_path):
+    path = tmp_path / "taken"
+    path.write_text("", encoding="utf-8")
+    return ["fixtures", "--dir", str(path)]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_missing, "No such file"),
+        (_directory, "Is a directory"),
+        (_not_utf8, "can't decode"),
+        (_dir_is_a_file, "File exists"),
+    ],
+    ids=["missing", "directory", "not-utf8", "fixtures-dir-is-a-file"],
+)
+def test_cli_file_errors_exit_two(make_argv, message, tmp_path, capsys):
+    # an input that cannot be read or an output directory that cannot be
+    # made is invalid input: one error line, no output and no traceback
+    assert main(make_argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 TABLE_FORMATS = ("json", "md", "csv")
 TEXT_FORMATS = ("json", "md")
 SUBCOMMAND_OPTIONS = {
