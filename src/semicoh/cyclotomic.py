@@ -162,40 +162,27 @@ def exponent_multiset(census: CyclotomicCensus) -> ExponentMultiset:
     return ExponentMultiset.of(m, counts)
 
 
-def count_wedge_roots(x: ExponentMultiset, l: int, d: int) -> int:
-    """Number of l-element position subsets whose exponent sum is 0 mod d.
+def count_wedge_roots(x: ExponentMultiset, d: int) -> tuple[int, ...]:
+    """The column H(0, d), ..., H(n, d), n = dim x, as a tuple of length n + 1.
 
-    This is the count of coordinates of the l-th exterior power's
-    eigenvalue vector that are (m/d)-th roots of unity.  Dynamic program
-    over (chosen count <= l, residue mod d); never enumerates subsets.
+    H(l, d) is the number of l-element position subsets whose exponent
+    sum is 0 mod d: the count of coordinates of the l-th exterior power's
+    eigenvalue vector that are (m/d)-th roots of unity.  One dynamic
+    program over (chosen count, residue mod d) gives the whole column in
+    O(n^2 d) steps; it never enumerates subsets.
     """
-    if l < 0:
-        raise ValueError("negative degree")
     if d < 1 or x.m % d != 0:
         raise NotADivisor(f"{d} does not divide m={x.m}")
-    n = x.dimension
-    if l > n:
-        return 0
-    if l == 0:
-        return 1
     # table[k][r] = number of k-subsets of the scanned prefix with sum r (mod d)
-    table = [[0] * d for _ in range(l + 1)]
-    table[0][0] = 1
+    table = [[1] + [0] * (d - 1)]
     for a, c in x.counts:
-        ad = a % d
+        shift = a % d
         for _ in range(c):
-            for k in range(min(l, n) - 1, -1, -1):
-                row = table[k]
-                nxt = table[k + 1]
-                if ad == 0:
-                    for r in range(d):
-                        if row[r]:
-                            nxt[r] += row[r]
-                else:
-                    for r in range(d):
-                        if row[r]:
-                            nxt[(r + ad) % d] += row[r]
-    return table[l][0]
+            table.append([0] * d)
+            for k in range(len(table) - 1, 0, -1):
+                prev = table[k - 1]  # not yet updated: k runs downwards
+                table[k] = [u + v for u, v in zip(table[k], prev[-shift:] + prev[:-shift])]
+    return tuple(row[0] for row in table)
 
 
 @lru_cache(maxsize=64)

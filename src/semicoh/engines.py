@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .abelian import AbelianGroup
 from .cyclotomic import count_wedge_roots, exponent_multiset, matrix_census, molien_rank
 from .groups import GroupSpec, validate
@@ -15,16 +17,34 @@ def full_exponents(spec: GroupSpec):
     return exponent_multiset(matrix_census(spec.phi, spec.m))
 
 
+def _check_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError("negative max degree")
+
+
+@lru_cache(maxsize=256)
+def _wedge_ranks(spec: GroupSpec) -> tuple[int, ...]:
+    # keyed by the spec, never by its census: conjugates share censuses
+    return count_wedge_roots(full_exponents(spec), spec.m)
+
+
 def rank_column(spec: GroupSpec, max_degree: int) -> tuple[int, ...]:
-    """Free rank of H^l for l = 0..max_degree: H(l, m, Z^n)."""
+    """Free rank of H^l for l = 0..max_degree: H(l, m, Z^n).
+
+    phi's census and the wedge-count column H(0..n, m) are taken once per
+    spec; degrees above n have rank 0.  ValueError for a negative
+    max_degree.
+    """
     validate(spec)
-    x = full_exponents(spec)
-    return tuple(count_wedge_roots(x, l, spec.m) for l in range(max_degree + 1))
+    _check_degree(max_degree)
+    column = _wedge_ranks(spec)
+    return column[: max_degree + 1] + (0,) * (max_degree + 1 - len(column))
 
 
 def molien_column(spec: GroupSpec, max_degree: int) -> tuple[int, ...]:
     """The same ranks as a trace average over the group, from one chain phi^0..phi^(m-1)."""
     validate(spec)
+    _check_degree(max_degree)
     return tuple(molien_rank(spec.phi, spec.m, l) for l in range(max_degree + 1))
 
 
@@ -39,7 +59,7 @@ def formula_table(
     """
     validate(spec)
     check_variant(variant)
-    ranks = rank_column(spec, max_degree)
+    ranks = rank_column(spec, max_degree)  # refuses a negative max_degree first
     thetas = {
         p: [assemble_p_torsion(spec, p, l, variant) for l in range(max_degree + 1)]
         for p in spec.primes

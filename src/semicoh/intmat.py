@@ -51,8 +51,17 @@ class IntMatrix:
     # -- constructors --------------------------------------------------
 
     @classmethod
+    def _trusted(cls, rows) -> "IntMatrix":
+        """Rows this module built from ints, equally long: no per-entry check."""
+        self = object.__new__(cls)
+        self.data = tuple(map(tuple, rows))
+        self.rows = len(self.data)
+        self.cols = len(self.data[0]) if self.data else 0
+        return self
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls.scalar(n, 1)
+        return cls._trusted([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def scalar(cls, n: int, c: int) -> "IntMatrix":
@@ -60,7 +69,7 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls([[0] * n for _ in range(m)])
+        return cls._trusted([[0] * n for _ in range(m)])
 
     @classmethod
     def from_columns(cls, columns, rows: int) -> "IntMatrix":
@@ -90,7 +99,7 @@ class IntMatrix:
         return all(x == 0 for row in self.data for x in row)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data))) if self.rows else IntMatrix([])
+        return IntMatrix._trusted(zip(*self.data))
 
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
@@ -106,28 +115,28 @@ class IntMatrix:
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch")
-        return IntMatrix([ra + rb for ra, rb in zip(self.data, other.data)])
+        return IntMatrix._trusted([ra + rb for ra, rb in zip(self.data, other.data)])
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix([
+        return IntMatrix._trusted([
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-        return IntMatrix([
+        return IntMatrix._trusted([
             [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
         ])
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return IntMatrix(_matmul(self.data, other.data))
+        return IntMatrix._trusted(_matmul(self.data, other.data))
 
     def __pow__(self, k: int) -> "IntMatrix":
         if not self.is_square():
@@ -153,7 +162,7 @@ def block_diagonal(blocks) -> IntMatrix:
         for i, row in enumerate(b.data):
             out[offset + i][offset : offset + b.cols] = row
         offset += b.rows
-    return IntMatrix(out)
+    return IntMatrix._trusted(out)
 
 
 # int64 arithmetic is used only for values proven below this bound, and
@@ -414,7 +423,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     d = [[0] * a.cols for _ in range(a.rows)]
     for i, x in enumerate(eng.diagonal):
         d[i][i] = x
-    return SmithDecomposition(IntMatrix(eng.u), IntMatrix(d), IntMatrix(eng.v))
+    return SmithDecomposition(
+        IntMatrix._trusted(eng.u), IntMatrix._trusted(d), IntMatrix._trusted(eng.v)
+    )
 
 
 def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
@@ -430,7 +441,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     """
     eng = _smith_engine(a, need_v=True)
     r = eng.rank
-    return IntMatrix([row[r:] for row in eng.v])
+    return IntMatrix._trusted([row[r:] for row in eng.v])
 
 
 def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
@@ -460,7 +471,7 @@ def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
                 raise NotASublattice("column not integrally in the span")
             row.append(q)
         w.append(row)
-    return IntMatrix(_matmul(eng.v, w))
+    return IntMatrix._trusted(_matmul(eng.v, w))
 
 
 def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
@@ -481,7 +492,7 @@ def saturate_span(m: IntMatrix) -> IntMatrix:
     """Basis of the saturation (pure closure) of the column span."""
     eng = _smith_engine(m, need_uinv=True)
     r = eng.rank
-    return IntMatrix([row[:r] for row in eng.uinv])
+    return IntMatrix._trusted([row[:r] for row in eng.uinv])
 
 
 def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
@@ -574,7 +585,7 @@ def wedge_power(a: IntMatrix, gamma: int) -> IntMatrix:
             acc = {k: v for k, v in nxt.items() if v}
         for t, coeff in acc.items():
             out[index[t]][jj] = coeff
-    return IntMatrix(out)
+    return IntMatrix._trusted(out)
 
 
 def contragredient(a: IntMatrix) -> IntMatrix:
@@ -585,4 +596,4 @@ def contragredient(a: IntMatrix) -> IntMatrix:
     if any(x != 1 for x in eng.diagonal):
         raise NotUnimodular("matrix determinant is not +-1")
     inv = _matmul(eng.v, eng.u)
-    return IntMatrix(inv).transpose()
+    return IntMatrix._trusted(inv).transpose()

@@ -32,7 +32,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Literal
 
-from .cyclotomic import count_wedge_roots, exponent_multiset
+from .cyclotomic import count_wedge_roots, divisors, exponent_multiset
 from .errors import NonIntegralOrbitCount
 from .groups import GroupSpec, isotropy_data, rst_decompose
 
@@ -185,13 +185,23 @@ def _subsets(items: tuple[int, ...]):
         yield frozenset(items[i] for i in range(n) if mask >> i & 1)
 
 
-@lru_cache(maxsize=1024)
-def _context_and_rblock(spec: GroupSpec, p: int, variant: TorsionVariant):
+@lru_cache(maxsize=256)
+def _context_and_rblock(spec: GroupSpec, p: int):
+    """({variant: ThetaContext}, r, {d: H(0..r, d) on the trivial block} for d | m/p).
+
+    Keyed by (spec, p) alone: both variants share one decomposition and
+    one wedge-count column per divisor, and no cache is keyed by the
+    r block's census, which conjugate specs share.
+    """
     rst = rst_decompose(spec, p)
     iso = isotropy_data(spec, p, rst)
-    ctx = ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors, k_d=iso.k_d,
-                       variant=variant)
-    return ctx, rst.r, exponent_multiset(rst.r_census)
+    contexts = {
+        variant: ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors, k_d=iso.k_d,
+                              variant=variant)
+        for variant in VARIANTS
+    }
+    x_r = exponent_multiset(rst.r_census)
+    return contexts, rst.r, {d: count_wedge_roots(x_r, d) for d in divisors(spec.m // p)}
 
 
 def assemble_p_torsion(
@@ -218,7 +228,8 @@ def assemble_p_torsion(
         raise ValueError("negative degree")
     if l == 0:
         return 0
-    ctx, r, x_r = _context_and_rblock(spec, p, variant)
+    contexts, r, columns = _context_and_rblock(spec, p)
+    ctx = contexts[variant]
     m, s = spec.m, ctx.s
     theta = 0
     for l2 in range(l % 2, l + 1, 2):
@@ -236,6 +247,5 @@ def assemble_p_torsion(
             if coeff == 0:
                 continue
             d_param = gcd(*a_set) if a_set else m // p
-            h = count_wedge_roots(x_r, l1, d_param)
-            theta += coeff * h
+            theta += coeff * columns[d_param][l1]
     return theta

@@ -7,7 +7,9 @@ from math import gcd
 import pytest
 
 import semicoh.cyclotomic
+import semicoh.engines
 import semicoh.intmat
+import semicoh.torsion
 from semicoh.cyclotomic import (
     CyclotomicCensus,
     count_wedge_roots,
@@ -19,7 +21,7 @@ from semicoh.cyclotomic import (
     matrix_census,
     molien_rank,
 )
-from semicoh.engines import molien_column, rank_column
+from semicoh.engines import formula_table, full_exponents, molien_column, rank_column
 from semicoh.errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor, WrongOrder
 from semicoh.fixtures import (
     FLAGSHIP_MATRIX,
@@ -106,13 +108,14 @@ def test_count_wedge_roots_examples():
 
     # trivial-block exponents of the flagship at p = 2: primitive cube roots
     x = ExponentMultiset.of(6, {2: 1, 4: 1})
-    assert [count_wedge_roots(x, l, 3) for l in (0, 1, 2)] == [1, 0, 1]
-    # d = 1 counts every root: H(l, 1) = C(r, l), here with r = 2
-    assert [count_wedge_roots(x, l, 1) for l in range(4)] == [1, 2, 1, 0]
+    assert count_wedge_roots(x, 3) == (1, 0, 1)
+    # d = 1 counts every root: H(l, 1) = C(r, l), here with r = 2; the
+    # column stops at l = r, above which every count is 0
+    assert count_wedge_roots(x, 1) == (1, 2, 1)
     sign = ExponentMultiset.of(2, {1: 1})
-    assert count_wedge_roots(sign, 1, 2) == 0
+    assert count_wedge_roots(sign, 2)[1] == 0
     with pytest.raises(NotADivisor):
-        count_wedge_roots(x, 1, 4)
+        count_wedge_roots(x, 4)
 
 
 def test_count_wedge_roots_matches_bruteforce(rng):
@@ -127,8 +130,9 @@ def test_count_wedge_roots_matches_bruteforce(rng):
 
         x = ExponentMultiset.of(m, counts)
         for d in divisors(m):
+            column = count_wedge_roots(x, d) + (0,)
             for l in range(n + 2):
-                assert count_wedge_roots(x, l, d) == _brute_count(x, l, d)
+                assert column[l] == _brute_count(x, l, d)
 
 
 def test_molien_identity_on_identity_matrix():
@@ -174,8 +178,9 @@ def test_molien_equals_wedge_count_on_fixtures():
             continue
         spec = fixture.spec
         x = exponent_multiset(matrix_census(spec.phi, spec.m))
+        column = count_wedge_roots(x, spec.m)
         for l in range(spec.n + 1):
-            assert count_wedge_roots(x, l, spec.m) == molien_rank(spec.phi, spec.m, l)
+            assert column[l] == molien_rank(spec.phi, spec.m, l)
 
 
 def test_molien_column_costs_one_chain_and_no_charpoly_or_det(monkeypatch):
@@ -192,6 +197,29 @@ def test_molien_column_costs_one_chain_and_no_charpoly_or_det(monkeypatch):
     assert chains == [(spec.phi, spec.m)]
     assert charpolys == []
     assert dets == []
+
+
+def test_ranks_take_one_census_and_one_wedge_column_per_spec(monkeypatch):
+    # rank_column and both formula tables share one charpoly(phi) and one
+    # wedge-count column; a conjugate with the same census runs both again,
+    # so no cache lets one spec's result serve another
+    spec = fixture_by_name("z5_z6").spec
+    conj = random_unimodular(random.Random(19), spec.n)
+    other = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
+    assert other.phi != spec.phi
+    assert matrix_census(other.phi, other.m) == matrix_census(spec.phi, spec.m)
+    semicoh.engines._wedge_ranks.cache_clear()
+    semicoh.torsion._context_and_rblock.cache_clear()
+    charpolys = count_calls(monkeypatch, semicoh.cyclotomic, "charpoly")
+    columns = count_calls(monkeypatch, semicoh.engines, "count_wedge_roots")
+    for current in (spec, other):
+        top = current.n + 3
+        ranks = rank_column(current, top)
+        for variant in ("published", "corrected"):
+            assert formula_table(current, top, variant).rank_column() == ranks
+        assert [args for args in charpolys if args[0] == current.phi] == [(current.phi,)]
+        assert columns == [(full_exponents(current), current.m)]
+        columns.clear()
 
 
 @pytest.mark.parametrize(
@@ -231,7 +259,8 @@ def test_alternating_sum_identity():
             continue
         spec = fixture.spec
         x = exponent_multiset(matrix_census(spec.phi, spec.m))
-        lhs = sum((-1) ** l * count_wedge_roots(x, l, spec.m) for l in range(spec.n + 1))
+        column = count_wedge_roots(x, spec.m)
+        lhs = sum((-1) ** l * column[l] for l in range(spec.n + 1))
         one = IntMatrix.identity(spec.n)
         total = 0
         power = IntMatrix.identity(spec.n)
@@ -255,5 +284,6 @@ def test_count_wedge_roots_block_matrix(rng):
         phi = block_diagonal(blocks)
         x = exponent_multiset(matrix_census(phi, m))
         for d in divisors(m):
+            column = count_wedge_roots(x, d)
             for l in range(size + 1):
-                assert count_wedge_roots(x, l, d) == _brute_count(x, l, d)
+                assert column[l] == _brute_count(x, l, d)

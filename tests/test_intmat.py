@@ -337,6 +337,32 @@ def test_entries_must_be_integers():
     assert all(type(x) is int for row in m.data for x in row)
 
 
+def test_built_results_hold_plain_ints_like_public_ones():
+    # +, -, @ and transpose build their results without the per-entry
+    # check; the entries must still be plain ints (never numpy.int64), and
+    # the results must equal and hash like the public constructor's
+    rng = random.Random(19)
+    small = random_int_matrix(rng, 4, 5)
+    wide = random_int_matrix(rng, 5, 6)
+    big = IntMatrix([[rng.randint(-(10**30), 10**30) for _ in range(5)] for _ in range(4)])
+    results = [
+        small + small,
+        small - big,
+        small @ wide,  # 4 x 5 x 6 with entries <= 5: the int64 product
+        big @ wide,  # entries near 10**30: the big-integer product
+        small.transpose(),
+        big.transpose(),
+    ]
+    for result in results:
+        assert all(type(x) is int for row in result.data for x in row)
+        public = IntMatrix([list(row) for row in result.data])
+        assert result == public and hash(result) == hash(public)
+        assert (result.rows, result.cols) == (public.rows, public.cols)
+    for bad in ([[0.5]], [["1"]]):
+        with pytest.raises(TypeError):
+            IntMatrix(bad)
+
+
 def test_norm_and_power_int64_guard_matches_python_chain():
     # each product of the chain goes through _matmul's int64 guard, and a^k
     # shows in N and tr a^k for k < q (a^q only in the identity check); on

@@ -417,8 +417,9 @@ def test_e2_rank_three_way_agreement():
         x = exponent_multiset(matrix_census(spec.phi, spec.m))
         from semicoh.cyclotomic import molien_rank
 
+        column = count_wedge_roots(x, spec.m) + (0,) * 3
         for l in range(spec.n + 4):
-            expected = count_wedge_roots(x, l, spec.m)
+            expected = column[l]
             assert table.groups[l].rank == expected
             assert molien_rank(spec.phi, spec.m, l) == expected
 

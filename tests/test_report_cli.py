@@ -11,7 +11,7 @@ import pytest
 import semicoh.report
 from semicoh.cache import cache_get, cache_key, cache_put
 from semicoh.cli import build_parser, main
-from semicoh.engines import build_table
+from semicoh.engines import build_table, formula_table, molien_column, rank_column
 from semicoh.errors import NotADivisor
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
@@ -21,6 +21,7 @@ from semicoh.iojson import (
     parse_table,
     render_table,
 )
+from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json, render_report_markdown
 
 from conftest import count_calls
@@ -278,6 +279,24 @@ def test_cli_refuses_bad_degree_or_prime(args, message):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda spec: rank_column(spec, -1),
+        lambda spec: molien_column(spec, -1),
+        lambda spec: formula_table(spec, -1, "published"),
+        lambda spec: e2_table(spec, -1),
+        lambda spec: compare_report(spec, -1),
+    ],
+    ids=["rank_column", "molien_column", "formula_table", "e2_table", "compare_report"],
+)
+def test_library_refuses_negative_max_degree(compute):
+    # formula_table used to fail with an IndexError, and the two rank
+    # columns returned () without complaint
+    with pytest.raises(ValueError, match="negative max degree"):
+        compute(fixture_by_name("z5_z6").spec)
 
 
 def _missing(tmp_path):
