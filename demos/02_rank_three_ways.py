@@ -11,7 +11,7 @@
 3. Oracle: the free part of the exact evaluation, tr(N)/q of each layer.
 
 Routes 1 and 2 share the characteristic polynomial: Newton's identities
-on the traces of one norm_and_power chain, which the test suite checks
+on the traces of one power_chain, which the test suite checks
 against cofactor expansion and, through the trace identity, against
 explicit exterior powers.  Route 3 shares only that generic product
 chain, and only for n < 4.

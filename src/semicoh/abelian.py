@@ -7,6 +7,7 @@ form is unique, so equality is structural equality.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
 from math import prod
@@ -58,16 +59,13 @@ class AbelianGroup:
         rest are recombined into a divisibility chain.
         """
         rank = int(rank)
+        counts = Counter(abs(int(f)) for f in factors)
+        rank += counts.pop(0, 0)
+        counts.pop(1, None)
         exponents: dict[int, list[int]] = {}
-        for f in factors:
-            f = abs(int(f))
-            if f == 0:
-                rank += 1
-                continue
-            if f == 1:
-                continue
+        for f, copies in counts.items():  # each distinct order is factored once
             for p, e in _factorint(f).items():
-                exponents.setdefault(p, []).append(e)
+                exponents.setdefault(p, []).extend([e] * copies)
         for p in exponents:
             exponents[p].sort(reverse=True)
         chain = []

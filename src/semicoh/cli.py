@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .cache import cache_get, cache_key, cache_put
-from .cyclotomic import exponent_multiset, matrix_census
+from .cyclotomic import chain_census, exponent_multiset
 from .engines import build_table, molien_column, rank_column
 from .errors import (
     CohomologyError,
@@ -218,7 +218,7 @@ def cmd_isotropy(args) -> int:
 
 def cmd_census(args) -> int:
     spec = load_group_file(args.input)
-    census = matrix_census(spec.phi, spec.m)
+    census = chain_census(spec.phi, spec.m)
     exponents = exponent_multiset(census)
     free = free_outside_origin(spec)
     doc = {

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import NonIntegralAverage, NonUnityEigenvalues, NotADivisor, WrongOrder
-from .intmat import IntMatrix, charpoly, charpoly_from_traces, norm_and_power
+from .intmat import IntMatrix, charpoly, charpoly_from_traces, power_chain
 from .intpoly import IntPolynomial
 
 
@@ -185,14 +185,31 @@ def count_wedge_roots(x: ExponentMultiset, d: int) -> tuple[int, ...]:
     return tuple(row[0] for row in table)
 
 
+@lru_cache(maxsize=4)
+def phi_powers(phi: IntMatrix, m: int) -> tuple[IntMatrix, ...]:
+    """phi^0..phi^(m-1) from one power_chain; WrongOrder unless phi^m = 1.
+
+    Every fact the ranks and the (r, s, t) decompositions read off powers
+    of phi comes from this one chain.  It holds m*n^2 integers, and each
+    of its consumers caches its own result, so only a few chains are kept.
+    """
+    powers, is_one = power_chain(phi, m)
+    if not is_one:
+        raise WrongOrder(f"phi^{m} is not the identity")
+    return powers
+
+
 @lru_cache(maxsize=64)
 def _power_charpolys(phi: IntMatrix, m: int) -> tuple[IntPolynomial, ...]:
     """charpoly(phi^j), j < m, off one chain: phi^m = 1 gives tr (phi^j)^k = tr phi^(jk mod m)."""
-    _, traces, is_one = norm_and_power(phi, m)
-    if not is_one:
-        raise WrongOrder(f"phi^{m} is not the identity")
+    traces = [power.trace() for power in phi_powers(phi, m)]
     n = phi.rows
     return tuple(charpoly_from_traces([traces[j * k % m] for k in range(n + 1)]) for j in range(m))
+
+
+def chain_census(phi: IntMatrix, m: int) -> CyclotomicCensus:
+    """phi's census, read as the j = 1 entry of _power_charpolys (phi^1 = phi^0 if m = 1)."""
+    return cyclotomic_census(_power_charpolys(phi, m)[1 % m], m)
 
 
 def molien_rank(phi: IntMatrix, m: int, l: int) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .abelian import AbelianGroup
-from .cyclotomic import count_wedge_roots, exponent_multiset, matrix_census, molien_rank
+from .cyclotomic import chain_census, count_wedge_roots, exponent_multiset, molien_rank
 from .groups import GroupSpec, validate
 from .oracle import e2_table
 from .tables import CohomologyTable
@@ -13,8 +13,8 @@ from .torsion import VARIANTS, TorsionVariant, assemble_p_torsion, check_variant
 
 
 def full_exponents(spec: GroupSpec):
-    """Eigenvalue exponents of phi itself, modulus m."""
-    return exponent_multiset(matrix_census(spec.phi, spec.m))
+    """Eigenvalue exponents of phi itself, modulus m, read off phi's power chain."""
+    return exponent_multiset(chain_census(spec.phi, spec.m))
 
 
 def _check_degree(max_degree: int) -> None:

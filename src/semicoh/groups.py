@@ -23,28 +23,40 @@ the counts are basis independent, and k_d = m_d/(p-1) is an integer by
 construction (it equals the t-count of one isotypic piece).  The totals
 are cross-checked against the whole lattice, where psi - 1 is reduced
 once per (spec, p) and also serves the freeness test and the class count.
+
+Every power of phi read here comes off one chain phi^0..phi^(m-1) per
+group (cyclotomic.phi_powers), the chain that phi's census and the Molien
+average also read: psi_p = phi^(m/p) is an entry, the global norm
+N_p = sum_k phi^(k*m/p) a sum of entries, and each isotypic projector
+Phi_e(phi) * Phi_pe(phi), reduced mod x^m - 1, a combination of entries.
+The census of a stable saturated block with basis U and integral left
+inverse L (both from the Smith run that saturates it) is read off
+tr B^j = tr(phi^j U L) by Newton's identities, with no power of B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import prod
+from operator import mul
 
 from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
+    cyclotomic_census,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
-    matrix_census,
+    phi_powers,
 )
 from .errors import (
     BadInvariantFactors,
     NonIntegralK,
     NonInvariantBlock,
+    NonUnityEigenvalues,
     NotADivisor,
-    NotASublattice,
     NotFreeAction,
     NotSquare,
     NotSquareFree,
@@ -55,6 +67,7 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     _smith_engine,
+    charpoly_from_traces,
     det,
     invariant_factors,
     kernel_basis,
@@ -78,8 +91,13 @@ class GroupSpec:
         return tuple(sorted(_factorint(self.m))) if self.m > 1 else ()
 
     def psi(self, p: int) -> IntMatrix:
-        """Action of the generator of the order-p subgroup."""
-        return self.phi ** (self.m // p)
+        """Action of the generator of the order-p subgroup, phi^(m/p), read off phi's power chain.
+
+        NotADivisor unless p | m and p > 1; WrongOrder unless phi^m = 1.
+        """
+        if p < 2 or self.m % p:
+            raise NotADivisor(f"{p} does not divide m={self.m}")
+        return phi_powers(self.phi, self.m)[self.m // p]
 
 
 def validate(spec: GroupSpec) -> GroupSpec:
@@ -128,8 +146,8 @@ class RstDecomposition:
     isotypic piece, and ``t_basis``, when phi-stable, that of the
     psi-orbits of ``t_generators``: ker(psi - 1) and ker N if s = 0, but
     Smith-pivot dependent if s > 0.  ``r_census`` and ``t_census`` are the
-    eigenvalue censuses of phi on those blocks, and phi's restriction to
-    each stable block is checked against them.
+    eigenvalue censuses of phi on those blocks, and the census read off
+    the traces of each stable block is checked against them.
     """
 
     p: int
@@ -192,19 +210,58 @@ def _cyclic_counts(psi: IntMatrix, p: int):
     return r, rest // p, t, r_gens, w_gens
 
 
-def _is_stable_block(phi: IntMatrix, basis: IntMatrix, census: CyclotomicCensus) -> bool:
-    """Whether span(basis) is a nonzero phi-stable block.
+def _chain_combination(powers, coeffs) -> IntMatrix:
+    """sum_i coeffs[i] * phi^i off the chain phi^0..phi^(m-1), reading phi^m = 1."""
+    m, n = len(powers), powers[0].rows
+    folded = [0] * m
+    for i, c in enumerate(coeffs):
+        folded[i % m] += c
+    terms = [(c, power.data) for c, power in zip(folded, powers) if c]
+    rows = []
+    for i in range(n):
+        row = [0] * n
+        for c, data in terms:
+            row = [x + c * y for x, y in zip(row, data[i])]
+        rows.append(row)
+    return IntMatrix._trusted(rows)
 
-    A stable block whose restricted census disagrees with ``census``
-    raises NonInvariantBlock.
+
+def _block_census(powers, basis: IntMatrix, inverse: IntMatrix) -> CyclotomicCensus:
+    """Census of phi on a phi-stable block span(basis), from traces.
+
+    With phi U = U B and L U = 1 (``inverse``), B^j = L phi^j U, so
+    tr B^j = tr(phi^j P) for the projector P = U L: one n^2 pairing with
+    a chain entry per j = 0..rank, the exponent read mod m since B^m = 1.
+    """
+    m = len(powers)
+    projector_t = list(chain.from_iterable((basis @ inverse).transpose().data))
+    traces = [
+        sum(map(mul, chain.from_iterable(powers[j % m].data), projector_t))
+        for j in range(basis.cols + 1)
+    ]
+    return cyclotomic_census(charpoly_from_traces(traces), m)
+
+
+def _is_stable_block(powers, basis: IntMatrix, inverse: IntMatrix,
+                     census: CyclotomicCensus) -> bool:
+    """Whether the saturated span(basis) is a nonzero phi-stable block.
+
+    With L = ``inverse`` its integral left inverse, the span is stable
+    when phi U lies in it, that is U L phi U = phi U.  A
+    stable block whose census, read off the chain's traces, disagrees
+    with ``census`` raises NonInvariantBlock; so do traces that are no
+    census's at all.
     """
     if not basis.cols:
         return False
-    try:
-        block = restrict_to_basis(phi, basis)
-    except NotASublattice:  # span not phi-stable
+    image = powers[1 % len(powers)] @ basis
+    if basis @ (inverse @ image) != image:  # span not phi-stable
         return False
-    if matrix_census(block, census.m).as_dict() != census.as_dict():
+    try:
+        found = _block_census(powers, basis, inverse)
+    except (ArithmeticError, NonUnityEigenvalues):
+        found = None
+    if found != census:
         raise NonInvariantBlock("restricted block census disagrees with the isotypic census")
     return True
 
@@ -228,6 +285,13 @@ def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
     return r_basis.hstack(IntMatrix(rest)).hstack(w_gens)
 
 
+def _saturated_block(cols, n: int) -> tuple[IntMatrix, IntMatrix]:
+    """saturate_span of the columns ``cols`` of Z^n: (basis, left inverse); empty if no columns."""
+    if not cols:
+        return IntMatrix.zeros(n, 0), IntMatrix.zeros(0, n)
+    return saturate_span(IntMatrix.from_columns(cols, n))
+
+
 @lru_cache(maxsize=256)
 def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     """Decompose Z^n over Z/p (psi = phi^(m/p)) into (r, s, t) data.
@@ -240,7 +304,8 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     validate(spec)
     if p not in spec.primes:
         raise NotADivisor(f"{p} is not a prime factor of m={spec.m}")
-    phi, n, m = spec.phi, spec.n, spec.m
+    n, m = spec.n, spec.m
+    powers = phi_powers(spec.phi, m)
     psi = spec.psi(p)
 
     r = s = t = 0
@@ -251,7 +316,7 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     w_cols: list[tuple[int, ...]] = []
     for e in divisors(m // p):
         poly = cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)
-        u_basis = kernel_basis(poly.eval_matrix(phi))
+        u_basis = kernel_basis(_chain_combination(powers, poly.coeffs))
         if u_basis.cols == 0:
             continue
         psi_e = restrict_to_basis(psi, u_basis)
@@ -276,7 +341,7 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
                 t_cols.extend(orbit.columns())
                 orbit = psi @ orbit
 
-    norm = norm_and_power(psi, p)[0]
+    norm = _chain_combination(powers, [int(i % (m // p) == 0) for i in range(m)])
     r_glob = _count_p_factors(invariant_factors(norm), p)
     t_glob = _count_p_factors(_psi_minus_one_factors(spec, p), p)
     if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:
@@ -287,12 +352,12 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
 
     r_census = CyclotomicCensus.of(m, r_mults)
     t_census = CyclotomicCensus.of(m, t_mults)
-    r_basis = saturate_span(IntMatrix.from_columns(r_cols, n)) if r_cols else IntMatrix.zeros(n, 0)
-    t_basis_raw = saturate_span(IntMatrix.from_columns(t_cols, n)) if t_cols else IntMatrix.zeros(n, 0)
+    r_basis, r_inverse = _saturated_block(r_cols, n)
+    t_basis_raw, t_inverse = _saturated_block(t_cols, n)
     w_gen_matrix = IntMatrix.from_columns(w_cols, n) if w_cols else IntMatrix.zeros(n, 0)
 
-    _is_stable_block(phi, r_basis, r_census)  # for its census check only
-    t_stable = _is_stable_block(phi, t_basis_raw, t_census)
+    _is_stable_block(powers, r_basis, r_inverse, r_census)  # for its census check only
+    t_stable = _is_stable_block(powers, t_basis_raw, t_inverse, t_census)
     adapted = _adapted_basis(n, r_basis, w_gen_matrix)
     return RstDecomposition(
         p=p,

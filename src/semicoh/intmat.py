@@ -5,12 +5,13 @@ Smith elimination runs on pure-Python big integers only, and every
 wrapper below reads its result off one engine run (_smith_engine).
 Matrix products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
-big integers otherwise, so results are exact in all cases.  The norm
-1 + a + ... + a^(q-1), its terms' traces and the check a^q = 1 come
-from one chain of IntMatrix products, norm_and_power; charpoly reads
-its traces by Newton's identities.  Matrices narrower than 4 never leave
-pure Python, so they never load numpy.  The oracle's float64 kernels
-for exterior layers at least 4 wide are in layers.py.
+big integers otherwise, so results are exact in all cases.  The powers
+a^0..a^(q-1) and the check a^q = 1 come from one chain of IntMatrix
+products, power_chain; norm_and_power sums that chain and reads its
+traces, and charpoly turns the traces into coefficients by Newton's
+identities.  Matrices narrower than 4 never leave pure Python, so they
+never load numpy.  The oracle's float64 kernels for exterior layers at
+least 4 wide are in layers.py.
 """
 
 from __future__ import annotations
@@ -189,26 +190,38 @@ def _matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, list[int], bool]:
-    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one chain of q products.
+def power_chain(a: IntMatrix, q: int) -> tuple[tuple[IntMatrix, ...], bool]:
+    """((a^0, ..., a^(q-1)), a^q == 1) from one chain of q products.
 
-    Only the running power and the running sum are kept; _matmul keeps
-    each product exact.
+    _matmul keeps each product exact.
 
-    >>> norm, traces, is_one = norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)
-    >>> norm.data, traces, is_one
-    (((0, 0), (0, 0)), [2, -1, -1], True)
+    >>> powers, is_one = power_chain(IntMatrix([[0, -1], [1, -1]]), 3)
+    >>> [p.trace() for p in powers], is_one
+    ([2, -1, -1], True)
     """
     if not a.is_square():
         raise NotSquare("powers need a square matrix")
     if q < 0:
         raise ValueError("negative power")
-    power, total, traces = IntMatrix.identity(a.rows), IntMatrix.zeros(a.rows, a.rows), []
+    powers, power = [], IntMatrix.identity(a.rows)
     for _ in range(q):
-        total = total + power
-        traces.append(power.trace())
+        powers.append(power)
         power = power @ a
-    return total, traces, power.is_identity()
+    return tuple(powers), power.is_identity()
+
+
+def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, list[int], bool]:
+    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one power_chain.
+
+    >>> norm, traces, is_one = norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)
+    >>> norm.data, traces, is_one
+    (((0, 0), (0, 0)), [2, -1, -1], True)
+    """
+    powers, is_one = power_chain(a, q)
+    total = IntMatrix.zeros(a.rows, a.rows)
+    for power in powers:
+        total = total + power
+    return total, [power.trace() for power in powers], is_one
 
 
 def rank_mod_p(a: IntMatrix, p: int) -> int:
@@ -488,11 +501,15 @@ def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
     return AbelianGroup.from_factors(ambient_basis.cols - len(factors), factors)
 
 
-def saturate_span(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturation (pure closure) of the column span."""
-    eng = _smith_engine(m, need_uinv=True)
+def saturate_span(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """(B, L): a basis B of the saturation (pure closure) of the column span, and L B = 1.
+
+    One Smith run U m V = D gives both: B is the first rank(m) columns of
+    U^-1 and the integral left inverse L the first rank(m) rows of U.
+    """
+    eng = _smith_engine(m, need_u=True, need_uinv=True)
     r = eng.rank
-    return IntMatrix._trusted([row[:r] for row in eng.uinv])
+    return IntMatrix._trusted([row[:r] for row in eng.uinv]), IntMatrix._trusted(eng.u[:r])
 
 
 def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
@@ -528,12 +545,12 @@ def det(a: IntMatrix) -> int:
 
 
 def charpoly(a: IntMatrix) -> IntPolynomial:
-    """det(xI - a) from the traces of one norm_and_power chain a^0..a^n.
+    """det(xI - a) from the traces of one power_chain a^0..a^n.
 
     >>> print(charpoly(IntMatrix([[0, -1], [1, -1]])))
     x^2 + x + 1
     """
-    return charpoly_from_traces(norm_and_power(a, a.rows + 1)[1])
+    return charpoly_from_traces([power.trace() for power in power_chain(a, a.rows + 1)[0]])
 
 
 def charpoly_from_traces(traces) -> IntPolynomial:

@@ -1,7 +1,7 @@
 """Dense integer polynomials, lowest degree first.
 
 Only the handful of exact operations the cohomology engines need:
-multiplication, exact division, evaluation at integers and at matrices.
+multiplication and exact division.
 """
 
 from __future__ import annotations
@@ -68,19 +68,6 @@ class IntPolynomial:
                 for j, b in enumerate(divisor.coeffs):
                     rem[i + j] -= q * b
         return IntPolynomial.of(*quo), IntPolynomial.of(*rem)
-
-    def eval_matrix(self, a):
-        """Evaluate at a square IntMatrix by Horner's rule."""
-        from .intmat import IntMatrix
-
-        if a.rows != a.cols:
-            raise ValueError("matrix evaluation needs a square matrix")
-        value = IntMatrix.zeros(a.rows, a.cols)
-        for c in reversed(self.coeffs):
-            value = value @ a
-            if c:
-                value = value + IntMatrix.scalar(a.rows, c)
-        return value
 
     def __str__(self) -> str:
         if self.is_zero():

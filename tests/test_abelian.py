@@ -1,10 +1,17 @@
 """Canonical abelian groups."""
 
+import random
+from itertools import zip_longest
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicoh.abelian import AbelianGroup
+import semicoh.abelian
+from semicoh.abelian import AbelianGroup, _factorint
+
+from conftest import count_calls
 
 
 def test_canonicalization():
@@ -12,6 +19,33 @@ def test_canonicalization():
     assert AbelianGroup.from_factors(1, [1, 1, 6]) == AbelianGroup(1, (6,))
     assert AbelianGroup.from_factors(0, [4, 6]) == AbelianGroup(0, (2, 12))
     assert AbelianGroup.from_factors(0, [0, 2]) == AbelianGroup(1, (2,))
+
+
+def _from_factors_per_copy(rank, factors):
+    """The canonical form with every copy of a factor factored on its own: the reference."""
+    exponents: dict[int, list[int]] = {}
+    for f in map(abs, factors):
+        if f == 0:
+            rank += 1
+        elif f > 1:
+            for p, e in _factorint(f).items():
+                exponents.setdefault(p, []).append(e)
+    powers = [sorted((p**e for e in es), reverse=True) for p, es in sorted(exponents.items())]
+    chain = [prod(tup) for tup in zip_longest(*powers, fillvalue=1)]
+    return AbelianGroup(rank, tuple(reversed(chain)))
+
+
+def test_from_factors_factors_each_distinct_order_once(monkeypatch):
+    rng = random.Random(20)
+    calls = count_calls(monkeypatch, semicoh.abelian, "_factorint")
+    for _ in range(200):
+        pool = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))] + [0, 1, -1]
+        factors = [rng.choice(pool) for _ in range(rng.randint(0, 60))]
+        rank = rng.randint(0, 3)
+        expected = _from_factors_per_copy(rank, factors)
+        calls.clear()
+        assert AbelianGroup.from_factors(rank, factors) == expected, factors
+        assert sorted(args[0] for args in calls) == sorted({abs(f) for f in factors} - {0, 1})
 
 
 def test_chain_is_validated():

@@ -158,16 +158,17 @@ def test_molien_rejects_wrong_order():
 def test_molien_rejects_non_integral_average(monkeypatch):
     # one trace off by one: for n = 1 Newton's identities divide by 1 only,
     # so the error surfaces at the average, (1 + 0) / 2
-    original = semicoh.cyclotomic.norm_and_power
+    original = semicoh.cyclotomic.phi_powers.__wrapped__
 
-    def off_by_one(a, q):
-        norm, traces, is_one = original(a, q)
-        return norm, traces[:-1] + [traces[-1] + 1], is_one
+    def off_by_one(phi, m):
+        powers = original(phi, m)
+        last = powers[-1]
+        return powers[:-1] + (last + IntMatrix.identity(last.rows),)
 
-    # the uncached function, so that no perturbed entry outlives the test
+    # the uncached functions, so that no perturbed entry outlives the test
     uncached = semicoh.cyclotomic._power_charpolys.__wrapped__
     monkeypatch.setattr(semicoh.cyclotomic, "_power_charpolys", uncached)
-    monkeypatch.setattr(semicoh.cyclotomic, "norm_and_power", off_by_one)
+    monkeypatch.setattr(semicoh.cyclotomic, "phi_powers", off_by_one)
     with pytest.raises(NonIntegralAverage):
         molien_rank(IntMatrix([[-1]]), 2, 1)
 
@@ -189,8 +190,9 @@ def test_molien_column_costs_one_chain_and_no_charpoly_or_det(monkeypatch):
     # and no determinant
     spec = fixture_by_name("z5_z6").spec
     expected = rank_column(spec, spec.n + 3)
+    semicoh.cyclotomic.phi_powers.cache_clear()
     semicoh.cyclotomic._power_charpolys.cache_clear()
-    chains = count_calls(monkeypatch, semicoh.cyclotomic, "norm_and_power")
+    chains = count_calls(monkeypatch, semicoh.cyclotomic, "power_chain")
     charpolys = count_calls(monkeypatch, semicoh.cyclotomic, "charpoly")
     dets = count_calls(monkeypatch, semicoh.intmat, "det")
     assert molien_column(spec, spec.n + 3) == expected
@@ -200,9 +202,10 @@ def test_molien_column_costs_one_chain_and_no_charpoly_or_det(monkeypatch):
 
 
 def test_ranks_take_one_census_and_one_wedge_column_per_spec(monkeypatch):
-    # rank_column and both formula tables share one charpoly(phi) and one
-    # wedge-count column; a conjugate with the same census runs both again,
-    # so no cache lets one spec's result serve another
+    # rank_column and both formula tables share one power chain of phi, whose
+    # j = 1 entry gives phi's census, and one wedge-count column; a conjugate
+    # with the same census runs both again, so no cache lets one spec's
+    # result serve another
     spec = fixture_by_name("z5_z6").spec
     conj = random_unimodular(random.Random(19), spec.n)
     other = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
@@ -210,6 +213,9 @@ def test_ranks_take_one_census_and_one_wedge_column_per_spec(monkeypatch):
     assert matrix_census(other.phi, other.m) == matrix_census(spec.phi, spec.m)
     semicoh.engines._wedge_ranks.cache_clear()
     semicoh.torsion._context_and_rblock.cache_clear()
+    semicoh.cyclotomic.phi_powers.cache_clear()
+    semicoh.cyclotomic._power_charpolys.cache_clear()
+    chains = count_calls(monkeypatch, semicoh.cyclotomic, "power_chain")
     charpolys = count_calls(monkeypatch, semicoh.cyclotomic, "charpoly")
     columns = count_calls(monkeypatch, semicoh.engines, "count_wedge_roots")
     for current in (spec, other):
@@ -217,8 +223,10 @@ def test_ranks_take_one_census_and_one_wedge_column_per_spec(monkeypatch):
         ranks = rank_column(current, top)
         for variant in ("published", "corrected"):
             assert formula_table(current, top, variant).rank_column() == ranks
-        assert [args for args in charpolys if args[0] == current.phi] == [(current.phi,)]
+        assert chains == [(current.phi, current.m)]
+        assert charpolys == []
         assert columns == [(full_exponents(current), current.m)]
+        chains.clear()
         columns.clear()
 
 

@@ -2,12 +2,21 @@
 
 import pytest
 
+import semicoh.cyclotomic
 import semicoh.groups
 import semicoh.intmat
-from semicoh.cyclotomic import cyclotomic_polynomial, divisors
+from semicoh.cyclotomic import (
+    companion_of_cyclotomic,
+    cyclotomic_polynomial,
+    divisors,
+    matrix_census,
+    phi_powers,
+)
 from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
     BadInvariantFactors,
+    NonIntegralOrbitCount,
+    NonInvariantBlock,
     NotADivisor,
     NotFreeAction,
     NotSquareFree,
@@ -16,13 +25,14 @@ from semicoh.errors import (
 )
 from semicoh.fixtures import (
     FLAGSHIP_MATRIX,
-    companion_of_cyclotomic,
     fixture_by_name,
     fixture_suite,
 )
 from semicoh.groups import (
     GroupSpec,
     _adapted_basis,
+    _block_census,
+    _chain_combination,
     _cyclic_counts,
     free_outside_origin,
     isotropy_data,
@@ -38,11 +48,14 @@ from semicoh.intmat import (
     kernel_basis,
     lattice_quotient,
     norm_and_power,
+    restrict_to_basis,
     saturate_span,
 )
+from semicoh.intpoly import IntPolynomial
 from semicoh.torsion import VARIANTS
 
 from conftest import (
+    CYCLE_PLUS_TRIVIAL,
     count_calls,
     random_companion_spec,
     random_permutation_spec,
@@ -59,11 +72,19 @@ def span_equal(a: IntMatrix, b: IntMatrix) -> bool:
     from semicoh.intmat import solve_columns
 
     try:
-        solve_columns(saturate_span(a), b)
-        solve_columns(saturate_span(b), a)
+        solve_columns(saturate_span(a)[0], b)
+        solve_columns(saturate_span(b)[0], a)
     except Exception:  # noqa: BLE001
         return False
     return True
+
+
+def poly_at(poly, a: IntMatrix) -> IntMatrix:
+    """poly(a) from separate powers a**k: the isotypic projectors' reference."""
+    value = IntMatrix.zeros(a.rows, a.cols)
+    for k, c in enumerate(poly.coeffs):
+        value = value + IntMatrix.scalar(a.rows, c) @ a**k
+    return value
 
 
 def test_validate_flagship():
@@ -192,7 +213,7 @@ def test_rst_global_check_reads_cokernel_factors(monkeypatch):
                 1
                 for e in divisors(spec.m // p)
                 if kernel_basis(
-                    (cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)).eval_matrix(spec.phi)
+                    poly_at(cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e), spec.phi)
                 ).cols
             )
             rst_decompose.cache_clear()
@@ -205,11 +226,12 @@ def test_rst_global_check_reads_cokernel_factors(monkeypatch):
 def test_rst_smith_runs_per_decomposition(monkeypatch):
     # four per isotypic piece (its kernel basis, the restriction of psi,
     # psi - 1 and N), two for the whole-lattice cross-check, then one per
-    # non-empty block saturation, one per block stability check and one
-    # for the adapted basis: p3 has one piece and no r block, z5_z6 two
+    # non-empty block saturation, which also gives the left inverse that
+    # tests the block's stability, and one for the adapted basis: p3 has
+    # one piece and no r block, z5_z6 two
     calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
     monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
-    for name, p, runs in (("p3", 3, 9), ("z5_z6", 2, 15), ("z5_z6", 3, 15)):
+    for name, p, runs in (("p3", 3, 8), ("z5_z6", 2, 13), ("z5_z6", 3, 13)):
         spec = fixture_by_name(name).spec
         spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{name}")  # no memo hit
         calls.clear()
@@ -415,3 +437,118 @@ def test_max_finite_census_composite_m():
     mf = max_finite_subgroup_census(fixture_by_name("p6").spec)
     assert dict(mf.class_counts) == {2: 4, 3: 3, 6: 1}
     assert dict(mf.nonzero_type_counts) == {2: 1, 3: 1}
+
+
+def _chain_specs(rng, count):
+    """Every valid fixture, CYCLE_PLUS_TRIVIAL and ``count`` random specs, s > 0 among them."""
+    specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
+    specs.append(CYCLE_PLUS_TRIVIAL)
+    for i in range(count):
+        if i % 3:
+            specs.append(random_permutation_spec(rng, n_max=8))
+        else:
+            spec = random_companion_spec(rng, n_max=8)
+            conj = random_unimodular(rng, spec.n)
+            specs.append(GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose()))
+    return specs
+
+
+def test_ranks_path_builds_one_chain_of_phi_per_spec(monkeypatch, rng):
+    # rank_column, molien_column, both formula tables and rst/isotropy at
+    # every prime read psi_p, the norms, the isotypic projectors and every
+    # census off one chain phi^0..phi^(m-1): no charpoly of phi and no
+    # binary power of phi.  validate's own phi^m check comes first, and
+    # refuses an infinite-order phi before any chain is built.
+    assert not hasattr(IntPolynomial, "eval_matrix")
+    flagship = fixture_by_name("z5_z6").spec
+    specs = [flagship, CYCLE_PLUS_TRIVIAL]
+    specs += [random_permutation_spec(rng, n_max=8) for _ in range(6)]
+    chains = count_calls(monkeypatch, semicoh.cyclotomic, "power_chain")
+    charpolys = count_calls(monkeypatch, semicoh.intmat, "charpoly")
+    monkeypatch.setattr(semicoh.cyclotomic, "charpoly", semicoh.intmat.charpoly)
+    powers = count_calls(monkeypatch, IntMatrix, "__pow__")
+    for i, spec in enumerate(specs):
+        spec = validate(GroupSpec(spec.n, spec.m, spec.phi, name=f"chain-once-{i}"))
+        chains.clear()
+        powers.clear()
+        top = spec.n + 3
+        rank_column(spec, top)
+        molien_column(spec, top)
+        for variant in VARIANTS:
+            try:
+                formula_table(spec, top, variant)
+            except NonIntegralOrbitCount:
+                pass
+        for p in spec.primes:
+            isotropy_data(spec, p, rst_decompose(spec, p))
+        assert chains == [(spec.phi, spec.m)], spec
+        assert [a for a, *_ in charpolys if a == spec.phi] == [], spec
+        assert [a for a, *_ in powers if a == spec.phi] == [], spec
+
+
+def test_psi_is_the_chain_entry():
+    spec = fixture_by_name("z5_z6").spec
+    for p in spec.primes:
+        assert spec.psi(p) is phi_powers(spec.phi, spec.m)[spec.m // p]
+        assert spec.psi(p) == spec.phi ** (spec.m // p)
+    for p in (0, 1, 5):
+        with pytest.raises(NotADivisor):
+            spec.psi(p)
+
+
+def test_chain_combinations_are_the_polynomials_at_phi(rng):
+    # each isotypic projector and the global norm, read off the chain,
+    # equal the polynomial evaluated at phi by separate powers; for prime m
+    # the projector Phi_1 * Phi_m reduces mod x^m - 1 to zero
+    primes_m = 0
+    for spec in _chain_specs(rng, 30):
+        powers = phi_powers(spec.phi, spec.m)
+        for p in spec.primes:
+            step = spec.m // p
+            norm = _chain_combination(powers, [int(i % step == 0) for i in range(spec.m)])
+            assert norm == norm_and_power(spec.psi(p), p)[0], spec
+            for e in divisors(spec.m // p):
+                poly = cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)
+                assert _chain_combination(powers, poly.coeffs) == poly_at(poly, spec.phi), spec
+        if spec.primes == (spec.m,):
+            poly = cyclotomic_polynomial(1) * cyclotomic_polynomial(spec.m)
+            assert _chain_combination(powers, poly.coeffs).is_zero(), spec
+            primes_m += 1
+    assert primes_m >= 5
+
+
+def test_trace_read_block_census_matches_the_restricted_charpoly(rng):
+    # the census read off tr(phi^j U L) equals the census of phi restricted
+    # to the block, on every stable r and t block
+    blocks = regular = 0
+    for spec in _chain_specs(rng, 150):
+        powers = phi_powers(spec.phi, spec.m)
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            for block in (rst.r_basis, rst.t_basis):
+                if block is None or not block.cols:
+                    continue
+                basis, inverse = saturate_span(block)
+                expected = matrix_census(restrict_to_basis(spec.phi, basis), spec.m)
+                assert _block_census(powers, basis, inverse) == expected, (spec, p)
+                blocks += 1
+                regular += rst.s > 0
+    assert blocks >= 150 and regular >= 20, (blocks, regular)
+
+
+def test_tampered_chain_entry_raises_non_invariant_block(monkeypatch):
+    # m = 10, p = 5: psi, N and both projectors read only even entries and
+    # phi^5, stability reads phi^1, so phi^3 reaches only the block census
+    spec = GroupSpec(4, 10, companion_of_cyclotomic(5), name="tampered-chain")
+    assert (rst_decompose(spec, 5).r, rst_decompose(spec, 5).t) == (0, 1)
+    honest = phi_powers.__wrapped__
+
+    def tampered(phi, m):
+        powers = honest(phi, m)
+        return powers[:3] + (powers[3] + IntMatrix.identity(phi.rows),) + powers[4:]
+
+    monkeypatch.setattr(semicoh.groups, "phi_powers", tampered)
+    rst_decompose.cache_clear()
+    with pytest.raises(NonInvariantBlock, match="restricted block census"):
+        rst_decompose(spec, 5)
+    rst_decompose.cache_clear()

@@ -291,9 +291,10 @@ def test_solve_and_saturate(rng):
     assert basis @ coords == targets
     with pytest.raises(NotASublattice):
         solve_columns(basis, IntMatrix([[0], [1], [0]]))
-    sat = saturate_span(IntMatrix([[2, 0], [0, 4], [0, 0]]))
+    sat, inverse = saturate_span(IntMatrix([[2, 0], [0, 4], [0, 0]]))
     assert sat.cols == 2
     assert all(f == 1 for f in invariant_factors(sat))
+    assert (inverse @ sat).is_identity()
 
 
 def test_matmul_int64_guard_matches_python_product():
