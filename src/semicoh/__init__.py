@@ -25,10 +25,12 @@ from .groups import (
     GroupSpec,
     IsotropyData,
     MaxFiniteCensus,
+    RstBases,
     RstDecomposition,
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
+    rst_bases,
     rst_decompose,
     validate,
 )
@@ -65,6 +67,7 @@ __all__ = [
     "IntPolynomial",
     "IsotropyData",
     "MaxFiniteCensus",
+    "RstBases",
     "RstDecomposition",
     "SmithDecomposition",
     "ThetaContext",
@@ -91,6 +94,7 @@ __all__ = [
     "molien_rank",
     "p_part",
     "rank_column",
+    "rst_bases",
     "rst_decompose",
     "smith_normal_form",
     "subgroup_oracle",

@@ -125,12 +125,15 @@ def cyclotomic_census(f: IntPolynomial, m: int) -> CyclotomicCensus:
 
     Raises NonUnityEigenvalues when f is not a product of cyclotomics with
     d | m; for a characteristic polynomial of phi this signals phi^m != I.
+    A Phi_d of degree phi(d) above the degree still left is never built.
     """
     if not f.is_monic():
         raise ValueError("census needs a monic polynomial")
     mults: dict[int, int] = {}
     rem = f
     for d in divisors(m):
+        if euler_phi(d) > rem.degree:
+            continue
         phi_d = cyclotomic_polynomial(d)
         while rem.degree >= phi_d.degree:
             quo, r = rem.divmod_exactly(phi_d)
@@ -207,9 +210,16 @@ def _power_charpolys(phi: IntMatrix, m: int) -> tuple[IntPolynomial, ...]:
     return tuple(charpoly_from_traces([traces[j * k % m] for k in range(n + 1)]) for j in range(m))
 
 
+@lru_cache(maxsize=64)
 def chain_census(phi: IntMatrix, m: int) -> CyclotomicCensus:
-    """phi's census, read as the j = 1 entry of _power_charpolys (phi^1 = phi^0 if m = 1)."""
-    return cyclotomic_census(_power_charpolys(phi, m)[1 % m], m)
+    """phi's census, from the traces of phi^0..phi^n off phi's chain (phi^k = phi^(k mod m)).
+
+    Its characteristic polynomial is the j = 1 entry of _power_charpolys,
+    read here without the other m - 1.
+    """
+    powers = phi_powers(phi, m)
+    traces = [powers[k % m].trace() for k in range(phi.rows + 1)]
+    return cyclotomic_census(charpoly_from_traces(traces), m)
 
 
 def molien_rank(phi: IntMatrix, m: int, l: int) -> int:

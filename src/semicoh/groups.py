@@ -6,32 +6,42 @@ splits p-locally as
     Z^r (trivial)  +  Z[Z/p]^s (regular)  +  I^t (augmentation ideal),
 
 and the torsion formulas consume r, s, t together with the eigenvalue
-censuses of phi on the trivial block and the free-origin block.  The
-counts are the classical quotients
+censuses of phi on the trivial block and the free-origin block.  Both
+are read off phi's census and one rank mod p per isotypic piece, with no
+Smith form.  Since p does not divide m/p, the idempotents of
+Z_(p)[Z/(m/p)] split the p-local lattice into the pieces
+ker(Phi_e(phi) * Phi_pe(phi)), e | m/p.  On the piece at e, psi has the
+eigenvalue 1 where phi's eigenvalues have order e and a primitive p-th
+root of unity where they have order pe.  Each copy of Z or Z[Z/p] carries
+one eigenvalue 1 of psi, and each copy of Z[Z/p] or I carries p - 1 of the
+others, so with c_d the multiplicity of Phi_d in phi's census
 
-    t = #(p-factors) of ker(N)/im(psi - 1),    N = 1 + psi + ... + psi^(p-1)
-    r = #(p-factors) of ker(psi - 1)/im(N),
+    r_e + s_e = phi(e) * c_e,    s_e + t_e = phi(e) * c_pe.
 
-read off cokernels: since psi^p = 1, ker N is the saturation of
-im(psi - 1) and ker(psi - 1) that of im N (Brown, Cohomology of Groups,
-VI), so each quotient is the torsion of coker(psi - 1) or of coker N, and
-one Smith run of each matrix gives its count and generators.  The counts
-are taken on each isotypic sublattice ker(Phi_e(phi) * Phi_pe(phi))
-rather than once globally.  The refinement is what makes the block
-censuses canonical: each isotypic piece is phi-stable by construction,
-the counts are basis independent, and k_d = m_d/(p-1) is an integer by
-construction (it equals the t-count of one isotypic piece).  The totals
-are cross-checked against the whole lattice, where psi - 1 is reduced
-once per (spec, p) and also serves the freeness test and the class count.
+Mod p, Z, I and Z[Z/p] reduce to the Jordan blocks J_1, J_(p-1) and J_p
+(Diederichsen-Reiner; Curtis-Reiner I, section 34), on which
+N = 1 + psi + ... + psi^(p-1), congruent to (psi - 1)^(p-1), has rank 0,
+0 and 1.  Mod p, Phi_pe is congruent to Phi_e^(p-1), so
+Q_e(phi) = ((x^m - 1)/(Phi_e * Phi_pe))(phi) maps onto the piece's part
+of M/pM, and s_e is the rank of N * Q_e(phi) mod p.  The block censuses
+follow: Phi_e with multiplicity r_e/phi(e) on the trivial block and Phi_pe
+with multiplicity t_e/phi(e) on the free-origin block, so
+k_d = m_d/(p-1) is an integer by construction.
 
 Every power of phi read here comes off one chain phi^0..phi^(m-1) per
 group (cyclotomic.phi_powers), the chain that phi's census and the Molien
 average also read: psi_p = phi^(m/p) is an entry, the global norm
-N_p = sum_k phi^(k*m/p) a sum of entries, and each isotypic projector
-Phi_e(phi) * Phi_pe(phi), reduced mod x^m - 1, a combination of entries.
-The census of a stable saturated block with basis U and integral left
-inverse L (both from the Smith run that saturates it) is read off
-tr B^j = tr(phi^j U L) by Newton's identities, with no power of B.
+N_p = sum_k phi^(k*m/p) a sum of entries, and each N_p * Q_e(phi),
+reduced mod x^m - 1, a combination of entries.
+
+rst_bases computes integral bases of the two blocks by the classical
+Smith-form route (Brown, Cohomology of Groups, VI): since psi^p = 1, ker N
+is the saturation of im(psi - 1) and ker(psi - 1) that of im N, so one
+Smith run of each matrix on every isotypic piece gives t, r and their
+generators.  It cross-checks its counts and censuses against
+rst_decompose.  The census of a stable saturated block with basis U and
+integral left inverse L is read off tr B^j = tr(phi^j U L) by Newton's
+identities, with no power of B.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from operator import mul
 from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
+    chain_census,
     cyclotomic_census,
     cyclotomic_polynomial,
     divisors,
@@ -72,9 +83,11 @@ from .intmat import (
     invariant_factors,
     kernel_basis,
     norm_and_power,
+    rank_mod_p,
     restrict_to_basis,
     saturate_span,
 )
+from .intpoly import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -140,26 +153,130 @@ def _check(spec: GroupSpec) -> None:
 
 @dataclass(frozen=True)
 class RstDecomposition:
-    """Per-prime decomposition data.
+    """Per-prime counts (r, s, t) and the censuses of phi on the r and t blocks.
 
-    ``r_basis`` saturates the span of the r generators found on each
-    isotypic piece, and ``t_basis``, when phi-stable, that of the
-    psi-orbits of ``t_generators``: ker(psi - 1) and ker N if s = 0, but
-    Smith-pivot dependent if s > 0.  ``r_census`` and ``t_census`` are the
-    eigenvalue censuses of phi on those blocks, and the census read off
-    the traces of each stable block is checked against them.
+    ``r_census`` and ``t_census`` are the eigenvalue censuses of phi on
+    the trivial block Z^r and the free-origin block I^t; for every
+    e | m/p they hold Phi_e with multiplicity r_e/phi(e) and Phi_pe with
+    multiplicity t_e/phi(e), the counts of the isotypic piece at e.
     """
 
     p: int
     r: int
     s: int
     t: int
-    adapted_basis: IntMatrix
     r_census: CyclotomicCensus
     t_census: CyclotomicCensus
+
+
+def _chain_combination(powers, coeffs) -> IntMatrix:
+    """sum_i coeffs[i] * phi^i off the chain phi^0..phi^(m-1), reading phi^m = 1."""
+    m, n = len(powers), powers[0].rows
+    folded = [0] * m
+    for i, c in enumerate(coeffs):
+        folded[i % m] += c
+    used = [c for c in folded if c]
+    if not used:
+        return IntMatrix.zeros(n, n)
+    flats = [chain.from_iterable(power.data) for c, power in zip(folded, powers) if c]
+    entries = [sum(map(mul, used, column)) for column in zip(*flats)]
+    return IntMatrix._trusted([entries[i * n:(i + 1) * n] for i in range(n)])
+
+
+def _norm_coeffs(m: int, p: int) -> list[int]:
+    """N_p(x) = sum_k x^(k*m/p), k < p, as m coefficients: N_p(phi) is the norm of psi_p."""
+    return [int(i % (m // p) == 0) for i in range(m)]
+
+
+@lru_cache(maxsize=None)
+def _piece_norm_coeffs(m: int, p: int, e: int) -> tuple[int, ...]:
+    """Coefficients of N_p(x) * Q_e(x), with Q_e = (x^m - 1)/(Phi_e(x) * Phi_pe(x))."""
+    q_e, rem = IntPolynomial.x_pow_minus_one(m).divmod_exactly(
+        cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)
+    )
+    assert rem.is_zero()
+    return (IntPolynomial.of(*_norm_coeffs(m, p)) * q_e).coeffs
+
+
+def _check_prime(spec: GroupSpec, p: int) -> None:
+    """Validate spec and refuse a p that is not a prime factor of m (NotADivisor)."""
+    validate(spec)
+    if p not in spec.primes:
+        raise NotADivisor(f"{p} is not a prime factor of m={spec.m}")
+
+
+@lru_cache(maxsize=256)
+def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
+    """Decompose Z^n over Z/p (psi = phi^(m/p)) into (r, s, t) and both block censuses.
+
+    With c_d the multiplicity of Phi_d in phi's census, each e | m/p
+    with c_e or c_pe nonzero gives s_e = rank mod p of N_p*Q_e(phi),
+    r_e = phi(e)*c_e - s_e and t_e = phi(e)*c_pe - s_e; no Smith form
+    is run.  A negative count raises BadInvariantFactors; a count that
+    is not a multiple of phi(e), or a total s other than the rank of N_p
+    mod p on the whole lattice, raises NonInvariantBlock.
+    """
+    _check_prime(spec, p)
+    m = spec.m
+    powers = phi_powers(spec.phi, m)
+    census = chain_census(spec.phi, m).as_dict()
+    r = s = t = 0
+    r_mults: dict[int, int] = {}
+    t_mults: dict[int, int] = {}
+    for e in divisors(m // p):
+        c_e, c_pe = census.get(e, 0), census.get(p * e, 0)
+        if not (c_e or c_pe):
+            continue
+        phi_e = euler_phi(e)
+        s_e = rank_mod_p(_chain_combination(powers, _piece_norm_coeffs(m, p, e)), p)
+        r_e, t_e = phi_e * c_e - s_e, phi_e * c_pe - s_e
+        if r_e < 0 or t_e < 0:
+            raise BadInvariantFactors(
+                f"rank {s_e} of the isotypic norm at e={e} exceeds the census counts "
+                f"{phi_e * c_e} and {phi_e * c_pe}"
+            )
+        if s_e % phi_e:
+            raise NonInvariantBlock(
+                f"isotypic counts at e={e} are not multiples of phi({e})"
+            )
+        r_mults[e], t_mults[p * e] = r_e // phi_e, t_e // phi_e
+        r, s, t = r + r_e, s + s_e, t + t_e
+    s_glob = rank_mod_p(_chain_combination(powers, _norm_coeffs(m, p)), p)
+    if s_glob != s:
+        raise NonInvariantBlock(
+            f"isotypic ranks sum to s={s}, but N_{p} has rank {s_glob} mod {p}"
+        )
+    return RstDecomposition(
+        p=p,
+        r=r,
+        s=s,
+        t=t,
+        r_census=CyclotomicCensus.of(m, r_mults),
+        t_census=CyclotomicCensus.of(m, t_mults),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Integral bases of the blocks (Smith forms)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RstBases:
+    """Integral bases behind one decomposition, from Smith forms.
+
+    ``r_basis`` saturates the span of the r generators found on each
+    isotypic piece, and ``t_basis``, when phi-stable, that of the
+    psi-orbits of ``t_generators``: ker(psi - 1) and ker N if s = 0, but
+    Smith-pivot dependent if s > 0.  ``adapted_basis`` is unimodular,
+    [r block | complement | t generators] when those are jointly
+    primitive.
+    """
+
     r_basis: IntMatrix
     t_basis: IntMatrix | None
     t_generators: IntMatrix
+    adapted_basis: IntMatrix
 
 
 def _count_p_factors(factors, p: int) -> int:
@@ -208,22 +325,6 @@ def _cyclic_counts(psi: IntMatrix, p: int):
             f"counts r={r}, t={t} do not satisfy r + p*s + (p-1)*t = {n}"
         )
     return r, rest // p, t, r_gens, w_gens
-
-
-def _chain_combination(powers, coeffs) -> IntMatrix:
-    """sum_i coeffs[i] * phi^i off the chain phi^0..phi^(m-1), reading phi^m = 1."""
-    m, n = len(powers), powers[0].rows
-    folded = [0] * m
-    for i, c in enumerate(coeffs):
-        folded[i % m] += c
-    terms = [(c, power.data) for c, power in zip(folded, powers) if c]
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        for c, data in terms:
-            row = [x + c * y for x, y in zip(row, data[i])]
-        rows.append(row)
-    return IntMatrix._trusted(rows)
 
 
 def _block_census(powers, basis: IntMatrix, inverse: IntMatrix) -> CyclotomicCensus:
@@ -292,18 +393,16 @@ def _saturated_block(cols, n: int) -> tuple[IntMatrix, IntMatrix]:
     return saturate_span(IntMatrix.from_columns(cols, n))
 
 
-@lru_cache(maxsize=256)
-def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
-    """Decompose Z^n over Z/p (psi = phi^(m/p)) into (r, s, t) data.
+def _smith_rst(spec: GroupSpec, p: int) -> tuple[RstDecomposition, RstBases]:
+    """(counts and censuses, bases) at p, all from Smith forms.
 
     Reads r and t off the cokernels of N and psi - 1 on each isotypic
-    sublattice ker(Phi_e(phi)*Phi_pe(phi)), e | m/p, and cross-checks the
-    totals against the same counts on the whole lattice; a factor outside
+    sublattice ker(Phi_e(phi)*Phi_pe(phi)), e | m/p, cross-checks the
+    totals against the same counts on the whole lattice, saturates the
+    blocks and checks each stable block's census; a factor outside
     {1, p} raises BadInvariantFactors.
     """
-    validate(spec)
-    if p not in spec.primes:
-        raise NotADivisor(f"{p} is not a prime factor of m={spec.m}")
+    _check_prime(spec, p)
     n, m = spec.n, spec.m
     powers = phi_powers(spec.phi, m)
     psi = spec.psi(p)
@@ -341,7 +440,7 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
                 t_cols.extend(orbit.columns())
                 orbit = psi @ orbit
 
-    norm = _chain_combination(powers, [int(i % (m // p) == 0) for i in range(m)])
+    norm = _chain_combination(powers, _norm_coeffs(m, p))
     r_glob = _count_p_factors(invariant_factors(norm), p)
     t_glob = _count_p_factors(_psi_minus_one_factors(spec, p), p)
     if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:
@@ -359,18 +458,26 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
     _is_stable_block(powers, r_basis, r_inverse, r_census)  # for its census check only
     t_stable = _is_stable_block(powers, t_basis_raw, t_inverse, t_census)
     adapted = _adapted_basis(n, r_basis, w_gen_matrix)
-    return RstDecomposition(
-        p=p,
-        r=r,
-        s=s,
-        t=t,
-        adapted_basis=adapted,
-        r_census=r_census,
-        t_census=t_census,
+    return RstDecomposition(p, r, s, t, r_census, t_census), RstBases(
         r_basis=r_basis,
         t_basis=t_basis_raw if t_stable else None,
         t_generators=w_gen_matrix,
+        adapted_basis=adapted,
     )
+
+
+def rst_bases(spec: GroupSpec, p: int) -> RstBases:
+    """The r and t blocks' integral bases at p, from Smith forms.
+
+    The Smith route's own counts and censuses must equal rst_decompose's,
+    else NonInvariantBlock: every call cross-checks the two readings.
+    """
+    counts, bases = _smith_rst(spec, p)
+    if counts != rst_decompose(spec, p):
+        raise NonInvariantBlock(
+            "Smith-form counts or block censuses disagree with the census-and-rank reading"
+        )
+    return bases
 
 
 # ---------------------------------------------------------------------------

@@ -112,9 +112,10 @@ def _truncated_product(factors, top: int) -> list[int]:
     return out
 
 
-def _composition_poly(k: int, p: int) -> list[int]:
-    """Coefficients of (1 + x + ... + x^(p-1))^k, lowest degree first."""
-    return [bounded_composition_count(k, p, i) for i in range(k * (p - 1) + 1)]
+@lru_cache(maxsize=256)
+def _composition_poly(k: int, p: int) -> tuple[int, ...]:
+    """Coefficients of (1 + x + ... + x^(p-1))^k, lowest degree first, once per (k, p)."""
+    return tuple(bounded_composition_count(k, p, i) for i in range(k * (p - 1) + 1))
 
 
 def _theta_published(ctx: ThetaContext, a_set: frozenset[int], beta: int) -> Fraction:
@@ -142,7 +143,7 @@ def _theta_corrected(
         return Fraction(1)
     budget = beta // 2 if cutoff == "half" else beta - 1
     kd = dict(ctx.k_d)
-    factors = [[0] + _composition_poly(kd[d], ctx.p)[1:] for d in a_set]
+    factors = [(0, *_composition_poly(kd[d], ctx.p)[1:]) for d in a_set]
     total = sum(_truncated_product(factors, budget))
     return Fraction(ctx.p * gcd(*a_set), ctx.m) * total
 

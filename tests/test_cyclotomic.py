@@ -71,6 +71,16 @@ def test_census_dimension_invariant():
         assert census.dimension == fixture.spec.n
 
 
+def test_census_builds_no_cyclotomic_above_the_degree_left(monkeypatch):
+    # (x + 1)^6 at m = 30030: Phi_2 takes all six degrees, and no Phi_d with
+    # phi(d) > 6 (Phi_30030 has degree 5760) is built or cached
+    cyclotomic_polynomial.cache_clear()
+    built = count_calls(monkeypatch, semicoh.cyclotomic, "cyclotomic_polynomial")
+    assert cyclotomic_census(IntPolynomial.of(1, 6, 15, 20, 15, 6, 1), 30030).as_dict() == {2: 6}
+    assert built and max(euler_phi(d) for (d,) in built) <= 6, built
+    assert cyclotomic_polynomial.cache_info().currsize == len(set(built))
+
+
 def test_census_rejects_non_unity():
     with pytest.raises(NonUnityEigenvalues):
         cyclotomic_census(IntPolynomial.of(-2, 1), 6)  # root 2

@@ -1,11 +1,15 @@
 """Validation, (r, s, t) decompositions, isotropy data, class censuses."""
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 import semicoh.cyclotomic
 import semicoh.groups
 import semicoh.intmat
 from semicoh.cyclotomic import (
+    CyclotomicCensus,
     companion_of_cyclotomic,
     cyclotomic_polynomial,
     divisors,
@@ -34,14 +38,19 @@ from semicoh.groups import (
     _block_census,
     _chain_combination,
     _cyclic_counts,
+    _norm_coeffs,
+    _piece_norm_coeffs,
+    _smith_rst,
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
+    rst_bases,
     rst_decompose,
     validate,
 )
 from semicoh.intmat import (
     IntMatrix,
+    block_diagonal,
     contragredient,
     det,
     invariant_factors,
@@ -141,10 +150,11 @@ def test_rst_flagship_p2():
     spec = fixture_by_name("z5_z6").spec
     rst = rst_decompose(spec, 2)
     assert (rst.r, rst.s, rst.t) == (2, 1, 1)
+    bases = rst_bases(spec, 2)
     e = IntMatrix
-    assert span_equal(rst.t_basis, e([[1], [0], [0], [0], [0]]))
-    assert span_equal(rst.r_basis, e([[0, 0], [0, 0], [0, 0], [1, 0], [0, 1]]))
-    assert abs(det(rst.adapted_basis)) == 1
+    assert span_equal(bases.t_basis, e([[1], [0], [0], [0], [0]]))
+    assert span_equal(bases.r_basis, e([[0, 0], [0, 0], [0, 0], [1, 0], [0, 1]]))
+    assert abs(det(bases.adapted_basis)) == 1
     assert rst.r_census.as_dict() == {3: 1}
     assert rst.t_census.as_dict() == {2: 1}
 
@@ -153,9 +163,10 @@ def test_rst_flagship_p3():
     spec = fixture_by_name("z5_z6").spec
     rst = rst_decompose(spec, 3)
     assert (rst.r, rst.s, rst.t) == (3, 0, 1)
+    bases = rst_bases(spec, 3)
     expected_t = IntMatrix([[0, 0], [0, 0], [0, 0], [1, 0], [0, 1]])
-    assert span_equal(rst.t_basis, expected_t)
-    assert abs(det(rst.adapted_basis)) == 1
+    assert span_equal(bases.t_basis, expected_t)
+    assert abs(det(bases.adapted_basis)) == 1
     assert rst.t_census.as_dict() == {3: 1}
 
 
@@ -191,8 +202,9 @@ def test_rst_invariants_random(rng):
         for p in spec.primes:
             rst = rst_decompose(spec, p)
             assert rst.r + p * rst.s + (p - 1) * rst.t == spec.n
-            assert abs(det(rst.adapted_basis)) == 1
-            assert all(f == 1 for f in invariant_factors(rst.r_basis))
+            bases = rst_bases(spec, p)
+            assert abs(det(bases.adapted_basis)) == 1
+            assert all(f == 1 for f in invariant_factors(bases.r_basis))
             iso = isotropy_data(spec, p, rst)
             assert sum(v for _, v in iso.m_d) == (p - 1) * rst.t
             for d, v in iso.m_d:
@@ -201,8 +213,9 @@ def test_rst_invariants_random(rng):
 
 
 def test_rst_global_check_reads_cokernel_factors(monkeypatch):
-    # each non-empty isotypic piece reads t off one Smith run of psi - 1 and
-    # r off one of N; the whole-lattice cross-check reads invariant factors
+    # on the Smith route, each non-empty isotypic piece reads t off one Smith
+    # run of psi - 1 and r off one of N; the whole-lattice cross-check reads
+    # invariant factors
     runs = count_calls(monkeypatch, semicoh.groups, "_cokernel_torsion")
     for fixture in fixture_suite():
         if not fixture.valid:
@@ -216,19 +229,19 @@ def test_rst_global_check_reads_cokernel_factors(monkeypatch):
                     poly_at(cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e), spec.phi)
                 ).cols
             )
-            rst_decompose.cache_clear()
             runs.clear()
-            rst_decompose(spec, p)
+            rst_bases(spec, p)
             assert len(runs) == 2 * pieces, (fixture.name, p)
             assert pieces == (2 if fixture.name == "z5_z6" else 1), (fixture.name, p)
 
 
 def test_rst_smith_runs_per_decomposition(monkeypatch):
-    # four per isotypic piece (its kernel basis, the restriction of psi,
-    # psi - 1 and N), two for the whole-lattice cross-check, then one per
-    # non-empty block saturation, which also gives the left inverse that
-    # tests the block's stability, and one for the adapted basis: p3 has
-    # one piece and no r block, z5_z6 two
+    # rst_decompose runs none.  rst_bases runs four per isotypic piece (its
+    # kernel basis, the restriction of psi, psi - 1 and N), two for the
+    # whole-lattice cross-check, then one per non-empty block saturation,
+    # which also gives the left inverse that tests the block's stability,
+    # and one for the adapted basis: p3 has one piece and no r block,
+    # z5_z6 two
     calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
     monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
     for name, p, runs in (("p3", 3, 8), ("z5_z6", 2, 13), ("z5_z6", 3, 13)):
@@ -236,6 +249,8 @@ def test_rst_smith_runs_per_decomposition(monkeypatch):
         spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{name}")  # no memo hit
         calls.clear()
         rst_decompose(spec, p)
+        assert calls == [], (name, p)
+        rst_bases(spec, p)
         assert len(calls) == runs, (name, p)
 
 
@@ -252,17 +267,17 @@ def test_rst_generators_match_the_kernel_image_quotients(rng):
     for spec in specs:
         one = IntMatrix.identity(spec.n)
         for p in spec.primes:
-            rst = rst_decompose(spec, p)
+            bases = rst_bases(spec, p)
             psi_minus_one = spec.psi(p) - one
             norm = norm_and_power(spec.psi(p), p)[0]
-            assert (norm @ rst.t_generators).is_zero(), (spec, p)
-            assert (psi_minus_one @ rst.r_basis).is_zero(), (spec, p)
-            assert rst.t_generators.cols == rst.t, (spec, p)
+            assert (norm @ bases.t_generators).is_zero(), (spec, p)
+            assert (psi_minus_one @ bases.r_basis).is_zero(), (spec, p)
+            assert bases.t_generators.cols == rst_decompose(spec, p).t, (spec, p)
             t_quotient = lattice_quotient(
-                kernel_basis(norm), psi_minus_one.hstack(rst.t_generators)
+                kernel_basis(norm), psi_minus_one.hstack(bases.t_generators)
             )
             r_quotient = lattice_quotient(
-                kernel_basis(psi_minus_one), norm.hstack(rst.r_basis)
+                kernel_basis(psi_minus_one), norm.hstack(bases.r_basis)
             )
             assert t_quotient.is_zero(), (spec, p)
             assert r_quotient.is_zero(), (spec, p)
@@ -281,15 +296,15 @@ def test_rst_blocks_are_the_kernels_when_s_is_zero(rng):
     checked = stable = 0
     for spec in specs:
         for p in spec.primes:
-            rst = rst_decompose(spec, p)
-            if rst.s:
+            if rst_decompose(spec, p).s:
                 continue
+            bases = rst_bases(spec, p)
             psi = spec.psi(p)
             fixed = kernel_basis(psi - IntMatrix.identity(spec.n))
-            assert lattice_quotient(fixed, rst.r_basis).is_zero(), (spec, p)
-            if rst.t_basis is not None:
+            assert lattice_quotient(fixed, bases.r_basis).is_zero(), (spec, p)
+            if bases.t_basis is not None:
                 norm_kernel = kernel_basis(norm_and_power(psi, p)[0])
-                assert lattice_quotient(norm_kernel, rst.t_basis).is_zero(), (spec, p)
+                assert lattice_quotient(norm_kernel, bases.t_basis).is_zero(), (spec, p)
                 stable += 1
             checked += 1
     assert checked >= 20 and stable >= 10, (checked, stable)
@@ -316,10 +331,10 @@ def test_adapted_basis_reduces_the_joint_matrix_once(monkeypatch):
             continue
         spec = fixture.spec
         for p in spec.primes:
-            rst = rst_decompose(spec, p)
-            joint = rst.r_basis.hstack(rst.t_generators)
+            bases = rst_bases(spec, p)
+            joint = bases.r_basis.hstack(bases.t_generators)
             calls.clear()
-            assert _adapted_basis(spec.n, rst.r_basis, rst.t_generators) == rst.adapted_basis
+            assert _adapted_basis(spec.n, bases.r_basis, bases.t_generators) == bases.adapted_basis
             if joint.cols:
                 assert len(calls) == 1 and calls[0][0] == joint, (fixture.name, p)
             else:
@@ -382,8 +397,8 @@ def test_max_finite_census_reads_one_reduction_per_prime(monkeypatch):
 
 
 def test_whole_lattice_psi_minus_one_reduced_once_per_prime(monkeypatch, rng):
-    # the rst cross-check, the freeness test and the class count read one
-    # reduction of the whole-lattice psi_p - 1 per (spec, p)
+    # the Smith route's cross-check, the freeness test and the class count
+    # read one reduction of the whole-lattice psi_p - 1 per (spec, p)
     reduced = count_calls(monkeypatch, semicoh.groups, "invariant_factors")
     specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
     specs += [random_companion_spec(rng) for _ in range(5)]
@@ -391,10 +406,10 @@ def test_whole_lattice_psi_minus_one_reduced_once_per_prime(monkeypatch, rng):
         spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{i}")  # no memo hit
         reduced.clear()
         for p in spec.primes:
-            rst_decompose(spec, p)
+            rst_bases(spec, p)
         if free_outside_origin(spec).overall:
             max_finite_subgroup_census(spec)
-        # per prime, rst_decompose reduces N once and psi - 1 once; nothing
+        # per prime, rst_bases reduces N once and psi - 1 once; nothing
         # reduces psi - 1 again
         one = IntMatrix.identity(spec.n)
         expected = []
@@ -497,19 +512,25 @@ def test_psi_is_the_chain_entry():
 
 
 def test_chain_combinations_are_the_polynomials_at_phi(rng):
-    # each isotypic projector and the global norm, read off the chain,
-    # equal the polynomial evaluated at phi by separate powers; for prime m
-    # the projector Phi_1 * Phi_m reduces mod x^m - 1 to zero
+    # each isotypic projector, each isotypic norm N_p * Q_e and the global
+    # norm, read off the chain, equal the polynomial evaluated at phi by
+    # separate powers, with Q_e the product of the other Phi_d, d | m; for
+    # prime m the projector Phi_1 * Phi_m reduces mod x^m - 1 to zero
     primes_m = 0
     for spec in _chain_specs(rng, 30):
         powers = phi_powers(spec.phi, spec.m)
         for p in spec.primes:
-            step = spec.m // p
-            norm = _chain_combination(powers, [int(i % step == 0) for i in range(spec.m)])
+            norm = _chain_combination(powers, _norm_coeffs(spec.m, p))
             assert norm == norm_and_power(spec.psi(p), p)[0], spec
             for e in divisors(spec.m // p):
                 poly = cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)
                 assert _chain_combination(powers, poly.coeffs) == poly_at(poly, spec.phi), spec
+                q_e = IntPolynomial.of(1)
+                for d in divisors(spec.m):
+                    if d not in (e, p * e):
+                        q_e = q_e * cyclotomic_polynomial(d)
+                piece = _chain_combination(powers, _piece_norm_coeffs(spec.m, p, e))
+                assert piece == norm @ poly_at(q_e, spec.phi), (spec, p, e)
         if spec.primes == (spec.m,):
             poly = cyclotomic_polynomial(1) * cyclotomic_polynomial(spec.m)
             assert _chain_combination(powers, poly.coeffs).is_zero(), spec
@@ -524,31 +545,142 @@ def test_trace_read_block_census_matches_the_restricted_charpoly(rng):
     for spec in _chain_specs(rng, 150):
         powers = phi_powers(spec.phi, spec.m)
         for p in spec.primes:
-            rst = rst_decompose(spec, p)
-            for block in (rst.r_basis, rst.t_basis):
+            bases = rst_bases(spec, p)
+            for block in (bases.r_basis, bases.t_basis):
                 if block is None or not block.cols:
                     continue
                 basis, inverse = saturate_span(block)
                 expected = matrix_census(restrict_to_basis(spec.phi, basis), spec.m)
                 assert _block_census(powers, basis, inverse) == expected, (spec, p)
                 blocks += 1
-                regular += rst.s > 0
+                regular += rst_decompose(spec, p).s > 0
     assert blocks >= 150 and regular >= 20, (blocks, regular)
 
 
 def test_tampered_chain_entry_raises_non_invariant_block(monkeypatch):
-    # m = 10, p = 5: psi, N and both projectors read only even entries and
-    # phi^5, stability reads phi^1, so phi^3 reaches only the block census
+    # on the Smith route at m = 10, p = 5: psi, N and both projectors read
+    # only even entries and phi^5, stability reads phi^1, so phi^3 reaches
+    # only the block census, which rst_bases checks before it compares its
+    # counts with rst_decompose's
     spec = GroupSpec(4, 10, companion_of_cyclotomic(5), name="tampered-chain")
     assert (rst_decompose(spec, 5).r, rst_decompose(spec, 5).t) == (0, 1)
+    monkeypatch.setattr(semicoh.groups, "phi_powers", _tampered_chain(3, IntMatrix.identity(4)))
+    rst_decompose.cache_clear()
+    with pytest.raises(NonInvariantBlock, match="restricted block census"):
+        rst_bases(spec, 5)
+    rst_decompose.cache_clear()
+
+
+def _tampered_chain(j, delta):
+    """A phi_powers whose entry j is off by ``delta``."""
     honest = phi_powers.__wrapped__
 
     def tampered(phi, m):
         powers = honest(phi, m)
-        return powers[:3] + (powers[3] + IntMatrix.identity(phi.rows),) + powers[4:]
+        return powers[:j] + (powers[j] + delta,) + powers[j + 1:]
 
-    monkeypatch.setattr(semicoh.groups, "phi_powers", tampered)
+    return tampered
+
+
+def test_rst_decompose_equals_the_smith_counts_on_the_fixtures():
+    # the census-and-rank reading against the Smith-form route's own
+    # counts and block censuses
+    specs = [f.spec for f in fixture_suite() if f.valid] + [CYCLE_PLUS_TRIVIAL]
+    for spec in specs:
+        for p in spec.primes:
+            assert rst_decompose(spec, p) == _smith_rst(spec, p)[0], (spec.name, p)
+    assert (rst_decompose(CYCLE_PLUS_TRIVIAL, 3).r, rst_decompose(CYCLE_PLUS_TRIVIAL, 3).s) == (1, 1)
+
+
+def test_rst_decompose_equals_the_smith_counts_on_random_specs(rng):
+    orders = (2, 3, 5, 6, 7, 10, 14, 15, 21, 30)
+    pairs = 0
+    regular = Counter()
+    for i in range(400):
+        if i % 2:
+            spec = random_permutation_spec(rng, n_max=9, orders=orders)
+        else:
+            spec = random_companion_spec(rng, n_max=9, orders=orders)
+            conj = random_unimodular(rng, spec.n)
+            spec = GroupSpec(spec.n, spec.m, conj @ spec.phi @ contragredient(conj).transpose())
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            assert rst == _smith_rst(spec, p)[0], (spec, p)
+            pairs += 1
+            regular[spec.m] += rst.s > 0
+    assert pairs >= 400 and sum(regular.values()) >= 100, (pairs, regular)
+    assert all(regular[m] for m in (7, 14, 21)), regular
+
+
+def test_ranks_path_runs_no_smith_form(monkeypatch, rng):
+    # rank_column, molien_column, both formula tables and rst/isotropy at
+    # every prime read counts off phi's census and ranks mod p only
+    specs = [f.spec for f in fixture_suite() if f.valid] + [CYCLE_PLUS_TRIVIAL]
+    specs += [random_permutation_spec(rng, n_max=8) for _ in range(10)]  # conjugated by Smith
+    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    monkeypatch.setattr(semicoh.groups, "_smith_engine", semicoh.intmat._smith_engine)
+    regular = 0
+    for i, spec in enumerate(specs):
+        spec = validate(GroupSpec(spec.n, spec.m, spec.phi, name=f"no-smith-{i}"))
+        top = spec.n + 3
+        rank_column(spec, top)
+        molien_column(spec, top)
+        for variant in VARIANTS:
+            try:
+                formula_table(spec, top, variant)
+            except NonIntegralOrbitCount:
+                pass
+        for p in spec.primes:
+            rst = rst_decompose(spec, p)
+            isotropy_data(spec, p, rst)
+            regular += rst.s > 0
+    assert calls == []
+    assert regular >= 3
+
+
+def test_rst_decompose_refuses_a_tampered_census(monkeypatch):
+    # CYCLE_PLUS_TRIVIAL at p = 3 has census {1: 2, 3: 1} and s_1 = 1; a
+    # census of the same dimension claiming {3: 2} leaves r_1 = 0 - 1
+    spec = dataclasses.replace(CYCLE_PLUS_TRIVIAL, name="tampered-census")
+    monkeypatch.setattr(semicoh.groups, "chain_census",
+                        lambda phi, m: CyclotomicCensus.of(m, {3: 2}))
+    with pytest.raises(BadInvariantFactors, match="exceeds the census counts"):
+        rst_decompose(spec, 3)
+
+
+def test_rst_decompose_refuses_a_tampered_chain_entry(monkeypatch):
+    # Phi_3 + Phi_6 companions at m = 6, p = 2: one piece, e = 3, with
+    # N_2 * Q_3 = (1 + x^3)(x^2 - 1), so phi^5 enters it but not N_2.  The
+    # honest piece norm is 0 mod 2; a unit added at one entry of phi^5
+    # makes its rank 1, not a multiple of phi(3) = 2
+    spec = GroupSpec(4, 6, block_diagonal([companion_of_cyclotomic(3), companion_of_cyclotomic(6)]),
+                     name="tampered-piece")
+    assert rst_decompose(spec, 2) == _smith_rst(spec, 2)[0]
+    assert (rst_decompose(spec, 2).s, rst_decompose(spec, 2).t) == (0, 2)
+    unit = IntMatrix([[int(i == j == 0) for j in range(4)] for i in range(4)])
+    monkeypatch.setattr(semicoh.groups, "phi_powers", _tampered_chain(5, unit))
     rst_decompose.cache_clear()
-    with pytest.raises(NonInvariantBlock, match="restricted block census"):
-        rst_decompose(spec, 5)
+    with pytest.raises(NonInvariantBlock, match="not multiples of phi"):
+        rst_decompose(spec, 2)
     rst_decompose.cache_clear()
+
+
+def test_rst_decompose_refuses_isotypic_ranks_that_miss_the_global_rank(monkeypatch):
+    # z5_z6 at p = 2 has s = 1; one more on the whole-lattice rank of N_2
+    # mod 2 breaks sum_e s_e = rk_2(N_2)
+    flagship = fixture_by_name("z5_z6").spec
+    spec = GroupSpec(flagship.n, flagship.m, flagship.phi, name="broken-sum")
+    norm = norm_and_power(spec.psi(2), 2)[0]
+    honest = semicoh.intmat.rank_mod_p
+    monkeypatch.setattr(semicoh.groups, "rank_mod_p", lambda a, p: honest(a, p) + (a == norm))
+    with pytest.raises(NonInvariantBlock, match="isotypic ranks sum to s=1"):
+        rst_decompose(spec, 2)
+
+
+def test_rst_bases_cross_checks_rst_decompose(monkeypatch):
+    spec = fixture_by_name("z5_z6").spec
+    honest = rst_decompose(spec, 3)
+    swapped = dataclasses.replace(honest, r_census=honest.t_census, t_census=honest.r_census)
+    monkeypatch.setattr(semicoh.groups, "rst_decompose", lambda spec, p: swapped)
+    with pytest.raises(NonInvariantBlock, match="census-and-rank"):
+        rst_bases(spec, 3)

@@ -7,15 +7,17 @@ from math import comb, gcd
 
 import pytest
 
+import semicoh.torsion
 from semicoh.engines import formula_table
 from semicoh.errors import NonIntegralOrbitCount
-from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name
+from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import IntMatrix
 from semicoh.oracle import e2_table
 from semicoh.tables import p_part
 from semicoh.torsion import (
     CUTOFFS,
+    VARIANTS,
     ThetaContext,
     assemble_p_torsion,
     bounded_composition_count,
@@ -24,7 +26,7 @@ from semicoh.torsion import (
 )
 
 
-from conftest import CYCLE_PLUS_TRIVIAL, random_companion_spec
+from conftest import CYCLE_PLUS_TRIVIAL, count_calls, random_companion_spec
 
 
 def brute_compositions(k, p, i):
@@ -48,6 +50,26 @@ def test_bounded_compositions_bruteforce_and_total():
                 assert value == brute_compositions(k, p, i)
                 total += value
             assert total == p**k
+
+
+def test_composition_poly_sweeps_once_per_k_and_p(monkeypatch):
+    # across formula tables of every valid fixture, each distinct (k, p)
+    # costs one sweep of bounded_composition_count over i = 0..k(p-1)
+    calls = count_calls(monkeypatch, semicoh.torsion, "bounded_composition_count")
+    semicoh.torsion._composition_poly.cache_clear()
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"sweep-{fixture.name}")  # no memo hit
+        for variant in VARIANTS:
+            try:
+                formula_table(spec, spec.n + 6, variant)
+            except NonIntegralOrbitCount:
+                pass
+    sweeps = list(dict.fromkeys((k, p) for k, p, _ in calls))
+    assert len(sweeps) >= 3, sweeps
+    assert calls == [(k, p, i) for k, p in sweeps for i in range(k * (p - 1) + 1)]
 
 
 def ctx(p, m, s, k_d, variant):
