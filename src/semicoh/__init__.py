@@ -25,12 +25,10 @@ from .groups import (
     GroupSpec,
     IsotropyData,
     MaxFiniteCensus,
-    RstBases,
     RstDecomposition,
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
-    rst_bases,
     rst_decompose,
     validate,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "IntPolynomial",
     "IsotropyData",
     "MaxFiniteCensus",
-    "RstBases",
     "RstDecomposition",
     "SmithDecomposition",
     "ThetaContext",
@@ -94,7 +91,6 @@ __all__ = [
     "molien_rank",
     "p_part",
     "rank_column",
-    "rst_bases",
     "rst_decompose",
     "smith_normal_form",
     "subgroup_oracle",

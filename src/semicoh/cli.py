@@ -36,7 +36,6 @@ from .groups import (
     free_outside_origin,
     isotropy_data,
     max_finite_subgroup_census,
-    rst_bases,
     rst_decompose,
 )
 from .iojson import (
@@ -178,17 +177,12 @@ def cmd_rst(args) -> int:
     doc = {}
     for p in _primes_for(args, spec):
         rst = rst_decompose(spec, p)
-        bases = rst_bases(spec, p)
         doc[str(p)] = {
             "r": rst.r,
             "s": rst.s,
             "t": rst.t,
             "trivial_block_census": {str(d): mu for d, mu in rst.r_census.multiplicities},
             "free_origin_block_census": {str(d): mu for d, mu in rst.t_census.multiplicities},
-            "r_basis": [list(row) for row in bases.r_basis.data],
-            "t_basis": [list(row) for row in bases.t_basis.data] if bases.t_basis else None,
-            "t_generators": [list(row) for row in bases.t_generators.data],
-            "adapted_basis": [list(row) for row in bases.adapted_basis.data],
         }
     if args.format == "json":
         _emit(canonical_dumps(doc))

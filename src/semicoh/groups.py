@@ -33,15 +33,6 @@ group (cyclotomic.phi_powers), the chain that phi's census and the Molien
 average also read: psi_p = phi^(m/p) is an entry, the global norm
 N_p = sum_k phi^(k*m/p) a sum of entries, and each N_p * Q_e(phi),
 reduced mod x^m - 1, a combination of entries.
-
-rst_bases computes integral bases of the two blocks by the classical
-Smith-form route (Brown, Cohomology of Groups, VI): since psi^p = 1, ker N
-is the saturation of im(psi - 1) and ker(psi - 1) that of im N, so one
-Smith run of each matrix on every isotypic piece gives t, r and their
-generators.  It cross-checks its counts and censuses against
-rst_decompose.  The census of a stable saturated block with basis U and
-integral left inverse L is read off tr B^j = tr(phi^j U L) by Newton's
-identities, with no power of B.
 """
 
 from __future__ import annotations
@@ -56,7 +47,6 @@ from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
     chain_census,
-    cyclotomic_census,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -66,7 +56,6 @@ from .errors import (
     BadInvariantFactors,
     NonIntegralK,
     NonInvariantBlock,
-    NonUnityEigenvalues,
     NotADivisor,
     NotFreeAction,
     NotSquare,
@@ -77,15 +66,9 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
-    _smith_engine,
-    charpoly_from_traces,
     det,
     invariant_factors,
-    kernel_basis,
-    norm_and_power,
     rank_mod_p,
-    restrict_to_basis,
-    saturate_span,
 )
 from .intpoly import IntPolynomial
 
@@ -254,230 +237,6 @@ def rst_decompose(spec: GroupSpec, p: int) -> RstDecomposition:
         r_census=CyclotomicCensus.of(m, r_mults),
         t_census=CyclotomicCensus.of(m, t_mults),
     )
-
-
-# ---------------------------------------------------------------------------
-# Integral bases of the blocks (Smith forms)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RstBases:
-    """Integral bases behind one decomposition, from Smith forms.
-
-    ``r_basis`` saturates the span of the r generators found on each
-    isotypic piece, and ``t_basis``, when phi-stable, that of the
-    psi-orbits of ``t_generators``: ker(psi - 1) and ker N if s = 0, but
-    Smith-pivot dependent if s > 0.  ``adapted_basis`` is unimodular,
-    [r block | complement | t generators] when those are jointly
-    primitive.
-    """
-
-    r_basis: IntMatrix
-    t_basis: IntMatrix | None
-    t_generators: IntMatrix
-    adapted_basis: IntMatrix
-
-
-def _count_p_factors(factors, p: int) -> int:
-    """How many ``factors`` equal p; one other than 1 or p raises BadInvariantFactors."""
-    count = 0
-    for d in factors:
-        if d not in (1, p):
-            raise BadInvariantFactors(
-                f"invariant factor {d} outside {{1, {p}}} in a Z/{p} quotient"
-            )
-        count += d == p
-    return count
-
-
-def _cokernel_torsion(a: IntMatrix, p: int) -> tuple[int, IntMatrix]:
-    """(rank of a, generator columns of the torsion of coker a), from one Smith run.
-
-    With U a V = D, a V = U^-1 D: the first rank(a) columns u_i of U^-1
-    span the saturation of im a, and im a is spanned by the d_i u_i, so
-    the u_i with d_i = p generate the torsion.  A nonzero factor other
-    than 1 or p raises BadInvariantFactors.
-    """
-    eng = _smith_engine(a, need_uinv=True)
-    factors = eng.diagonal[: eng.rank]
-    _count_p_factors(factors, p)
-    gens = [i for i, d in enumerate(factors) if d == p]
-    return eng.rank, IntMatrix([[row[j] for j in gens] for row in eng.uinv])
-
-
-def _cyclic_counts(psi: IntMatrix, p: int):
-    """(r, s, t, r_gens, w_gens) for one Z/p-lattice with generator action psi.
-
-    ker N is the saturation of im(psi - 1) and ker(psi - 1) that of im N
-    exactly when their ranks add up to n; otherwise BadInvariantFactors.
-    """
-    n = psi.rows
-    norm = norm_and_power(psi, p)[0]
-    image_rank, w_gens = _cokernel_torsion(psi - IntMatrix.identity(n), p)
-    norm_rank, r_gens = _cokernel_torsion(norm, p)
-    if image_rank + norm_rank != n:
-        raise BadInvariantFactors("kernel/image quotient is not finite")
-    r, t = r_gens.cols, w_gens.cols
-    rest = n - r - (p - 1) * t
-    if rest < 0 or rest % p:
-        raise BadInvariantFactors(
-            f"counts r={r}, t={t} do not satisfy r + p*s + (p-1)*t = {n}"
-        )
-    return r, rest // p, t, r_gens, w_gens
-
-
-def _block_census(powers, basis: IntMatrix, inverse: IntMatrix) -> CyclotomicCensus:
-    """Census of phi on a phi-stable block span(basis), from traces.
-
-    With phi U = U B and L U = 1 (``inverse``), B^j = L phi^j U, so
-    tr B^j = tr(phi^j P) for the projector P = U L: one n^2 pairing with
-    a chain entry per j = 0..rank, the exponent read mod m since B^m = 1.
-    """
-    m = len(powers)
-    projector_t = list(chain.from_iterable((basis @ inverse).transpose().data))
-    traces = [
-        sum(map(mul, chain.from_iterable(powers[j % m].data), projector_t))
-        for j in range(basis.cols + 1)
-    ]
-    return cyclotomic_census(charpoly_from_traces(traces), m)
-
-
-def _is_stable_block(powers, basis: IntMatrix, inverse: IntMatrix,
-                     census: CyclotomicCensus) -> bool:
-    """Whether the saturated span(basis) is a nonzero phi-stable block.
-
-    With L = ``inverse`` its integral left inverse, the span is stable
-    when phi U lies in it, that is U L phi U = phi U.  A
-    stable block whose census, read off the chain's traces, disagrees
-    with ``census`` raises NonInvariantBlock; so do traces that are no
-    census's at all.
-    """
-    if not basis.cols:
-        return False
-    image = powers[1 % len(powers)] @ basis
-    if basis @ (inverse @ image) != image:  # span not phi-stable
-        return False
-    try:
-        found = _block_census(powers, basis, inverse)
-    except (ArithmeticError, NonUnityEigenvalues):
-        found = None
-    if found != census:
-        raise NonInvariantBlock("restricted block census disagrees with the isotypic census")
-    return True
-
-
-def _adapted_basis(n: int, r_basis: IntMatrix, w_gens: IntMatrix) -> IntMatrix:
-    """Unimodular basis [r block | complement | t generators], best effort.
-
-    One Smith run of the joint matrix gives U^-1, whose first rank columns
-    span the joint saturation and whose rest complete it to Z^n.  When
-    the r block and the t generators are not jointly primitive (of full
-    column rank with unit invariant factors) U^-1 is returned as it
-    stands.
-    """
-    joint = r_basis.hstack(w_gens) if w_gens.cols else r_basis
-    if joint.cols == 0:
-        return IntMatrix.identity(n)
-    eng = _smith_engine(joint, need_uinv=True)
-    if eng.diagonal.count(1) != joint.cols:
-        return IntMatrix(eng.uinv)
-    rest = [row[joint.cols:] for row in eng.uinv]
-    return r_basis.hstack(IntMatrix(rest)).hstack(w_gens)
-
-
-def _saturated_block(cols, n: int) -> tuple[IntMatrix, IntMatrix]:
-    """saturate_span of the columns ``cols`` of Z^n: (basis, left inverse); empty if no columns."""
-    if not cols:
-        return IntMatrix.zeros(n, 0), IntMatrix.zeros(0, n)
-    return saturate_span(IntMatrix.from_columns(cols, n))
-
-
-def _smith_rst(spec: GroupSpec, p: int) -> tuple[RstDecomposition, RstBases]:
-    """(counts and censuses, bases) at p, all from Smith forms.
-
-    Reads r and t off the cokernels of N and psi - 1 on each isotypic
-    sublattice ker(Phi_e(phi)*Phi_pe(phi)), e | m/p, cross-checks the
-    totals against the same counts on the whole lattice, saturates the
-    blocks and checks each stable block's census; a factor outside
-    {1, p} raises BadInvariantFactors.
-    """
-    _check_prime(spec, p)
-    n, m = spec.n, spec.m
-    powers = phi_powers(spec.phi, m)
-    psi = spec.psi(p)
-
-    r = s = t = 0
-    r_mults: dict[int, int] = {}
-    t_mults: dict[int, int] = {}
-    r_cols: list[tuple[int, ...]] = []
-    t_cols: list[tuple[int, ...]] = []
-    w_cols: list[tuple[int, ...]] = []
-    for e in divisors(m // p):
-        poly = cyclotomic_polynomial(e) * cyclotomic_polynomial(p * e)
-        u_basis = kernel_basis(_chain_combination(powers, poly.coeffs))
-        if u_basis.cols == 0:
-            continue
-        psi_e = restrict_to_basis(psi, u_basis)
-        r_e, s_e, t_e, r_gens, w_gens = _cyclic_counts(psi_e, p)
-        r += r_e
-        s += s_e
-        t += t_e
-        phi_e = euler_phi(e)
-        if r_e % phi_e or t_e % phi_e:
-            raise NonInvariantBlock(
-                f"isotypic counts at e={e} are not multiples of phi({e})"
-            )
-        if r_e:
-            r_mults[e] = r_e // phi_e
-            r_cols.extend((u_basis @ r_gens).columns())
-        if t_e:
-            t_mults[p * e] = t_e // phi_e
-            w_amb = u_basis @ w_gens
-            w_cols.extend(w_amb.columns())
-            orbit = w_amb  # psi^k applied to the generator columns
-            for _ in range(p - 1):
-                t_cols.extend(orbit.columns())
-                orbit = psi @ orbit
-
-    norm = _chain_combination(powers, _norm_coeffs(m, p))
-    r_glob = _count_p_factors(invariant_factors(norm), p)
-    t_glob = _count_p_factors(_psi_minus_one_factors(spec, p), p)
-    if (r_glob, t_glob) != (r, t) or r + p * s + (p - 1) * t != n:
-        raise NonInvariantBlock(
-            f"isotypic totals (r={r}, t={t}) disagree with the global counts "
-            f"(r={r_glob}, t={t_glob})"
-        )
-
-    r_census = CyclotomicCensus.of(m, r_mults)
-    t_census = CyclotomicCensus.of(m, t_mults)
-    r_basis, r_inverse = _saturated_block(r_cols, n)
-    t_basis_raw, t_inverse = _saturated_block(t_cols, n)
-    w_gen_matrix = IntMatrix.from_columns(w_cols, n) if w_cols else IntMatrix.zeros(n, 0)
-
-    _is_stable_block(powers, r_basis, r_inverse, r_census)  # for its census check only
-    t_stable = _is_stable_block(powers, t_basis_raw, t_inverse, t_census)
-    adapted = _adapted_basis(n, r_basis, w_gen_matrix)
-    return RstDecomposition(p, r, s, t, r_census, t_census), RstBases(
-        r_basis=r_basis,
-        t_basis=t_basis_raw if t_stable else None,
-        t_generators=w_gen_matrix,
-        adapted_basis=adapted,
-    )
-
-
-def rst_bases(spec: GroupSpec, p: int) -> RstBases:
-    """The r and t blocks' integral bases at p, from Smith forms.
-
-    The Smith route's own counts and censuses must equal rst_decompose's,
-    else NonInvariantBlock: every call cross-checks the two readings.
-    """
-    counts, bases = _smith_rst(spec, p)
-    if counts != rst_decompose(spec, p):
-        raise NonInvariantBlock(
-            "Smith-form counts or block censuses disagree with the census-and-rank reading"
-        )
-    return bases
 
 
 # ---------------------------------------------------------------------------

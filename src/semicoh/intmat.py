@@ -72,10 +72,6 @@ class IntMatrix:
     def zeros(cls, m: int, n: int) -> "IntMatrix":
         return cls._trusted([[0] * n for _ in range(m)])
 
-    @classmethod
-    def from_columns(cls, columns, rows: int) -> "IntMatrix":
-        return cls([[col[i] for col in columns] for i in range(rows)])
-
     # -- basics ----------------------------------------------------------
 
     def __eq__(self, other):
@@ -105,18 +101,10 @@ class IntMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.data)
 
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
     def trace(self) -> int:
         if not self.is_square():
             raise NotSquare("trace needs a square matrix")
         return sum(self.data[i][i] for i in range(self.rows))
-
-    def hstack(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch")
-        return IntMatrix._trusted([ra + rb for ra, rb in zip(self.data, other.data)])
 
     # -- arithmetic -------------------------------------------------------
 
@@ -265,47 +253,37 @@ class SmithDecomposition:
 
 
 class _Smith:
-    """Big-integer Smith elimination with optional transform tracking.
+    """Big-integer Smith elimination with optional tracking of U and V.
 
-    Each elementary operation is one loop over the arrays it acts on.  Row
-    operations act on A and U, column operations on A and V, and each row
-    operation also applies its inverse as a column operation on U^-1, so
-    U @ U^-1 stays the identity.  Transforms not asked for are None and
-    take part in no operation.
+    Each elementary operation is one loop over the arrays it acts on: row
+    operations act on A and U, column operations on A and V.  U^-1 is not
+    tracked.  Transforms not asked for are None and take part in no
+    operation.
     """
 
-    def __init__(self, data, m, n, need_u, need_uinv, need_v):
+    def __init__(self, data, m, n, need_u, need_v):
         self.m, self.n = m, n
         self.a = [list(row) for row in data]
         self.u = [[int(i == j) for j in range(m)] for i in range(m)] if need_u else None
-        self.uinv = [[int(i == j) for j in range(m)] for i in range(m)] if need_uinv else None
         self.v = [[int(i == j) for j in range(n)] for i in range(n)] if need_v else None
         self.row_arrays = [x for x in (self.a, self.u) if x is not None]
         self.col_arrays = [x for x in (self.a, self.v) if x is not None]
-        self.inverse_rows = self.uinv or []
 
     def row_addmul(self, i, k, q):
-        """row_i -= q * row_k; on U^-1, column_k += q * column_i."""
+        """row_i -= q * row_k."""
         for arr in self.row_arrays:
             ri, rk = arr[i], arr[k]
             for j, x in enumerate(rk):
                 if x:
                     ri[j] -= q * x
-        for row in self.inverse_rows:
-            if row[i]:
-                row[k] += q * row[i]
 
     def row_swap(self, i, k):
         for arr in self.row_arrays:
             arr[i], arr[k] = arr[k], arr[i]
-        for row in self.inverse_rows:
-            row[i], row[k] = row[k], row[i]
 
     def row_negate(self, i):
         for arr in self.row_arrays:
             arr[i] = [-x for x in arr[i]]
-        for row in self.inverse_rows:
-            row[i] = -row[i]
 
     def row_transform2(self, i, k, x, y, u, v):
         """rows (i,k) <- (x*ri + y*rk, u*ri + v*rk); x*v - y*u == 1."""
@@ -314,10 +292,6 @@ class _Smith:
             for j, (p, q) in enumerate(zip(ri, rk)):
                 ri[j] = x * p + y * q
                 rk[j] = u * p + v * q
-        for row in self.inverse_rows:
-            p, q = row[i], row[k]
-            row[i] = v * p - u * q
-            row[k] = -y * p + x * q
 
     def col_addmul(self, j, k, q):
         """column_j -= q * column_k."""
@@ -422,9 +396,9 @@ class _Smith:
                 self.row_negate(i)
 
 
-def _smith_engine(matrix: IntMatrix, need_u=False, need_uinv=False, need_v=False) -> _Smith:
+def _smith_engine(matrix: IntMatrix, need_u=False, need_v=False) -> _Smith:
     """One Smith elimination of ``matrix``, tracking only the transforms asked for."""
-    return _Smith(matrix.data, matrix.rows, matrix.cols, need_u, need_uinv, need_v).run()
+    return _Smith(matrix.data, matrix.rows, matrix.cols, need_u, need_v).run()
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -499,22 +473,6 @@ def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
     coords = solve_columns(ambient_basis, sub_basis)
     factors = invariant_factors(coords)
     return AbelianGroup.from_factors(ambient_basis.cols - len(factors), factors)
-
-
-def saturate_span(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(B, L): a basis B of the saturation (pure closure) of the column span, and L B = 1.
-
-    One Smith run U m V = D gives both: B is the first rank(m) columns of
-    U^-1 and the integral left inverse L the first rank(m) rows of U.
-    """
-    eng = _smith_engine(m, need_u=True, need_uinv=True)
-    r = eng.rank
-    return IntMatrix._trusted([row[:r] for row in eng.uinv]), IntMatrix._trusted(eng.u[:r])
-
-
-def restrict_to_basis(a: IntMatrix, basis: IntMatrix) -> IntMatrix:
-    """Matrix of a on the span of ``basis``; NotASublattice if not stable."""
-    return solve_columns(basis, a @ basis)
 
 
 def det(a: IntMatrix) -> int:

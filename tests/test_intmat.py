@@ -19,7 +19,6 @@ from semicoh.intmat import (
     kernel_basis,
     lattice_quotient,
     norm_and_power,
-    saturate_span,
     smith_normal_form,
     solve_columns,
     wedge_power,
@@ -81,12 +80,12 @@ def test_smith_engine_tracks_u_uinv_and_v_in_one_run():
     cases = [IntMatrix([[4, 0], [0, 6]]), IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 4]])]
     cases += [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
     for a in cases:
-        eng = _smith_engine(a, need_u=True, need_uinv=True, need_v=True)
+        eng = _smith_engine(a, need_u=True, need_v=True)
         d = IntMatrix([
             [eng.diagonal[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)
         ])
         assert IntMatrix(eng.u) @ a @ IntMatrix(eng.v) == d
-        assert (IntMatrix(eng.u) @ IntMatrix(eng.uinv)).is_identity()
+        assert abs(det(IntMatrix(eng.u))) == abs(det(IntMatrix(eng.v))) == 1
         assert IntMatrix(eng.a) == d
     # diag(4, 6) is not a divisibility chain: _fix_chain turns it into (2, 12)
     assert _smith_engine(cases[0]).diagonal == (2, 12)
@@ -291,10 +290,6 @@ def test_solve_and_saturate(rng):
     assert basis @ coords == targets
     with pytest.raises(NotASublattice):
         solve_columns(basis, IntMatrix([[0], [1], [0]]))
-    sat, inverse = saturate_span(IntMatrix([[2, 0], [0, 4], [0, 0]]))
-    assert sat.cols == 2
-    assert all(f == 1 for f in invariant_factors(sat))
-    assert (inverse @ sat).is_identity()
 
 
 def test_matmul_int64_guard_matches_python_product():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import semicoh.groups
+import semicoh.intmat
 import semicoh.report
 from semicoh.cache import cache_get, cache_key, cache_put
 from semicoh.cli import build_parser, main
@@ -252,6 +254,36 @@ def test_cli_census_reduces_each_psi_minus_one_once():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
     assert result.stderr.split() == ["0", "2"], result.stderr
+
+
+RST_KEYS = {"r", "s", "t", "trivial_block_census", "free_origin_block_census"}
+
+
+def _valid_fixture_paths():
+    return [(f, ROOT / "fixtures" / f"{f.name}.json") for f in fixture_suite() if f.valid]
+
+
+def test_cli_rst_json_reports_counts_and_censuses_only(capsys):
+    # each prime's entry holds (r, s, t) and both block censuses; no
+    # integral basis of either block is reported
+    for fixture, path in _valid_fixture_paths():
+        assert main(["rst", "--format", "json", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {str(p) for p in fixture.spec.primes}, fixture.name
+        for p, entry in doc.items():
+            assert set(entry) == RST_KEYS, (fixture.name, p)
+
+
+def test_cli_rst_runs_no_smith_form(monkeypatch, capsys):
+    # a cold rst run, in either format, reads the counts off phi's census
+    # and ranks mod p only
+    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    semicoh.groups.rst_decompose.cache_clear()
+    for fmt in ("json", "md"):
+        for _, path in _valid_fixture_paths():
+            assert main(["rst", "--format", fmt, str(path)]) == 0
+    assert capsys.readouterr().out
+    assert calls == []
 
 
 NEGATIVE_DEGREE = "--max-degree must be non-negative"
