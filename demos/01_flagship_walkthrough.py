@@ -37,10 +37,11 @@ print("rank H^l, l = 0..12:", list(rank_column(spec, 12)))
 print("\n-- torsion exponents, three engines -------------------------------")
 oracle = e2_table(spec, 12)
 print("l   p  published  corrected  oracle")
+published = {p: assemble_p_torsion(spec, p, 12, "published") for p in spec.primes}
+corrected = {p: assemble_p_torsion(spec, p, 12, "corrected") for p in spec.primes}
 for l in range(13):
     for p in spec.primes:
-        pub = assemble_p_torsion(spec, p, l, "published")
-        cor = assemble_p_torsion(spec, p, l, "corrected")
+        pub, cor = published[p][l], corrected[p][l]
         ora = oracle.groups[l].p_multiplicity(p)
         marker = "" if pub == cor == ora else "   <-- disagreement"
         print(f"{l:<3} {p}  {pub:<10} {cor:<10} {ora}{marker}")

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import prod
+from operator import mod
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -37,6 +37,8 @@ class AbelianGroup:
     True
     >>> print(AbelianGroup.from_factors(2, [2, 2, 3]))
     Z^2 + (Z/2)^2 + (Z/3)
+    >>> AbelianGroup.from_counts(1, {2: 3, 3: 1, 5: 0})
+    AbelianGroup(rank=1, torsion=(2, 2, 6))
     """
 
     rank: int
@@ -45,34 +47,36 @@ class AbelianGroup:
     def __post_init__(self):
         if self.rank < 0:
             raise ValueError("negative rank")
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-        if any(f < 2 for f in self.torsion):
+        if any(map(mod, self.torsion[1:], self.torsion)):
+            raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+        if self.torsion and min(self.torsion) < 2:
             raise ValueError("torsion factors must exceed 1")
 
     @classmethod
     def from_factors(cls, rank: int, factors) -> "AbelianGroup":
-        """Canonicalize an arbitrary multiset of cyclic orders.
+        """Canonicalize an arbitrary multiset of cyclic orders (see from_counts)."""
+        return cls.from_counts(rank, Counter(abs(int(f)) for f in factors))
 
-        Factors equal to 1 are dropped, 0 counts toward the rank, and the
-        rest are recombined into a divisibility chain.
+    @classmethod
+    def from_counts(cls, rank: int, counts) -> "AbelianGroup":
+        """Canonicalize {cyclic order: copies}, factoring each distinct order once.
+
+        Order 1 is dropped, order 0 counts toward the rank, and the rest
+        are recombined into a divisibility chain.
         """
-        rank = int(rank)
-        counts = Counter(abs(int(f)) for f in factors)
-        rank += counts.pop(0, 0)
-        counts.pop(1, None)
-        exponents: dict[int, list[int]] = {}
-        for f, copies in counts.items():  # each distinct order is factored once
+        rank = int(rank) + counts.get(0, 0)
+        levels = {}  # (p, k) -> the copies whose p-exponent is at least k
+        for f in counts.keys() - {0, 1}:
             for p, e in _factorint(f).items():
-                exponents.setdefault(p, []).extend([e] * copies)
-        for p in exponents:
-            exponents[p].sort(reverse=True)
-        chain = []
-        for tup in zip_longest(*(tuple(p**e for e in es) for p, es in sorted(exponents.items())), fillvalue=1):
-            chain.append(prod(tup))
-        chain.reverse()
-        return cls(rank, tuple(chain))
+                for k in range(1, e + 1):
+                    levels[p, k] = levels.get((p, k), 0) + counts[f]
+        # level (p, k) puts a factor p into its count's worth of the largest
+        # invariant factors, so the chain is built run by run, smallest first
+        torsion, value, size = [], 1, max(levels.values(), default=0)
+        for count, p in sorted([(n, p) for (p, _), n in levels.items()], reverse=True) + [(0, 1)]:
+            torsion += [value] * (size - count - len(torsion))
+            value *= p
+        return cls(rank, tuple(torsion))
 
     @classmethod
     def zero(cls) -> "AbelianGroup":

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 from .abelian import AbelianGroup
 from .cyclotomic import chain_census, count_wedge_roots, exponent_multiset, molien_rank
+from .errors import NonIntegralOrbitCount
 from .groups import GroupSpec, validate
 from .oracle import e2_table
 from .tables import CohomologyTable
@@ -60,16 +61,16 @@ def formula_table(
     validate(spec)
     check_variant(variant)
     ranks = rank_column(spec, max_degree)  # refuses a negative max_degree first
-    thetas = {
-        p: [assemble_p_torsion(spec, p, l, variant) for l in range(max_degree + 1)]
-        for p in spec.primes
-    }
-    groups = []
-    for l in range(max_degree + 1):
-        factors = []
-        for p in spec.primes:
-            factors.extend([p] * thetas[p][l])
-        groups.append(AbelianGroup.from_factors(ranks[l], factors))
+    thetas = {}
+    for p in spec.primes:  # the first null cell, prime by prime in degree order, is raised
+        thetas[p] = assemble_p_torsion(spec, p, max_degree, variant)
+        for theta in thetas[p]:
+            if isinstance(theta, NonIntegralOrbitCount):
+                raise theta
+    groups = [
+        AbelianGroup.from_counts(ranks[l], {p: column[l] for p, column in thetas.items()})
+        for l in range(max_degree + 1)
+    ]
     stable = None
     if max_degree >= spec.n + 3:
         window = range(spec.n + 1, max_degree - 1)

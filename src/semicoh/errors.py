@@ -109,9 +109,10 @@ class NonIntegralAverage(InternalInvariantError):
 class NonIntegralOrbitCount(InternalInvariantError):
     """An orbit-count coefficient did not clear its denominator.
 
-    Raised by the closed-form torsion coefficients when the degree strata
-    of the class set are not stable under the complementary group action;
-    comparison reports record this instead of aborting.
+    Raised by theta_coefficient and formula_table, and returned as a null
+    cell of a torsion column, when the degree strata of the class set are
+    not stable under the complementary group action; comparison reports
+    record this instead of aborting.
     """
 
 

@@ -54,11 +54,9 @@ ERRATUM_NOTES = (
 )
 
 
-def _theta_cell(spec, p, l, variant, cutoff="half"):
-    try:
-        return assemble_p_torsion(spec, p, l, variant, corrected_cutoff=cutoff), None
-    except NonIntegralOrbitCount as exc:
-        return None, str(exc)
+# (error label, variant, corrected cutoff) of each closed-form torsion column
+_COLUMNS = (("published", "published", "half"), ("corrected", "corrected", "half"),
+            ("corrected-alt-cutoff", "corrected", "beta_minus_1"))
 
 
 def compare_report(spec: GroupSpec, max_degree: int, primes=None) -> dict:
@@ -87,6 +85,11 @@ def compare_report(spec: GroupSpec, max_degree: int, primes=None) -> dict:
     ranks_oracle = list(oracle.rank_column())
     ranks_agree = ranks_wedge == ranks_molien == ranks_oracle
 
+    thetas = {
+        p: {label: assemble_p_torsion(spec, p, max_degree, variant, corrected_cutoff=cutoff)
+            for label, variant, cutoff in _COLUMNS}
+        for p in primes
+    }
     rows = []
     errors = []
     mismatches = 0
@@ -95,18 +98,11 @@ def compare_report(spec: GroupSpec, max_degree: int, primes=None) -> dict:
     for l in range(max_degree + 1):
         for p in primes:
             oracle_theta = oracle.groups[l].p_multiplicity(p)
-            published, err_pub = _theta_cell(spec, p, l, "published")
-            corrected, err_cor = _theta_cell(spec, p, l, "corrected")
-            corrected_alt, err_alt = _theta_cell(spec, p, l, "corrected", "beta_minus_1")
-            for variant, err in (
-                ("published", err_pub),
-                ("corrected", err_cor),
-                ("corrected-alt-cutoff", err_alt),
-            ):
-                if err:
-                    errors.append(
-                        {"degree": l, "prime": p, "variant": variant, "error": err}
-                    )
+            cells = {label: column[l] for label, column in thetas[p].items()}
+            errors += [{"degree": l, "prime": p, "variant": label, "error": str(cell)}
+                       for label, cell in cells.items() if isinstance(cell, NonIntegralOrbitCount)]
+            published, corrected, corrected_alt = (None if isinstance(cell, NonIntegralOrbitCount)
+                                                   else cell for cell in cells.values())
             row = {
                 "degree": l,
                 "prime": p,

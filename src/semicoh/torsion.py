@@ -18,10 +18,11 @@ Two coefficient variants ship side by side.
 Both are assembled through the same double sum over (l1, l2) with the
 parity filter l2 = l (mod 2), which is how the closed form is stated; the
 independent rank-mod-p evaluator is the arbiter whenever they disagree.
-
-Every bounded tuple sum in either variant is a coefficient, or a prefix sum
-of coefficients, of a product of per-divisor polynomials built from
-(1 + x + ... + x^(p-1))^k_d, truncated at the degree budget.
+Every bounded tuple sum is a prefix sum of one product of the polynomials
+(1 + x + ... + x^(p-1))^k_d, truncated at the top budget, so one product
+per subset A of D gives T(A, beta) for every beta, and a torsion column is
+the parity-filtered convolution of these series, times (1 + x^p)^s, with
+the trivial block's wedge-count columns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd
+from operator import mul
 from typing import Literal
 
 from .cyclotomic import count_wedge_roots, divisors, exponent_multiset
@@ -118,34 +121,33 @@ def _composition_poly(k: int, p: int) -> tuple[int, ...]:
     return tuple(bounded_composition_count(k, p, i) for i in range(k * (p - 1) + 1))
 
 
-def _theta_published(ctx: ThetaContext, a_set: frozenset[int], beta: int) -> Fraction:
-    if beta < 0 or beta % 2:
-        return Fraction(0)
-    if not a_set:
-        # Pinned: nonzero exactly when beta = 0 (mod 4); see module docstring.
-        return Fraction(1 if beta % 4 == 0 else 0)
+def _coefficient_series(ctx: ThetaContext, a_set, top: int, cutoff: str) -> list:
+    """T(A, beta) for beta = 0..top as pairs (numerator, m^e) from one truncated product.
+
+    The numerator is (p * gcd A)^e times a prefix sum of the product, with
+    e = |A| (published) or 1 (corrected) and gcd of the empty set read as m/p.
+    """
     kd = dict(ctx.k_d)
-    factors = []
-    for d in ctx.divisors:
-        poly = _composition_poly(kd[d], ctx.p)
-        factors.append([c - 1 for c in poly] if d in a_set else [1] * len(poly))
-    total = sum(_truncated_product(factors, beta))
-    factor = Fraction(ctx.p * gcd(*a_set), ctx.m) ** len(a_set)
-    return factor * total
+    if ctx.variant == "published":
+        # tuples over all of D, entries from 0; only A's strata are weighted.  Pinned:
+        # the empty set takes the empty product and is nonzero iff beta = 0 (mod 4)
+        e, first, step, budgets = len(a_set), 0, (2 if a_set else 4), list(range(top + 1))
+        polys = [(d, _composition_poly(kd[d], ctx.p)) for d in ctx.divisors if a_set]
+        factors = [[c - 1 for c in poly] if d in a_set else [1] * len(poly) for d, poly in polys]
+    else:
+        # tuples over A only, strictly positive entries
+        e, first, step = 1, 2, 2
+        budgets = [b // 2 if cutoff == "half" else b - 1 for b in range(top + 1)]
+        factors = [(0, *_composition_poly(kd[d], ctx.p)[1:]) for d in a_set]
+    prefix = list(accumulate(_truncated_product(factors, max(budgets[-1], 0))))
+    scale = (ctx.p * (gcd(*a_set) if a_set else ctx.m // ctx.p)) ** e
+    return [(scale * prefix[budgets[b]] if b >= first and b % step == 0 else 0, ctx.m**e)
+            for b in range(top + 1)]
 
 
-def _theta_corrected(
-    ctx: ThetaContext, a_set: frozenset[int], beta: int, cutoff: str
-) -> Fraction:
-    if beta <= 0 or beta % 2:
-        return Fraction(0)
-    if not a_set:
-        return Fraction(1)
-    budget = beta // 2 if cutoff == "half" else beta - 1
-    kd = dict(ctx.k_d)
-    factors = [(0, *_composition_poly(kd[d], ctx.p)[1:]) for d in a_set]
-    total = sum(_truncated_product(factors, budget))
-    return Fraction(ctx.p * gcd(*a_set), ctx.m) * total
+def _null_cell(ctx: ThetaContext, a_set, beta: int, value: Fraction) -> NonIntegralOrbitCount:
+    return NonIntegralOrbitCount(f"coefficient {value} for A={sorted(set(a_set))}, "
+                                 f"beta={beta} ({ctx.variant}) is not an integer")
 
 
 def theta_coefficient_exact(
@@ -156,9 +158,9 @@ def theta_coefficient_exact(
     a_set = frozenset(a_set)
     if not a_set <= set(ctx.divisors):
         raise ValueError(f"{sorted(a_set)} is not a subset of D={ctx.divisors}")
-    if ctx.variant == "published":
-        return _theta_published(ctx, a_set, beta)
-    return _theta_corrected(ctx, a_set, beta, corrected_cutoff)
+    if beta < 0:
+        return Fraction(0)
+    return Fraction(*_coefficient_series(ctx, a_set, beta, corrected_cutoff)[beta])
 
 
 def theta_coefficient(
@@ -173,17 +175,8 @@ def theta_coefficient(
     """
     value = theta_coefficient_exact(ctx, a_set, beta, corrected_cutoff=corrected_cutoff)
     if value.denominator != 1:
-        raise NonIntegralOrbitCount(
-            f"coefficient {value} for A={sorted(set(a_set))}, beta={beta} "
-            f"({ctx.variant}) is not an integer"
-        )
+        raise _null_cell(ctx, a_set, beta, value)
     return int(value)
-
-
-def _subsets(items: tuple[int, ...]):
-    n = len(items)
-    for mask in range(1 << n):
-        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
 
 
 @lru_cache(maxsize=256)
@@ -196,11 +189,8 @@ def _context_and_rblock(spec: GroupSpec, p: int):
     """
     rst = rst_decompose(spec, p)
     iso = isotropy_data(spec, p, rst)
-    contexts = {
-        variant: ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors, k_d=iso.k_d,
-                              variant=variant)
-        for variant in VARIANTS
-    }
+    contexts = {variant: ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors,
+                                      k_d=iso.k_d, variant=variant) for variant in VARIANTS}
     x_r = exponent_multiset(rst.r_census)
     return contexts, rst.r, {d: count_wedge_roots(x_r, d) for d in divisors(spec.m // p)}
 
@@ -208,45 +198,52 @@ def _context_and_rblock(spec: GroupSpec, p: int):
 def assemble_p_torsion(
     spec: GroupSpec,
     p: int,
-    l: int,
+    max_degree: int,
     variant: TorsionVariant,
     *,
     corrected_cutoff: str = "half",
-) -> int:
-    """Exponent theta with p-torsion (Z/p)^theta in degree l.
+) -> list:
+    """Exponents theta(0..max_degree), with p-torsion (Z/p)^theta(l) in degree l.
 
-    theta = sum over l1 + l2 = l with l2 = l (mod 2), and over A within D, of
+    theta(l) = sum over l1 + l2 = l with l2 = l (mod 2), and over A within D, of
 
         (sum_tau T(A, l2 - p*tau) C(s, tau)) * H(l1, gcd(A), trivial block)
 
     where gcd(empty set) is read as m/p (the intersection of no isotropy
-    subgroups is the whole complementary group).  Degree 0 is Z and
-    carries no torsion, which the published empty-set convention must be
-    prevented from contradicting.
+    subgroups is the whole complementary group).  One truncated product
+    per A gives T(A, 0..max_degree); the tau sum folds (1 + x^p)^s into it
+    once, and the column is its even-l1 convolution with H(., gcd A).
+    Degree 0 is Z and carries no torsion, which the published empty-set
+    convention must be prevented from contradicting.  A null cell is the
+    NonIntegralOrbitCount, returned and not raised, of the first
+    non-integral T(A, beta) it meets: l2 ascending, then A in subset
+    (bit mask) order, then tau ascending.  ValueError for max_degree < 0.
     """
     check_variant(variant, corrected_cutoff)
-    if l < 0:
-        raise ValueError("negative degree")
-    if l == 0:
-        return 0
+    if max_degree < 0:
+        raise ValueError("negative max degree")
     contexts, r, columns = _context_and_rblock(spec, p)
     ctx = contexts[variant]
-    m, s = spec.m, ctx.s
-    theta = 0
-    for l2 in range(l % 2, l + 1, 2):
-        l1 = l - l2
-        if l1 > r:
-            continue
-        for a_set in _subsets(ctx.divisors):
-            coeff = 0
-            for tau in range(s + 1):
-                c = theta_coefficient(
-                    ctx, a_set, l2 - p * tau, corrected_cutoff=corrected_cutoff
-                )
-                if c:
-                    coeff += c * comb(s, tau)
-            if coeff == 0:
-                continue
-            d_param = gcd(*a_set) if a_set else m // p
-            theta += coeff * columns[d_param][l1]
-    return theta
+    nulls = [None] * (max_degree + 1)  # per l2, the first null: A in subset order, then tau
+    folded = {}  # gcd A -> sum of the folded series of those A
+    for mask in range(1 << len(ctx.divisors)):
+        a_set = frozenset(d for i, d in enumerate(ctx.divisors) if mask >> i & 1)
+        series = _coefficient_series(ctx, a_set, max_degree, corrected_cutoff)
+        exact = [num // den if num % den == 0 else _null_cell(ctx, a_set, beta, Fraction(num, den))
+                 for beta, (num, den) in enumerate(series)]
+        acc = folded.setdefault(gcd(*a_set) if a_set else spec.m // p, [0] * (max_degree + 1))
+        for tau in range(ctx.s + 1):  # times (1 + x^p)^s
+            weight, shift = comb(ctx.s, tau), p * tau
+            for l2, c in zip(range(shift, max_degree + 1), exact):
+                if not isinstance(c, NonIntegralOrbitCount):
+                    acc[l2] += weight * c
+                elif nulls[l2] is None:
+                    nulls[l2] = c
+    column = [0]
+    for l in range(1, max_degree + 1):
+        low = l - min(r, l) // 2 * 2  # l2 = low, low + 2, ..., l, so l1 = l - l2 is even and <= r
+        null = next((c for c in nulls[low:l + 1:2] if c is not None), None)
+        column.append(null if null is not None else sum(  # sums[l2] * H(l - l2, d)
+            sum(map(mul, sums[low:l + 1:2], columns[d][l - low::-2]))
+            for d, sums in folded.items()))
+    return column

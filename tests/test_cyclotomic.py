@@ -30,7 +30,7 @@ from semicoh.fixtures import (
     fixture_suite,
 )
 from semicoh.groups import GroupSpec
-from semicoh.intmat import IntMatrix, block_diagonal, charpoly, contragredient, det
+from semicoh.intmat import IntMatrix, block_diagonal, contragredient, det
 from semicoh.intpoly import IntPolynomial
 
 from conftest import count_calls, random_companion_spec, random_unimodular

@@ -35,3 +35,54 @@ def test_every_private_helper_is_referenced_elsewhere():
         )
     ]
     assert dead == []
+
+
+ROOT = PACKAGE.parent.parent
+LINTED = [
+    path for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
+    for path in sorted(folder.glob("*.py"))
+]
+
+
+def test_every_imported_name_is_read():
+    # names a module re-exports through __all__ are read by its importers
+    unused = []
+    for path in LINTED:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = {
+            element.value
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__" for target in node.targets)
+            for element in node.value.elts
+        }
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read | exported
+        ]
+    assert len(LINTED) > len(list(PACKAGE.glob("*.py")))
+    assert unused == []
+
+
+def test_traced_torsion_call_sites_call_it():
+    # perfbench's tracer charges torsion time by rebinding assemble_p_torsion
+    # in these modules; an import that is never called would charge nothing
+    for module in ("engines.py", "report.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        assert any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "assemble_p_torsion"
+            for node in ast.walk(tree)
+        ), module

@@ -75,7 +75,7 @@ def test_snf_property(rows):
     check_snf(IntMatrix(rows))
 
 
-def test_smith_engine_tracks_u_uinv_and_v_in_one_run():
+def test_smith_engine_u_a_v_is_the_diagonal_chain():
     rng = random.Random(11)
     cases = [IntMatrix([[4, 0], [0, 6]]), IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 4]])]
     cases += [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
@@ -283,7 +283,7 @@ def test_contragredient():
         contragredient(IntMatrix([[2]]))
 
 
-def test_solve_and_saturate(rng):
+def test_solve_columns_and_non_sublattice_refusal():
     basis = IntMatrix([[1, 0], [0, 2], [0, 0]])
     targets = IntMatrix([[3], [4], [0]])
     coords = solve_columns(basis, targets)

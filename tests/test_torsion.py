@@ -8,12 +8,15 @@ from math import comb, gcd
 import pytest
 
 import semicoh.torsion
+from semicoh.abelian import AbelianGroup
+from semicoh.cyclotomic import count_wedge_roots, exponent_multiset
 from semicoh.engines import formula_table
 from semicoh.errors import NonIntegralOrbitCount
-from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
-from semicoh.groups import GroupSpec, rst_decompose
-from semicoh.intmat import IntMatrix
+from semicoh.fixtures import fixture_by_name, fixture_suite
+from semicoh.groups import GroupSpec, isotropy_data, rst_decompose
+from semicoh.intmat import IntMatrix, block_diagonal
 from semicoh.oracle import e2_table
+from semicoh.report import compare_report
 from semicoh.tables import p_part
 from semicoh.torsion import (
     CUTOFFS,
@@ -26,7 +29,13 @@ from semicoh.torsion import (
 )
 
 
-from conftest import CYCLE_PLUS_TRIVIAL, count_calls, random_companion_spec
+from conftest import (
+    CYCLE_PLUS_TRIVIAL,
+    count_calls,
+    cycle_matrix,
+    random_companion_spec,
+    random_permutation_spec,
+)
 
 
 def brute_compositions(k, p, i):
@@ -115,11 +124,14 @@ def test_unknown_variant_or_cutoff_is_refused():
     # a misspelt variant used to assemble the corrected table under its own
     # label, and an unknown cutoff used to mean beta - 1; degree 0 too
     spec = fixture_by_name("z5_z6").spec
-    for l in (0, 4):
+    for top in (0, 4):
         with pytest.raises(ValueError, match="variant 'corected'"):
-            assemble_p_torsion(spec, 2, l, "corected")
+            assemble_p_torsion(spec, 2, top, "corected")
         with pytest.raises(ValueError, match="cutoff 'halve'"):
-            assemble_p_torsion(spec, 2, l, "corrected", corrected_cutoff="halve")
+            assemble_p_torsion(spec, 2, top, "corrected", corrected_cutoff="halve")
+    for variant in VARIANTS:
+        with pytest.raises(ValueError, match="negative max degree"):
+            assemble_p_torsion(spec, 2, -1, variant)
     # m = 1 has no prime to assemble
     for table_spec in (spec, GroupSpec(1, 1, IntMatrix.identity(1))):
         with pytest.raises(ValueError, match="variant 'corected'"):
@@ -177,6 +189,9 @@ def test_corrected_orbit_accounting_matches_enumeration(rng):
             assert total == count, (p, m, k_d, beta)
 
 
+PAIRS = (("published", "half"), ("corrected", "half"), ("corrected", "beta_minus_1"))
+
+
 def reference_theta(p, m, k_d, variant, cutoff, a_set, beta):
     """The orbit coefficient summed tuple by tuple, straight from its statement."""
     if beta < 0 or beta % 2 or (variant == "corrected" and beta == 0):
@@ -217,9 +232,8 @@ def test_theta_matches_tuple_enumeration():
         (2, 10, {5: 2, 1: 1}),
         (2, 6, {1: 2}),
     ]
-    pairs = (("published", "half"), ("corrected", "half"), ("corrected", "beta_minus_1"))
     for p, m, k_d in cases:
-        for variant, cutoff in pairs:
+        for variant, cutoff in PAIRS:
             context = ctx(p, m, 0, k_d, variant)
             divisors_ = context.divisors
             for mask in range(1 << len(divisors_)):
@@ -230,6 +244,113 @@ def test_theta_matches_tuple_enumeration():
                     )
                     want = reference_theta(p, m, k_d, variant, cutoff, a_set, beta)
                     assert got == want, (p, m, k_d, variant, cutoff, sorted(a_set), beta)
+
+
+def reference_column(spec, p, top, variant, cutoff):
+    """theta(0..top) cell by cell, from brute-force coefficients, as the closed form reads.
+
+    l2 ascending, A in subset order, tau ascending; a cell's first
+    non-integral coefficient makes it null, recorded by its message text.
+    """
+    rst = rst_decompose(spec, p)
+    iso = isotropy_data(spec, p, rst)
+    k_d = dict(iso.k_d)
+    x_r = exponent_multiset(rst.r_census)
+    subsets = [
+        [d for i, d in enumerate(iso.divisors) if mask >> i & 1]
+        for mask in range(1 << len(iso.divisors))
+    ]
+    memo = {}
+
+    def coefficient(a_set, beta):
+        key = (tuple(a_set), beta)
+        if key not in memo:
+            memo[key] = reference_theta(p, spec.m, k_d, variant, cutoff, a_set, beta)
+        value = memo[key]
+        if value.denominator != 1:
+            raise NonIntegralOrbitCount(
+                f"coefficient {value} for A={sorted(a_set)}, beta={beta} ({variant}) "
+                "is not an integer"
+            )
+        return value
+
+    column = [0]
+    for l in range(1, top + 1):
+        theta = 0
+        try:
+            for l2 in range(l % 2, l + 1, 2):
+                if l - l2 > rst.r:
+                    continue
+                for a_set in subsets:
+                    coeff = sum(
+                        comb(rst.s, tau) * coefficient(a_set, l2 - p * tau)
+                        for tau in range(rst.s + 1)
+                    )
+                    d = gcd(*a_set) if a_set else spec.m // p
+                    theta += coeff * count_wedge_roots(x_r, d)[l - l2]
+        except NonIntegralOrbitCount as exc:
+            theta = str(exc)
+        column.append(theta)
+    return column
+
+
+def test_column_matches_per_cell_reference():
+    rng = random.Random(26)
+    specs = [fixture.spec for fixture in fixture_suite() if fixture.valid] + [CYCLE_PLUS_TRIVIAL]
+    # two regular Z/3 blocks and a trivial line: s = 2 at p = 3
+    blocks = [cycle_matrix(3), cycle_matrix(3), IntMatrix.identity(1)]
+    specs.append(GroupSpec(7, 3, block_diagonal(blocks)))
+    orders = (2, 3, 5, 6, 10, 15, 30)
+    specs += [random_companion_spec(rng, n_max=6, orders=orders) for _ in range(30)]
+    specs += [random_permutation_spec(rng, n_max=6, orders=orders) for _ in range(30)]
+    regular = nulls = 0
+    for spec in specs:
+        top = spec.n + 6
+        for p in spec.primes:
+            regular += rst_decompose(spec, p).s > 0
+            for variant, cutoff in PAIRS:
+                got = [
+                    str(theta) if isinstance(theta, NonIntegralOrbitCount) else theta
+                    for theta in assemble_p_torsion(spec, p, top, variant, corrected_cutoff=cutoff)
+                ]
+                assert got == reference_column(spec, p, top, variant, cutoff), (
+                    spec.phi, spec.m, p, variant, cutoff
+                )
+                nulls += sum(isinstance(theta, str) for theta in got)
+                for shorter in range(top):  # p * tau can overshoot a short column
+                    column = assemble_p_torsion(spec, p, shorter, variant, corrected_cutoff=cutoff)
+                    assert list(map(str, column)) == list(map(str, got[: shorter + 1]))
+    assert regular >= 15 and nulls >= 50, (regular, nulls)
+
+
+def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
+    products = count_calls(monkeypatch, semicoh.torsion, "_truncated_product")
+    per_copy = count_calls(monkeypatch, AbelianGroup, "from_factors")
+    tables = 0
+    for fixture in fixture_suite():
+        if not fixture.valid:
+            continue
+        spec = fixture.spec
+        subsets = sum(
+            2 ** len(isotropy_data(spec, p, rst_decompose(spec, p)).divisors)
+            for p in spec.primes
+        )
+        per_copy.clear()  # the oracle in compare_report below does call it
+        for variant in VARIANTS:
+            products.clear()
+            try:
+                formula_table(spec, spec.n + 6, variant)
+            except NonIntegralOrbitCount:
+                # raised at the first prime with a null cell: later primes are skipped
+                assert 0 < len(products) <= subsets, (fixture.name, variant)
+            else:
+                assert len(products) == subsets, (fixture.name, variant)
+                tables += 1
+        assert per_copy == [], fixture.name
+        products.clear()
+        compare_report(spec, spec.n + 3)
+        assert len(products) == 3 * subsets, fixture.name
+    assert tables >= 8, tables
 
 
 FLAGSHIP_PUBLISHED = {
@@ -247,15 +368,13 @@ FLAGSHIP_CORRECTED = {
 def test_assemble_flagship_published_reproduces_reference_table():
     spec = fixture_by_name("z5_z6").spec
     for p in (2, 3):
-        got = [assemble_p_torsion(spec, p, l, "published") for l in range(13)]
-        assert got == FLAGSHIP_PUBLISHED[p]
+        assert assemble_p_torsion(spec, p, 12, "published") == FLAGSHIP_PUBLISHED[p]
 
 
 def test_assemble_flagship_corrected():
     spec = fixture_by_name("z5_z6").spec
     for p in (2, 3):
-        got = [assemble_p_torsion(spec, p, l, "corrected") for l in range(13)]
-        assert got == FLAGSHIP_CORRECTED[p]
+        assert assemble_p_torsion(spec, p, 12, "corrected") == FLAGSHIP_CORRECTED[p]
 
 
 def test_assemble_degree_zero_is_torsion_free(rng):
@@ -263,7 +382,8 @@ def test_assemble_degree_zero_is_torsion_free(rng):
         spec = fixture_by_name(name).spec
         for p in spec.primes:
             for variant in ("published", "corrected"):
-                assert assemble_p_torsion(spec, p, 0, variant) == 0
+                assert assemble_p_torsion(spec, p, 0, variant) == [0]
+                assert assemble_p_torsion(spec, p, 6, variant)[0] == 0
 
 
 def test_identity_action_corrected_matches_product_group():
@@ -274,8 +394,7 @@ def test_identity_action_corrected_matches_product_group():
         expected.append(
             sum(comb(2, l - l2) for l2 in range(2, l + 1, 2) if l2 % 2 == 0 and (l - l2) % 2 == 0)
         )
-    got = [assemble_p_torsion(spec, 3, l, "corrected") for l in range(8)]
-    assert got == expected
+    assert assemble_p_torsion(spec, 3, 7, "corrected") == expected
 
 
 def test_one_prime_dihedral_oracle_value():
@@ -284,16 +403,14 @@ def test_one_prime_dihedral_oracle_value():
     # is recorded as printed.
     spec = fixture_by_name("dinfty").spec
     assert p_part(e2_table(spec, 2), 2)[2] == 2
-    assert assemble_p_torsion(spec, 2, 2, "corrected") == 2
-    assert assemble_p_torsion(spec, 2, 2, "published") == 0
+    assert assemble_p_torsion(spec, 2, 2, "corrected")[2] == 2
+    assert assemble_p_torsion(spec, 2, 2, "published")[2] == 0
 
 
 def test_formula_theta_eventually_periodic_corrected():
     # Every coefficient saturates once floor(beta/2) clears the total class
     # weight, so the corrected column is 2-periodic from
     # max(n, 2 * total_weight + p*s) + 1 on.
-    from semicoh.groups import isotropy_data, rst_decompose
-
     for name in ("dinfty", "p3", "z5_z6", "phi5", "id_n2_m3"):
         spec = fixture_by_name(name).spec
         for p in spec.primes:
@@ -302,7 +419,7 @@ def test_formula_theta_eventually_periodic_corrected():
             weight = sum(k * (p - 1) for _, k in iso.k_d)
             start = max(spec.n, 2 * weight + p * rst.s) + 1
             top = start + 5
-            col = [assemble_p_torsion(spec, p, l, "corrected") for l in range(top + 1)]
+            col = assemble_p_torsion(spec, p, top, "corrected")
             for l in range(start, top - 1):
                 assert col[l] == col[l + 2], (name, p, l)
 
@@ -319,12 +436,9 @@ def test_beta_minus_1_cutoff_matches_oracle_when_s_is_zero():
         oracle = e2_table(spec, top)
         for p in spec.primes:
             assert rst_decompose(spec, p).s == 0
-            try:
-                column = [
-                    assemble_p_torsion(spec, p, l, "corrected", corrected_cutoff="beta_minus_1")
-                    for l in range(0, top + 1, 2)
-                ]
-            except NonIntegralOrbitCount:
+            column = assemble_p_torsion(spec, p, top, "corrected", corrected_cutoff="beta_minus_1")
+            column = column[::2]
+            if any(isinstance(theta, NonIntegralOrbitCount) for theta in column):
                 continue
             assert column == list(p_part(oracle, p)[::2]), (spec.phi, spec.m, p)
             checked += 1
@@ -340,8 +454,5 @@ def test_corrected_theta_matches_oracle_with_trivial_and_regular_blocks():
     spec = CYCLE_PLUS_TRIVIAL
     oracle = list(p_part(e2_table(spec, 8), 3))
     for cutoff in CUTOFFS:
-        column = [
-            assemble_p_torsion(spec, 3, l, "corrected", corrected_cutoff=cutoff)
-            for l in range(9)
-        ]
+        column = assemble_p_torsion(spec, 3, 8, "corrected", corrected_cutoff=cutoff)
         assert column == oracle, cutoff
