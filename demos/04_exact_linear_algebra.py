@@ -1,18 +1,13 @@
-"""The exact integer kernel underneath everything.
+"""Exact integer linear algebra.
 
-Smith normal forms with verified transforms, saturated kernels, lattice
-quotients in canonical form, and functorial exterior powers -- all in
+Smith normal forms with verified transforms, determinants, characteristic
+polynomials, contragredients and functorial exterior powers -- all in
 arbitrary-precision integer arithmetic.
 """
 
-from semicoh import (
-    charpoly,
-    contragredient,
-    kernel_basis,
-    lattice_quotient,
-    smith_normal_form,
-    wedge_power,
-)
+from math import prod
+
+from semicoh import charpoly, contragredient, smith_normal_form, wedge_power
 from semicoh.intmat import IntMatrix, det
 
 a = IntMatrix([[6, 4, 2], [4, 6, 4], [2, 4, 6]])
@@ -21,14 +16,8 @@ print("A =", [list(r) for r in a.data])
 print("Smith diagonal:", s.diagonal)
 print("U A V == D:", (s.u @ a @ s.v) == s.d, "  |det U| = |det V| = 1:",
       abs(det(s.u)) == abs(det(s.v)) == 1)
-
-n = IntMatrix([[1, 1, 0], [0, 0, 2]])
-k = kernel_basis(n)
-print("\nkernel of", [list(r) for r in n.data], "spanned by columns of",
-      [list(r) for r in k.data])
-
-print("\nZ^2 / image of [[-2,-1],[1,-1]] =",
-      lattice_quotient(IntMatrix.identity(2), IntMatrix([[-2, -1], [1, -1]])))
+print("det A =", det(a), "  |det A| is the product of the Smith diagonal:",
+      abs(det(a)) == prod(s.diagonal))
 
 rot = IntMatrix([[0, -1], [1, -1]])  # order-3 rotation of the hexagonal lattice
 print("\ncharacteristic polynomial of the order-3 rotation:", charpoly(rot))

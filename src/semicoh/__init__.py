@@ -37,8 +37,6 @@ from .intmat import (
     SmithDecomposition,
     charpoly,
     contragredient,
-    kernel_basis,
-    lattice_quotient,
     smith_normal_form,
     wedge_power,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "formula_table",
     "free_outside_origin",
     "isotropy_data",
-    "kernel_basis",
-    "lattice_quotient",
     "matrix_census",
     "max_finite_subgroup_census",
     "molien_column",

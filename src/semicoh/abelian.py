@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import prod
 from operator import mod
 
 
@@ -100,9 +99,6 @@ class AbelianGroup:
                 f //= p
                 count += 1
         return count
-
-    def torsion_order(self) -> int:
-        return prod(self.torsion) if self.torsion else 1
 
     def is_zero(self) -> bool:
         return self.rank == 0 and not self.torsion

@@ -53,10 +53,6 @@ class DegreeOutOfRange(InputError):
     """Exterior-power degree outside 0..n."""
 
 
-class NotASublattice(InputError):
-    """Columns do not lie integrally in the span of the ambient basis."""
-
-
 class NotFreeAction(InputError):
     """The census requires an action that is free outside the origin."""
 

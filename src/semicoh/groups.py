@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import prod
 from operator import mul
 
 from .abelian import _factorint
@@ -64,12 +63,7 @@ from .errors import (
     UnexpectedOrder,
     WrongOrder,
 )
-from .intmat import (
-    IntMatrix,
-    det,
-    invariant_factors,
-    rank_mod_p,
-)
+from .intmat import IntMatrix, det, rank_mod_p
 from .intpoly import IntPolynomial
 
 
@@ -314,21 +308,19 @@ class FreeActionReport:
 
 
 @lru_cache(maxsize=256)
-def _psi_minus_one_factors(spec: GroupSpec, p: int) -> tuple[int, ...]:
-    """The nonzero invariant factors of psi_p - 1 on the whole lattice.
+def _psi_minus_one_det(spec: GroupSpec, p: int) -> int:
+    """det(psi_p - 1) on the whole lattice.
 
-    psi_p fixes no nonzero vector iff there are n of them, and then their
-    product is |det(psi_p - 1)|, the order of coker(psi_p - 1).
+    psi_p fixes no nonzero vector iff it is nonzero, and then its absolute
+    value is the order of coker(psi_p - 1).
     """
-    return invariant_factors(spec.psi(p) - IntMatrix.identity(spec.n))
+    return det(spec.psi(p) - IntMatrix.identity(spec.n))
 
 
 def free_outside_origin(spec: GroupSpec) -> FreeActionReport:
     """True per prime iff psi_p fixes no nonzero lattice vector."""
     validate(spec)
-    flags = tuple(
-        (p, len(_psi_minus_one_factors(spec, p)) == spec.n) for p in spec.primes
-    )
+    flags = tuple((p, _psi_minus_one_det(spec, p) != 0) for p in spec.primes)
     return FreeActionReport(flags, all(f for _, f in flags))
 
 
@@ -358,11 +350,10 @@ def max_finite_subgroup_census(spec: GroupSpec) -> MaxFiniteCensus:
     counts: dict[int, int] = {}
     closed: dict[int, int | None] = {}
     for p in spec.primes:
-        factors = _psi_minus_one_factors(spec, p)
         if spec.n % (p - 1):
             raise NonIntegralK(f"free Z/{p}-action needs (p-1) | n, got n={spec.n}")
         k = spec.n // (p - 1)
-        quotient = prod(factors)
+        quotient = abs(_psi_minus_one_det(spec, p))
         if quotient != p**k:
             raise NonIntegralK(
                 f"class count {quotient} differs from p^(n/(p-1)) = {p**k}"

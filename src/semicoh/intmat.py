@@ -1,9 +1,8 @@
 """Exact arbitrary-precision integer matrix algebra.
 
 Everything here is integer arithmetic; no floating point anywhere.
-Smith elimination runs on pure-Python big integers only, and every
-wrapper below reads its result off one engine run (_smith_engine).
-Matrix products use int64 numpy arrays only when the bound
+Smith elimination runs on pure-Python big integers only.  Matrix
+products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
 big integers otherwise, so results are exact in all cases.  The powers
 a^0..a^(q-1) and the check a^q = 1 come from one chain of IntMatrix
@@ -20,7 +19,7 @@ import operator
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .errors import DegreeOutOfRange, NotASublattice, NotSquare, NotUnimodular
+from .errors import DegreeOutOfRange, NotSquare, NotUnimodular
 from .intpoly import IntPolynomial
 
 
@@ -253,21 +252,20 @@ class SmithDecomposition:
 
 
 class _Smith:
-    """Big-integer Smith elimination with optional tracking of U and V.
+    """Big-integer Smith elimination tracking U and V.
 
     Each elementary operation is one loop over the arrays it acts on: row
     operations act on A and U, column operations on A and V.  U^-1 is not
-    tracked.  Transforms not asked for are None and take part in no
-    operation.
+    tracked.
     """
 
-    def __init__(self, data, m, n, need_u, need_v):
+    def __init__(self, data, m, n):
         self.m, self.n = m, n
         self.a = [list(row) for row in data]
-        self.u = [[int(i == j) for j in range(m)] for i in range(m)] if need_u else None
-        self.v = [[int(i == j) for j in range(n)] for i in range(n)] if need_v else None
-        self.row_arrays = [x for x in (self.a, self.u) if x is not None]
-        self.col_arrays = [x for x in (self.a, self.v) if x is not None]
+        self.u = [[int(i == j) for j in range(m)] for i in range(m)]
+        self.v = [[int(i == j) for j in range(n)] for i in range(n)]
+        self.row_arrays = (self.a, self.u)
+        self.col_arrays = (self.a, self.v)
 
     def row_addmul(self, i, k, q):
         """row_i -= q * row_k."""
@@ -308,10 +306,6 @@ class _Smith:
     @property
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.a[i][i] for i in range(min(self.m, self.n)))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.diagonal if x != 0)
 
     def find_pivot(self, k):
         best = None
@@ -396,83 +390,18 @@ class _Smith:
                 self.row_negate(i)
 
 
-def _smith_engine(matrix: IntMatrix, need_u=False, need_v=False) -> _Smith:
-    """One Smith elimination of ``matrix``, tracking only the transforms asked for."""
-    return _Smith(matrix.data, matrix.rows, matrix.cols, need_u, need_v).run()
-
-
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Diagonalize over Z: U @ a @ V = D with a divisibility chain on D.
 
     Total: works for any shape, including empty matrices.
     """
-    eng = _smith_engine(a, need_u=True, need_v=True)
+    eng = _Smith(a.data, a.rows, a.cols).run()
     d = [[0] * a.cols for _ in range(a.rows)]
     for i, x in enumerate(eng.diagonal):
         d[i][i] = x
     return SmithDecomposition(
         IntMatrix._trusted(eng.u), IntMatrix._trusted(d), IntMatrix._trusted(eng.v)
     )
-
-
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero Smith diagonal entries (no transform tracking)."""
-    return tuple(x for x in _smith_engine(a).diagonal if x != 0)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """Basis of the saturated integer kernel {x : a x = 0}, as columns.
-
-    The span is pure: Z^cols / span is torsion-free.  A zero kernel gives
-    a matrix with zero columns.
-    """
-    eng = _smith_engine(a, need_v=True)
-    r = eng.rank
-    return IntMatrix._trusted([row[r:] for row in eng.v])
-
-
-def solve_columns(basis: IntMatrix, targets: IntMatrix) -> IntMatrix:
-    """Integer coordinates C with basis @ C == targets.
-
-    ``basis`` must have independent columns.  Raises NotASublattice when a
-    target column is not an integral combination of the basis columns.
-    """
-    if basis.rows != targets.rows:
-        raise ValueError("row mismatch")
-    eng = _smith_engine(basis, need_u=True, need_v=True)
-    d = eng.diagonal
-    k = basis.cols
-    if eng.rank != k:
-        raise NotASublattice("ambient columns are not independent")
-    ub = _matmul(eng.u, targets.data)
-    for i in range(k, basis.rows):
-        if any(ub[i][j] != 0 for j in range(targets.cols)):
-            raise NotASublattice("column outside the rational span")
-    w = []
-    for i in range(k):
-        di = d[i]
-        row = []
-        for j in range(targets.cols):
-            q, r = divmod(ub[i][j], di)
-            if r:
-                raise NotASublattice("column not integrally in the span")
-            row.append(q)
-        w.append(row)
-    return IntMatrix._trusted(_matmul(eng.v, w))
-
-
-def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix):
-    """V / W as a canonical abelian group.
-
-    ``ambient_basis`` columns span V; ``sub_basis`` columns generate W
-    (they may be dependent).  Invariant factors come from the Smith form
-    of the coordinate matrix of W in the basis of V.
-    """
-    from .abelian import AbelianGroup
-
-    coords = solve_columns(ambient_basis, sub_basis)
-    factors = invariant_factors(coords)
-    return AbelianGroup.from_factors(ambient_basis.cols - len(factors), factors)
 
 
 def det(a: IntMatrix) -> int:
@@ -567,8 +496,7 @@ def contragredient(a: IntMatrix) -> IntMatrix:
     """Inverse transpose of a unimodular matrix, exactly."""
     if not a.is_square():
         raise NotSquare("contragredient needs a square matrix")
-    eng = _smith_engine(a, need_u=True, need_v=True)
-    if any(x != 1 for x in eng.diagonal):
+    s = smith_normal_form(a)
+    if any(x != 1 for x in s.diagonal):
         raise NotUnimodular("matrix determinant is not +-1")
-    inv = _matmul(eng.v, eng.u)
-    return IntMatrix._trusted(inv).transpose()
+    return (s.v @ s.u).transpose()

@@ -36,7 +36,6 @@ from .groups import GroupSpec, validate
 from .intmat import (
     _NUMPY_MIN_DIM,
     IntMatrix,
-    contragredient,
     norm_and_power,
     rank_mod_p,
     wedge_power,
@@ -196,7 +195,8 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
         )
     if max_degree < 0:
         raise ValueError("negative max degree")
-    phi_star = contragredient(spec.phi)
+    # validate guarantees phi^m = 1, so the dual action phi^-T is (phi^(m-1))^T
+    phi_star = (spec.phi ** (spec.m - 1)).transpose()
     if spec.n < _NUMPY_MIN_DIM:
         wedges = (wedge_power(phi_star, gamma) for gamma in range(spec.n + 1))
     else:

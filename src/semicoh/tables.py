@@ -32,12 +32,14 @@ class CohomologyTable:
         first = self.groups[0]
         if first.rank != 1 or first.torsion:
             raise TorsionExponentViolation(f"degree 0 must be Z, got {first}")
+        # each degree's torsion is a divisibility chain: its largest factor
+        # divides m iff every factor does
         for l, g in enumerate(self.groups):
-            for f in g.torsion:
-                if self.m % f:
-                    raise TorsionExponentViolation(
-                        f"torsion order {f} in degree {l} does not divide m={self.m}"
-                    )
+            if g.torsion and self.m % g.torsion[-1]:
+                f = next(f for f in g.torsion if self.m % f)
+                raise TorsionExponentViolation(
+                    f"torsion order {f} in degree {l} does not divide m={self.m}"
+                )
 
     def rank_column(self) -> tuple[int, ...]:
         return tuple(g.rank for g in self.groups)

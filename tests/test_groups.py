@@ -44,15 +44,7 @@ from semicoh.groups import (
     rst_decompose,
     validate,
 )
-from semicoh.intmat import (
-    IntMatrix,
-    block_diagonal,
-    contragredient,
-    invariant_factors,
-    kernel_basis,
-    norm_and_power,
-    solve_columns,
-)
+from semicoh.intmat import IntMatrix, block_diagonal, contragredient, norm_and_power
 from semicoh.intpoly import IntPolynomial
 from semicoh.torsion import VARIANTS
 
@@ -63,6 +55,7 @@ from conftest import (
     random_permutation_spec,
     random_unimodular,
 )
+from smith_support import invariant_factors, kernel_basis, solve_columns
 
 
 def poly_at(poly, a: IntMatrix) -> IntMatrix:
@@ -180,7 +173,7 @@ def test_rst_invariants_random(rng):
 def test_rst_smith_runs_per_decomposition(monkeypatch):
     # rst_decompose reads its counts off phi's census and ranks mod p: it
     # runs no Smith form
-    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    calls = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     for name, p in (("p3", 3), ("z5_z6", 2), ("z5_z6", 3)):
         spec = fixture_by_name(name).spec
         spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{name}")  # no memo hit
@@ -224,41 +217,42 @@ def test_max_finite_census_counts():
 
 
 def test_max_finite_census_reads_one_reduction_per_prime(monkeypatch):
-    # the class count p^(n/(p-1)) is the product of the n invariant factors
-    # of psi - 1, whose count is also the freeness test: the two together
-    # reduce each psi - 1 once, and no det is taken
-    reductions = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    # the class count p^(n/(p-1)) is |det(psi - 1)|, whose being nonzero is
+    # also the freeness test: the two together take one det of each psi - 1
+    # and run no Smith form
+    smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     dets = count_calls(monkeypatch, semicoh.groups, "det")
     free_specs = [
         f.spec for f in fixture_suite() if f.valid and free_outside_origin(f.spec).overall
     ]
     assert len(free_specs) >= 4
-    semicoh.groups._psi_minus_one_factors.cache_clear()
+    semicoh.groups._psi_minus_one_det.cache_clear()
     for spec in free_specs:
-        reductions.clear()
         dets.clear()
         free_outside_origin(spec)
         max_finite_subgroup_census(spec)
         one = IntMatrix.identity(spec.n)
-        assert [args[0] for args in reductions] == [spec.psi(p) - one for p in spec.primes]
-        assert dets == [], spec.name
+        assert [args[0] for args in dets] == [spec.psi(p) - one for p in spec.primes], spec.name
+    assert smith == []
 
 
 def test_whole_lattice_psi_minus_one_reduced_once_per_prime(monkeypatch, rng):
-    # the freeness test and the class count read one reduction of the
-    # whole-lattice psi_p - 1 per (spec, p); rst_decompose reduces nothing
-    reduced = count_calls(monkeypatch, semicoh.groups, "invariant_factors")
+    # the freeness test and the class count read one det of the
+    # whole-lattice psi_p - 1 per (spec, p); rst_decompose takes none
+    dets = count_calls(monkeypatch, semicoh.groups, "det")
+    smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     specs = [f.spec for f in fixture_suite() if f.valid and f.spec.m > 1]
     specs += [random_companion_spec(rng) for _ in range(5)]
     for i, spec in enumerate(specs):
-        spec = GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{i}")  # no memo hit
-        reduced.clear()
+        spec = validate(GroupSpec(spec.n, spec.m, spec.phi, name=f"unseen-{i}"))  # no memo hit
+        dets.clear()
         for p in spec.primes:
             rst_decompose(spec, p)
         if free_outside_origin(spec).overall:
             max_finite_subgroup_census(spec)
         one = IntMatrix.identity(spec.n)
-        assert [a for (a,) in reduced] == [spec.psi(p) - one for p in spec.primes], spec
+        assert [a for (a,) in dets] == [spec.psi(p) - one for p in spec.primes], spec
+    assert smith == []
 
 
 def test_isotropy_data_refuses_another_primes_decomposition():
@@ -463,7 +457,7 @@ def test_ranks_path_runs_no_smith_form(monkeypatch, rng):
     # every prime read counts off phi's census and ranks mod p only
     specs = [f.spec for f in fixture_suite() if f.valid] + [CYCLE_PLUS_TRIVIAL]
     specs += [random_permutation_spec(rng, n_max=8) for _ in range(10)]  # conjugated by Smith
-    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    calls = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     regular = 0
     for i, spec in enumerate(specs):
         spec = validate(GroupSpec(spec.n, spec.m, spec.phi, name=f"no-smith-{i}"))

@@ -1,31 +1,36 @@
-"""Exact linear algebra: Smith forms, kernels, quotients, wedges."""
+"""Exact linear algebra: Smith forms, wedges, charpolys; the tests' kernels and quotients."""
 
 import random
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicoh.abelian import AbelianGroup
-from semicoh.errors import DegreeOutOfRange, NotASublattice, NotUnimodular
+from semicoh.cyclotomic import companion_of_cyclotomic
+from semicoh.errors import DegreeOutOfRange, NotUnimodular
 from semicoh.intmat import (
     IntMatrix,
-    _smith_engine,
     charpoly,
     charpoly_from_traces,
     contragredient,
     det,
-    invariant_factors,
-    kernel_basis,
-    lattice_quotient,
     norm_and_power,
+    rank_mod_p,
     smith_normal_form,
-    solve_columns,
     wedge_power,
 )
 from semicoh.intpoly import IntPolynomial
 
 from conftest import power_chain_reference, random_int_matrix, random_unimodular
+from smith_support import (
+    NotASublattice,
+    invariant_factors,
+    kernel_basis,
+    lattice_quotient,
+    solve_columns,
+)
 
 
 def check_snf(a: IntMatrix):
@@ -46,6 +51,9 @@ def check_snf(a: IntMatrix):
 def test_snf_already_diagonal():
     s = check_snf(IntMatrix([[2, 0], [0, 6]]))
     assert s.diagonal == (2, 6)
+    # diag(4, 6) is not a divisibility chain: the chain fix turns it into (2, 12)
+    assert check_snf(IntMatrix([[4, 0], [0, 6]])).diagonal == (2, 12)
+    check_snf(IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 4]]))
 
 
 def test_snf_order_three_block():
@@ -61,6 +69,9 @@ def test_snf_random_6x6_verifies():
         check_snf(random_int_matrix(rng, 6, 6))
     for _ in range(3):
         check_snf(random_int_matrix(rng, 30, 30, bound=4))
+    rng = random.Random(11)
+    for _ in range(40):
+        check_snf(random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)))
 
 
 @given(
@@ -75,20 +86,8 @@ def test_snf_property(rows):
     check_snf(IntMatrix(rows))
 
 
-def test_smith_engine_u_a_v_is_the_diagonal_chain():
-    rng = random.Random(11)
-    cases = [IntMatrix([[4, 0], [0, 6]]), IntMatrix([[6, 0, 0], [0, 10, 0], [0, 0, 4]])]
-    cases += [random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
-    for a in cases:
-        eng = _smith_engine(a, need_u=True, need_v=True)
-        d = IntMatrix([
-            [eng.diagonal[i] if i == j else 0 for j in range(a.cols)] for i in range(a.rows)
-        ])
-        assert IntMatrix(eng.u) @ a @ IntMatrix(eng.v) == d
-        assert abs(det(IntMatrix(eng.u))) == abs(det(IntMatrix(eng.v))) == 1
-        assert IntMatrix(eng.a) == d
-    # diag(4, 6) is not a divisibility chain: _fix_chain turns it into (2, 12)
-    assert _smith_engine(cases[0]).diagonal == (2, 12)
+# kernel_basis, solve_columns and lattice_quotient are the tests' references
+# (smith_support), read off the public smith_normal_form
 
 
 def test_kernel_of_zero_matrix():
@@ -152,7 +151,7 @@ def test_lattice_quotient_order_equals_det(rng):
             continue
         group = lattice_quotient(IntMatrix.identity(3), w)
         assert group.rank == 0
-        assert group.torsion_order() == abs(d)
+        assert prod(group.torsion) == abs(d)
 
 
 def test_lattice_quotient_membership_error():
@@ -270,6 +269,36 @@ def test_wedge_flagship_second_elementary_symmetric():
     assert w.rows == w.cols == 10
     poly = charpoly(FLAGSHIP_MATRIX)
     assert w.trace() == poly.coeffs[3]  # (-1)^2 * coefficient of x^3
+
+
+def _jordan_type_mod_p(g: IntMatrix, p: int) -> dict[int, int]:
+    """{block size: count} of g over F_p, from the ranks of (g - 1)^k, k <= p + 1."""
+    nil = g - IntMatrix.identity(g.rows)
+    ranks, power = [g.rows], IntMatrix.identity(g.rows)
+    for _ in range(p + 1):
+        power = IntMatrix([[x % p for x in row] for row in (power @ nil).data])
+        ranks.append(rank_mod_p(power, p))
+    assert ranks[p] == 0  # g^p = 1, so (g - 1)^p = g^p - 1 = 0 mod p
+    sizes = {k: ranks[k - 1] - 2 * ranks[k] + ranks[k + 1] for k in range(1, p + 1)}
+    return {k: count for k, count in sizes.items() if count}
+
+
+def test_wedge_powers_of_the_augmentation_ideal_are_omega_parity_plus_free():
+    # Z[zeta_p] reduces mod p to the Jordan block J_(p-1), called omega in
+    # the Green ring of C_p, with 1 = J_1 and the free block J_p; every
+    # wedge^b, b < p, reduces to omega^(b mod 2) plus free blocks
+    cases = 0
+    for p in (2, 3, 5, 7):
+        g = companion_of_cyclotomic(p)
+        assert _jordan_type_mod_p(g, p) == {p - 1: 1}
+        for b in range(p):
+            base = p - 1 if b % 2 else 1
+            free, rest = divmod(comb(p - 1, b) - base, p)
+            assert rest == 0, (p, b)
+            expected = {base: 1, p: free} if free else {base: 1}
+            assert _jordan_type_mod_p(wedge_power(g, b), p) == expected, (p, b)
+            cases += 1
+    assert cases == 17
 
 
 def test_contragredient():

@@ -1,7 +1,9 @@
 """The rank-mod-p evaluator: cyclic layers and assembled tables."""
 
+import ast
 import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +33,6 @@ from semicoh.intmat import (
     IntMatrix,
     block_diagonal,
     contragredient,
-    invariant_factors,
-    kernel_basis,
-    lattice_quotient,
     norm_and_power,
     wedge_power,
 )
@@ -49,6 +48,7 @@ from conftest import (
     random_permutation_spec,
     random_unimodular,
 )
+from smith_support import invariant_factors, kernel_basis, lattice_quotient
 
 
 def G(rank, *torsion):
@@ -271,10 +271,10 @@ def test_exterior_powers_match_wedge_power(rng):
 
 
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
-    # one Smith reduction in all, for the contragredient; per layer, only N
-    # is eliminated: once mod every prime of m, shared by odd and even
-    # degrees, and once mod the certificate prime
-    smith = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    # no Smith reduction at all: phi* is the power (phi^(m-1))^T; per layer,
+    # only N is eliminated: once mod every prime of m, shared by odd and
+    # even degrees, and once mod the certificate prime
+    smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     ranks = count_calls(monkeypatch, semicoh.oracle, "_rank_mod_p")
     reps = []
     original_init = CyclicRep.__post_init__
@@ -292,7 +292,7 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         ranks.clear()
         reps.clear()
         e2_table(spec, spec.n + 3)
-        assert len(smith) == 1, fixture.name
+        assert smith == [], fixture.name
         assert len(reps) == spec.n + 1, fixture.name
         assert len(ranks) == (spec.n + 1) * (len(spec.primes) + 1), fixture.name
         norms = [id(rep.norm) for rep in reps]
@@ -304,15 +304,16 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
 def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
     # psi^1..psi^q come from one chain per layer, which yields N, the traces
     # of psi^0..psi^(q-1) and the psi^q = 1 check: norm_and_power on the
-    # pure-Python layers of n < 4, norm_trace_chain on the array layers; no
-    # other power is taken, and no psi - 1 is built
+    # pure-Python layers of n < 4, norm_trace_chain on the array layers; the
+    # only other power is phi^(m-1), whose transpose is the dual action, and
+    # no psi - 1 is built
     narrow = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
     wide = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
     oracle_ops = []
     for op in ("__pow__", "__sub__"):
         def counted(self, other, op=op, original=getattr(IntMatrix, op)):
             if sys._getframe(1).f_globals["__name__"] == "semicoh.oracle":
-                oracle_ops.append(op)
+                oracle_ops.append((op, self, other))
             return original(self, other)
 
         monkeypatch.setattr(IntMatrix, op, counted)
@@ -322,10 +323,26 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
         spec = fixture.spec
         narrow.clear()
         wide.clear()
+        oracle_ops.clear()
         e2_table(spec, spec.n + 3)
         assert len(narrow if spec.n < 4 else wide) == spec.n + 1, fixture.name
         assert len(wide if spec.n < 4 else narrow) == 0, fixture.name
-        assert oracle_ops == [], fixture.name
+        assert oracle_ops == [("__pow__", spec.phi, spec.m - 1)], fixture.name
+
+
+def test_oracle_imports_no_closed_form_machinery():
+    # the oracle inverts phi by a power of phi itself: it imports nothing
+    # from the census, Molien or torsion modules, and from groups only the
+    # spec and its validation
+    tree = ast.parse(Path(semicoh.oracle.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module: {alias.name for alias in node.names}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+    assert set(imported) == {"abelian", "errors", "groups", "intmat", "tables", None}
+    assert imported[None] == {"layers"}
+    assert imported["groups"] == {"GroupSpec", "validate"}
 
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
@@ -463,6 +480,32 @@ def test_localization_bound():
         sub = subgroup_oracle(spec, p, 9)
         for a, b in zip(p_part(full, p), p_part(sub, p)):
             assert a <= b
+
+
+def test_a_trivially_acting_coprime_factor_splits_off_by_kunneth(rng):
+    # phi^q = 1 and m = q*k with k prime to q: Z/k acts trivially and is
+    # central, so Z^n x| Z/m = Gamma x Z/k with Gamma = Z^n x| Z/q, and
+    # Kunneth gives H^l = H^l(Gamma) + (Z/k)^a, where a sums rank H^i(Gamma)
+    # over i <= l - 2 with i = l mod 2.  At m, phi's order properly divides
+    # m, so e2_table's dual action (phi^(m-1))^T takes a power past that order
+    cells = 0
+    for _ in range(30):
+        spec = random_permutation_spec(rng, n_max=5, orders=(2, 3, 5, 6))
+        q, top = spec.m, spec.n + 4
+        base = e2_table(spec, top)
+        ranks = base.rank_column()
+        for k in (5, 7):
+            if q % k == 0:
+                continue
+            wide = GroupSpec(spec.n, q * k, spec.phi)
+            table = e2_table(wide, top)
+            for l in range(top + 1):
+                a = sum(ranks[i] for i in range(l % 2, l - 1, 2))
+                expected = AbelianGroup.direct_sum(base.groups[l], G(0, *[k] * a))
+                assert table.groups[l] == expected, (spec, k, l)
+                cells += 1
+            assert rank_column(wide, top) == rank_column(spec, top), (spec, k)
+    assert cells >= 400, cells
 
 
 def test_free_origin_stable_theta_is_class_count():

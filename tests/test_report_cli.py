@@ -11,10 +11,11 @@ import pytest
 import semicoh.groups
 import semicoh.intmat
 import semicoh.report
+from semicoh.abelian import AbelianGroup
 from semicoh.cache import cache_get, cache_key, cache_put
 from semicoh.cli import build_parser, main
 from semicoh.engines import build_table, formula_table, molien_column, rank_column
-from semicoh.errors import NotADivisor
+from semicoh.errors import NotADivisor, TorsionExponentViolation
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.iojson import (
     group_to_json_dict,
@@ -24,6 +25,7 @@ from semicoh.iojson import (
 )
 from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json, render_report_markdown
+from semicoh.tables import CohomologyTable
 
 from conftest import count_calls
 
@@ -77,6 +79,23 @@ def test_table_roundtrip():
     for engine in ("oracle", "formula-published", "formula-corrected"):
         table = build_table(fixture_by_name("p3").spec, 5, engine)
         assert parse_table(render_table(table)) == table
+
+
+def test_torsion_not_dividing_m_is_refused_built_or_parsed():
+    # each degree's chain is checked by its largest factor; the refusal
+    # names the smallest factor that does not divide m, wherever it sits
+    table = build_table(fixture_by_name("z5_z6").spec, 6, "oracle")
+    for torsion, factor in (((2, 4, 8), 4), ((5,), 5), ((3, 3, 12), 12)):
+        groups = table.groups[:3] + (AbelianGroup(1, torsion),) + table.groups[4:]
+        message = f"torsion order {factor} in degree 3 does not divide m=6"
+        with pytest.raises(TorsionExponentViolation, match=message):
+            CohomologyTable(engine="oracle", n=5, m=6, max_degree=6, groups=groups)
+        doc = json.loads(render_table(table))
+        entry = next(e for e in doc["groups"] if e["degree"] == 3)
+        entry["rank"], entry["torsion"] = 1, list(torsion)
+        with pytest.raises(TorsionExponentViolation, match=message):
+            parse_table(json.dumps(doc))
+    assert parse_table(render_table(table)) == table
 
 
 def test_report_deterministic():
@@ -242,18 +261,26 @@ def test_compare_refuses_a_foreign_prime_before_the_oracle(monkeypatch):
 
 
 def test_cli_census_reduces_each_psi_minus_one_once():
-    # the freeness test and the class count read one reduction per prime of
-    # m = 6; each used to reduce every psi_p - 1 itself
+    # the freeness test and the class count read one det of psi_p - 1 per
+    # prime of m = 6, after validate's det of phi, and run no Smith form;
+    # each used to reduce every psi_p - 1 itself
     code = (
-        "import sys, semicoh.intmat as im, semicoh.cli as cli\n"
-        "calls, engine = [], im._smith_engine\n"
-        "im._smith_engine = lambda *a, **k: calls.append(a) or engine(*a, **k)\n"
+        "import sys, semicoh.groups as g, semicoh.intmat as im, semicoh.cli as cli\n"
+        "from semicoh.iojson import load_group_file\n"
+        "dets, det = [], g.det\n"
+        "g.det = lambda a: dets.append(a) or det(a)\n"
+        "smith, snf = [], im.smith_normal_form\n"
+        "im.smith_normal_form = lambda a: smith.append(a) or snf(a)\n"
         "status = cli.main(['census', '--format', 'json', 'fixtures/p6.json'])\n"
-        "print(status, len(calls), file=sys.stderr)\n"
+        "got = list(dets)\n"
+        "spec = load_group_file('fixtures/p6.json')\n"
+        "one = im.IntMatrix.identity(spec.n)\n"
+        "expected = [spec.phi] + [spec.psi(p) - one for p in spec.primes]\n"
+        "print(status, len(got), got == expected, len(smith), file=sys.stderr)\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
-    assert result.stderr.split() == ["0", "2"], result.stderr
+    assert result.stderr.split() == ["0", "3", "True", "0"], result.stderr
 
 
 RST_KEYS = {"r", "s", "t", "trivial_block_census", "free_origin_block_census"}
@@ -277,7 +304,7 @@ def test_cli_rst_json_reports_counts_and_censuses_only(capsys):
 def test_cli_rst_runs_no_smith_form(monkeypatch, capsys):
     # a cold rst run, in either format, reads the counts off phi's census
     # and ranks mod p only
-    calls = count_calls(monkeypatch, semicoh.intmat, "_smith_engine")
+    calls = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     semicoh.groups.rst_decompose.cache_clear()
     for fmt in ("json", "md"):
         for _, path in _valid_fixture_paths():
