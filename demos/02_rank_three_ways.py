@@ -14,7 +14,7 @@ Routes 1 and 2 share the characteristic polynomial: Newton's identities
 on the traces of one power_chain, which the test suite checks
 against cofactor expansion and, through the trace identity, against
 explicit exterior powers.  Route 3 shares only that generic product
-chain, and only for n < 4.
+chain, and only for n < 6.
 """
 
 from semicoh import (

@@ -79,11 +79,12 @@ class SpecInputError(InputError):
 # -- internal invariant violations ------------------------------------------
 
 class BadInvariantFactors(InternalInvariantError):
-    """An invariant factor the structure theory forbids: outside {1, p} in
-    an (r, s, t) quotient or in the cokernel of psi - 1 or N over Z/p; or,
-    in a cyclic cohomology group, a rank that contradicts every nonunit
-    factor dividing q (tr(N)/q not an integer, a rank mod l other than
-    tr(N)/q, or a rank mod p above the rank over Q)."""
+    """Ranks that contradict the invariant factors the structure theory
+    allows.  rst_decompose raises it for an isotypic rank mod p above the
+    census counts (a negative r_e or t_e); the oracle, for trace averages
+    or ranks of a cyclic layer that contradict each other (a non-integral
+    dim Fix psi^k or Herbrand shift, a rank mod l other than tr(N)/q, or
+    a rank mod p that leaves a negative exponent)."""
 
 
 class NonInvariantBlock(InternalInvariantError):

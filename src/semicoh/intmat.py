@@ -6,11 +6,12 @@ products use int64 numpy arrays only when the bound
 inner * max|a| * max|b| < 2**62 proves that no entry can overflow, and
 big integers otherwise, so results are exact in all cases.  The powers
 a^0..a^(q-1) and the check a^q = 1 come from one chain of IntMatrix
-products, power_chain; norm_and_power sums that chain and reads its
-traces, and charpoly turns the traces into coefficients by Newton's
-identities.  Matrices narrower than 4 never leave pure Python, so they
-never load numpy.  The oracle's float64 kernels for exterior layers at
-least 4 wide are in layers.py.
+products, power_chain; norm_and_power builds the same chain in big
+integers, sums it and reads its traces, and charpoly turns the traces
+into coefficients by Newton's identities.  Products narrower than
+_NUMPY_MIN_DIM (6) never leave pure Python, so a lattice of rank at most
+5 never loads numpy.  The oracle's float64 kernels for the exterior
+layers of a lattice of rank at least 6 are in layers.py.
 """
 
 from __future__ import annotations
@@ -154,9 +155,17 @@ def block_diagonal(blocks) -> IntMatrix:
 
 
 # int64 arithmetic is used only for values proven below this bound, and
-# only on matrices at least this wide (narrower ones never load numpy)
+# only on products at least this wide in every dimension.  Every product
+# of a lattice of rank at most 5 is narrower, so such a group never loads
+# numpy; importing it costs more than a process spends on 5 x 5 products
 _INT64_LIMIT = 1 << 62
-_NUMPY_MIN_DIM = 4
+_NUMPY_MIN_DIM = 6
+
+
+def _python_matmul(a, b):
+    """Exact product of two list-of-row matrices in big integers."""
+    bt = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def _matmul(a, b):
@@ -168,13 +177,25 @@ def _matmul(a, b):
     bmax = max(map(abs, chain.from_iterable(b)), default=0)
     if min(len(a), inner, len(b[0])) >= _NUMPY_MIN_DIM and inner * amax * bmax < _INT64_LIMIT:
         # imported here so that callers which never take this branch
-        # (the CLI on small fixtures) do not pay for loading numpy
+        # (the CLI on every shipped fixture) do not pay for loading numpy
         import numpy as np
 
         out = np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)
         return out.tolist()
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return _python_matmul(a, b)
+
+
+def _chain(a: IntMatrix, q: int, product) -> tuple[tuple[IntMatrix, ...], bool]:
+    """((a^0, ..., a^(q-1)), a^q == 1), each step by product(a^k rows, a rows)."""
+    if not a.is_square():
+        raise NotSquare("powers need a square matrix")
+    if q < 0:
+        raise ValueError("negative power")
+    powers, power = [], IntMatrix.identity(a.rows)
+    for _ in range(q):
+        powers.append(power)
+        power = IntMatrix._trusted(product(power.data, a.data))
+    return tuple(powers), power.is_identity()
 
 
 def power_chain(a: IntMatrix, q: int) -> tuple[tuple[IntMatrix, ...], bool]:
@@ -186,25 +207,22 @@ def power_chain(a: IntMatrix, q: int) -> tuple[tuple[IntMatrix, ...], bool]:
     >>> [p.trace() for p in powers], is_one
     ([2, -1, -1], True)
     """
-    if not a.is_square():
-        raise NotSquare("powers need a square matrix")
-    if q < 0:
-        raise ValueError("negative power")
-    powers, power = [], IntMatrix.identity(a.rows)
-    for _ in range(q):
-        powers.append(power)
-        power = power @ a
-    return tuple(powers), power.is_identity()
+    return _chain(a, q, _matmul)
 
 
 def norm_and_power(a: IntMatrix, q: int) -> tuple[IntMatrix, list[int], bool]:
-    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one power_chain.
+    """(N = 1 + a + ... + a^(q-1), [tr a^k for k < q], a^q == 1) from one chain.
+
+    The chain is power_chain's, but every product stays in big integers:
+    the oracle hands it only the exterior layers of a lattice of rank at
+    most 5 (at most 10 wide), which numpy would cost more to load than to
+    multiply.  Wider layers arrive as arrays, for layers.norm_trace_chain.
 
     >>> norm, traces, is_one = norm_and_power(IntMatrix([[0, -1], [1, -1]]), 3)
     >>> norm.data, traces, is_one
     (((0, 0), (0, 0)), [2, -1, -1], True)
     """
-    powers, is_one = power_chain(a, q)
+    powers, is_one = _chain(a, q, _python_matmul)
     total = IntMatrix.zeros(a.rows, a.rows)
     for power in powers:
         total = total + power

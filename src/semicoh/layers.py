@@ -1,8 +1,8 @@
-"""numpy kernels for the oracle's exterior layers at least 4 wide.
+"""numpy kernels for the oracle's exterior layers of a lattice of rank at least 6.
 
 Imported only by oracle.e2_table for a lattice of rank at least
-_NUMPY_MIN_DIM (and by a CyclicRep given an array), so no other command
-loads this module or numpy for it.  Results are exact integers.
+_NUMPY_MIN_DIM (6) (and by a CyclicRep given an array), so no group of
+rank at most 5 loads this module or numpy for it.  Results are exact integers.
 Floating point is used only on numpy float64 arrays whose every partial
 sum is proven below 2**53, where float64 represents every integer
 exactly; past a bound the arithmetic moves to arrays of Python ints.

@@ -56,11 +56,13 @@ ORACLE_ASSUMPTIONS = (
 class CyclicRep:
     """A lattice with an action of Z/q, q square-free, given by the matrix psi of a generator.
 
-    ``matrix`` is an IntMatrix or, for e2_table's layers at least
-    _NUMPY_MIN_DIM wide, a square integer numpy array.  Construction runs
-    one chain of products psi^1..psi^q: it checks psi^q = 1 (WrongOrder
-    otherwise) and keeps the norm N = 1 + psi + ... + psi^(q-1) and the
-    traces of psi^0..psi^(q-1), which are all the ranks read.
+    ``matrix`` is an IntMatrix or, for e2_table's layers of a lattice of
+    rank at least _NUMPY_MIN_DIM, a square integer numpy array.
+    Construction runs one chain of products psi^1..psi^q, in big integers
+    on an IntMatrix (norm_and_power) and in layers.norm_trace_chain on an
+    array: it checks psi^q = 1 (WrongOrder otherwise) and keeps the norm
+    N = 1 + psi + ... + psi^(q-1) and the traces of psi^0..psi^(q-1),
+    which are all the ranks read.
     """
 
     q: int
@@ -182,9 +184,10 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
     Each layer gamma is the cyclic cohomology of the dual exterior power
     at alpha in {0, 1, 2} only: positive degrees are 2-periodic, so these
     three values determine every degree.  A lattice of rank below
-    _NUMPY_MIN_DIM has no layer that wide, and its layers come from
-    wedge_power in pure Python; a wider one imports layers.py and gets
-    every layer as a numpy array from one pass of exterior_powers.
+    _NUMPY_MIN_DIM (6) has layers at most C(5, 2) = 10 wide; they come
+    from wedge_power and norm_and_power in pure Python, which never load
+    numpy.  A lattice of rank at least 6 imports layers.py and gets every
+    layer as a numpy array from one pass of exterior_powers.
     """
     validate(spec)
     widest = comb(spec.n, spec.n // 2)

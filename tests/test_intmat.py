@@ -10,20 +10,24 @@ from hypothesis import strategies as st
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import companion_of_cyclotomic
 from semicoh.errors import DegreeOutOfRange, NotUnimodular
+import semicoh.intmat
 from semicoh.intmat import (
+    _NUMPY_MIN_DIM,
     IntMatrix,
+    block_diagonal,
     charpoly,
     charpoly_from_traces,
     contragredient,
     det,
     norm_and_power,
+    power_chain,
     rank_mod_p,
     smith_normal_form,
     wedge_power,
 )
 from semicoh.intpoly import IntPolynomial
 
-from conftest import power_chain_reference, random_int_matrix, random_unimodular
+from conftest import count_calls, random_int_matrix, random_unimodular
 from smith_support import (
     NotASublattice,
     invariant_factors,
@@ -321,22 +325,25 @@ def test_solve_columns_and_non_sublattice_refusal():
         solve_columns(basis, IntMatrix([[0], [1], [0]]))
 
 
-def test_matmul_int64_guard_matches_python_product():
-    # products of dimension >= 4 run in int64 exactly when
+def test_matmul_int64_guard_matches_python_product(monkeypatch):
+    # products at least _NUMPY_MIN_DIM wide run in int64 exactly when
     # inner * max|a| * max|b| < 2**62; on either side of that bound the
     # result must equal the pure-Python big-integer product
+    python_products = count_calls(monkeypatch, semicoh.intmat, "_python_matmul")
     rng = random.Random(11)
-    inner, amax = 5, 1 << 31
+    inner, amax = _NUMPY_MIN_DIM, 1 << 31
     inside = ((1 << 62) - 1) // (inner * amax)  # largest max|b| in int64
     # at 4 * inside the extreme entry, inner * amax * bmax, would wrap int64
-    for bmax in (inside, inside + 1, 4 * inside):
-        a = [[rng.randint(-amax, amax) for _ in range(inner)] for _ in range(4)]
-        b = [[rng.randint(-bmax, bmax) for _ in range(6)] for _ in range(inner)]
+    for bmax, in_int64 in ((inside, True), (inside + 1, False), (4 * inside, False)):
+        a = [[rng.randint(-amax, amax) for _ in range(inner)] for _ in range(inner)]
+        b = [[rng.randint(-bmax, bmax) for _ in range(inner + 1)] for _ in range(inner)]
         a[0] = [amax] * inner
         for row in b:
             row[0] = bmax
         expected = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        python_products.clear()
         assert IntMatrix(a) @ IntMatrix(b) == IntMatrix(expected)
+        assert len(python_products) == (not in_int64), bmax
 
 
 def test_add_and_sub_refuse_shape_mismatch():
@@ -367,13 +374,13 @@ def test_built_results_hold_plain_ints_like_public_ones():
     # check; the entries must still be plain ints (never numpy.int64), and
     # the results must equal and hash like the public constructor's
     rng = random.Random(19)
-    small = random_int_matrix(rng, 4, 5)
-    wide = random_int_matrix(rng, 5, 6)
-    big = IntMatrix([[rng.randint(-(10**30), 10**30) for _ in range(5)] for _ in range(4)])
+    small = random_int_matrix(rng, 6, 7)
+    wide = random_int_matrix(rng, 7, 8)
+    big = IntMatrix([[rng.randint(-(10**30), 10**30) for _ in range(7)] for _ in range(6)])
     results = [
         small + small,
         small - big,
-        small @ wide,  # 4 x 5 x 6 with entries <= 5: the int64 product
+        small @ wide,  # 6 x 7 x 8 with entries <= 5: the int64 product
         big @ wide,  # entries near 10**30: the big-integer product
         small.transpose(),
         big.transpose(),
@@ -388,29 +395,49 @@ def test_built_results_hold_plain_ints_like_public_ones():
             IntMatrix(bad)
 
 
-def test_norm_and_power_int64_guard_matches_python_chain():
-    # each product of the chain goes through _matmul's int64 guard, and a^k
-    # shows in N and tr a^k for k < q (a^q only in the identity check); on
-    # c * ones(4x4), a^k = 4^(k-1) c^k ones, and with c = 10**6, a^3
-    # (1.6e19) lies between 2**63 and 2**64, so a looser guard would wrap it
-    a = IntMatrix([[10**6] * 4 for _ in range(4)])
+def test_power_chain_int64_guard_matches_exact_powers(monkeypatch):
+    # each product of power_chain goes through _matmul's int64 guard, and
+    # a^k shows in the powers for k < q (a^q only in the identity check);
+    # norm_and_power builds the same chain in big integers only
+    python_products = count_calls(monkeypatch, semicoh.intmat, "_python_matmul")
+
+    def check(a, q, expected_powers, python_steps):
+        python_products.clear()
+        powers, is_one = power_chain(a, q)
+        assert powers == tuple(expected_powers[:q])
+        assert is_one == expected_powers[q].is_identity()
+        assert len(python_products) == python_steps, (a, q)
+        expected_norm = IntMatrix.zeros(a.rows, a.rows)
+        for power in expected_powers[:q]:
+            expected_norm = expected_norm + power
+        assert norm_and_power(a, q) == (
+            expected_norm, [power.trace() for power in expected_powers[:q]], is_one
+        )
+
+    # c * ones(6x6): a^k = 6^(k-1) c^k ones, and with c = 7 * 10**5, a^3
+    # (1.23e19) lies between 2**63 and 2**64, so a looser guard would wrap
+    # it; the first two products run in int64, every later one in big
+    # integers
+    n, c = _NUMPY_MIN_DIM, 7 * 10**5
+    a = IntMatrix([[c] * n for _ in range(n)])
+    assert 1 << 63 < n**2 * c**3 < 1 << 64
+    powers = [IntMatrix.identity(n)] + [IntMatrix([[n ** (k - 1) * c**k] * n] * n) for k in range(1, 13)]
     for q in (0, 1, 2, 3, 4, 12):
-        assert norm_and_power(a, q) == power_chain_reference(a, q)
-    # 2^20 * identity(4): the third product's bound 4 * 2^40 * 2^20 is
-    # exactly 2^62, so q = 3 meets the guard at the bound, q = 4 just past
-    # it and q = 12 far past it
-    diag = IntMatrix.scalar(4, 1 << 20)
-    for q in (2, 3, 4, 12):
-        assert norm_and_power(diag, q) == power_chain_reference(diag, q)
+        check(a, q, powers, max(q - 2, 0))
+    # 2^29 * identity(16): the second product's bound 16 * 2^29 * 2^29 is
+    # exactly 2^62, so q = 1 stays below the guard, q = 2 meets it at the
+    # bound, q = 3 goes just past it and q = 12 far past it
+    diag = IntMatrix.scalar(16, 1 << 29)
+    powers = [IntMatrix.scalar(16, 1 << (29 * k)) for k in range(13)]
+    for q in (1, 2, 3, 12):
+        check(diag, q, powers, q - 1)
     # -2^63 fits int64, but its absolute value does not
-    low = [[0] * 4 for _ in range(4)]
-    low[0][0], low[1][1], low[2][3], low[3][2] = -(1 << 63), 1, 1, 1
-    low = IntMatrix(low)
+    swap = IntMatrix([[0, 1], [1, 0]])
+    low = block_diagonal([IntMatrix([[-(1 << 63)]]), IntMatrix.identity(3), swap])
+    powers = [block_diagonal([IntMatrix([[(-(1 << 63)) ** k]]), IntMatrix.identity(3), swap**k])
+              for k in range(4)]
     for q in (1, 2, 3):
-        assert norm_and_power(low, q) == power_chain_reference(low, q)
-    # narrower than 4: the pure-Python chain, far past int64
-    small = IntMatrix([[10**6, -3, 1], [7, 10**6, 0], [1, 1, 1]])
-    assert norm_and_power(small, 9) == power_chain_reference(small, 9)
+        check(low, q, powers, q)
 
 
 def test_big_entries_stay_exact():

@@ -248,17 +248,35 @@ def test_e2_table_matches_the_smith_reference(rng):
 
 
 def test_e2_table_on_python_int_layers_matches_the_smith_reference(monkeypatch):
-    # a conjugate with 95-bit entries: layers 1..4 are Python-int arrays, and
-    # the chains of layers 1..3 run on Python ints from their first step
+    # a rank-6 conjugate with 95-bit entries: its layers are arrays, and
+    # layers 1..6 hold Python ints
     k = 1 << 31
-    p = IntMatrix([[1, k, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) @ IntMatrix(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [k, 0, 1, 0], [0, 0, k, 1]]
-    )
-    s = IntMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
-    spec = GroupSpec(4, 2, p @ s @ contragredient(p).transpose())
+    p = _shear(6, 0, 1, k) @ _shear(6, 2, 0, k) @ _shear(6, 3, 2, k)
+    swap = IntMatrix([[0, 1], [1, 0]])
+    s = block_diagonal([swap, IntMatrix([[-1]]), IntMatrix.identity(1), swap])
+    spec = GroupSpec(6, 2, p @ s @ contragredient(p).transpose())
+    assert spec.n >= semicoh.intmat._NUMPY_MIN_DIM
     chains = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
-    assert list(e2_table(spec, 7).groups) == _smith_table_reference(spec, 7)
-    assert [a.dtype == object for a, _ in chains] == [False, True, True, True, True]
+    assert list(e2_table(spec, 9).groups) == _smith_table_reference(spec, 9)
+    assert [a.dtype == object for a, _ in chains] == [False] + [True] * 6
+
+
+def _shear(n, i, j, k):
+    """The identity of rank n with k added at (i, j)."""
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    rows[i][j] = k
+    return IntMatrix(rows)
+
+
+def _wide_specs(rng):
+    """Dense conjugates of rank 6 and 7, whose oracle layers are numpy arrays."""
+    layouts = ((15, (5, 3)), (10, (10, 2, 1)), (6, (6, 2, 3, 1, 1)))
+    specs = []
+    for m, orders in layouts:
+        phi = block_diagonal([companion_of_cyclotomic(e) for e in orders])
+        conj = random_unimodular(rng, phi.rows)
+        specs.append(GroupSpec(phi.rows, m, conj @ phi @ contragredient(conj).transpose()))
+    return specs
 
 
 def test_exterior_powers_match_wedge_power(rng):
@@ -301,10 +319,11 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         ), fixture.name
 
 
-def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
+def test_e2_table_builds_each_layer_power_chain_once(monkeypatch, rng):
     # psi^1..psi^q come from one chain per layer, which yields N, the traces
     # of psi^0..psi^(q-1) and the psi^q = 1 check: norm_and_power on the
-    # pure-Python layers of n < 4, norm_trace_chain on the array layers; the
+    # pure-Python layers of n < _NUMPY_MIN_DIM (every fixture),
+    # norm_trace_chain on the array layers of the wider conjugates; the
     # only other power is phi^(m-1), whose transpose is the dual action, and
     # no psi - 1 is built
     narrow = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
@@ -317,17 +336,19 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch):
             return original(self, other)
 
         monkeypatch.setattr(IntMatrix, op, counted)
-    for fixture in fixture_suite():
-        if not fixture.valid:
-            continue
-        spec = fixture.spec
+    specs = [fixture.spec for fixture in fixture_suite() if fixture.valid] + _wide_specs(rng)
+    wide_layers = 0
+    for spec in specs:
         narrow.clear()
         wide.clear()
         oracle_ops.clear()
         e2_table(spec, spec.n + 3)
-        assert len(narrow if spec.n < 4 else wide) == spec.n + 1, fixture.name
-        assert len(wide if spec.n < 4 else narrow) == 0, fixture.name
-        assert oracle_ops == [("__pow__", spec.phi, spec.m - 1)], fixture.name
+        in_python = spec.n < semicoh.intmat._NUMPY_MIN_DIM
+        assert len(narrow if in_python else wide) == spec.n + 1, spec
+        assert len(wide if in_python else narrow) == 0, spec
+        assert oracle_ops == [("__pow__", spec.phi, spec.m - 1)], spec
+        wide_layers += len(wide)
+    assert wide_layers == 7 + 7 + 8, wide_layers  # every wide conjugate took the array branch
 
 
 def test_oracle_imports_no_closed_form_machinery():
@@ -347,16 +368,18 @@ def test_oracle_imports_no_closed_form_machinery():
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
     # rk_l(N) = tr(N)/q is a theorem once psi^q = 1, so a certificate rank
-    # one short must surface as an internal invariant failure; z5_z6 has
-    # array layers, p3 pure-Python ones
+    # one short must surface as an internal invariant failure; z5_z6 plus a
+    # trivial summand (rank 6) has array layers, z5_z6 and p3 pure-Python ones
     original = semicoh.oracle._rank_mod_p
     ell = semicoh.oracle._certificate_prime(6)
     assert ell == semicoh.oracle._certificate_prime(3) == 8388593
     monkeypatch.setattr(
         semicoh.oracle, "_rank_mod_p", lambda a, p: original(a, p) - (p == ell)
     )
-    for name in ("z5_z6", "p3"):
-        spec = fixture_by_name(name).spec
+    z5_z6 = fixture_by_name("z5_z6").spec
+    z6_z6 = GroupSpec(6, 6, block_diagonal([z5_z6.phi, IntMatrix.identity(1)]))
+    assert z6_z6.n == semicoh.intmat._NUMPY_MIN_DIM
+    for spec in (z6_z6, z5_z6, fixture_by_name("p3").spec):
         with pytest.raises(InternalInvariantError, match=f"mod {ell}"):
             e2_table(spec, spec.n + 3)
 

@@ -1,6 +1,7 @@
 """Reports, serialization round-trips, CLI behavior, cache."""
 
 import argparse
+import ast
 import json
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from semicoh.cli import build_parser, main
 from semicoh.engines import build_table, formula_table, molien_column, rank_column
 from semicoh.errors import NotADivisor, TorsionExponentViolation
 from semicoh.fixtures import fixture_by_name, fixture_suite
+from semicoh.groups import GroupSpec
+from semicoh.intmat import IntMatrix, block_diagonal
 from semicoh.iojson import (
     group_to_json_dict,
     parse_group_document,
@@ -464,25 +467,56 @@ def test_cli_determinism():
 
 def test_cli_import_does_not_load_numpy():
     # numpy is imported lazily, by the int64 matrix product and by the
-    # oracle's layers module for exterior layers at least 4 wide
+    # oracle's layers module, both only at least _NUMPY_MIN_DIM (6) wide
     code = "import sys, semicoh.cli; assert 'numpy' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
     assert result.returncode == 0, result.stderr
 
 
-@pytest.mark.parametrize("argv", [
-    ["compare", "fixtures/p3.json"],
-    ["analyze", "--no-cache", "fixtures/dinfty.json"],
-])
-def test_cli_on_narrow_fixtures_does_not_load_numpy(argv):
-    # every layer of p3 (n=2) and dinfty (n=1) is narrower than 4, so its
-    # products and power chains stay on Python integers
+_COMPUTING_ARGVS = (
+    ["analyze", "--no-cache"],
+    ["analyze", "--no-cache", "--engine", "oracle"],
+    ["compare"],
+    ["rank", "--no-cache"],
+    ["rst"],
+    ["isotropy"],
+    ["census"],
+)
+
+
+def _cli_exit_codes_and_numpy(path):
+    """(exit code of main per _COMPUTING_ARGVS on path, numpy loaded), in one fresh process."""
     code = ("import sys; from semicoh.cli import main; "
-            f"assert main({argv!r}) == 0; assert 'numpy' not in sys.modules")
+            f"codes = [main(argv + [{str(path)!r}]) for argv in {list(_COMPUTING_ARGVS)!r}]; "
+            "print(repr((codes, 'numpy' in sys.modules)), file=sys.stderr)")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
     assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", [f.name for f in fixture_suite() if f.valid])
+def test_cli_on_shipped_fixtures_does_not_load_numpy(name):
+    # every shipped fixture has rank n <= 5 < _NUMPY_MIN_DIM: its products,
+    # exterior layers and power chains stay on Python integers.  p6's plain
+    # analyze exits 3 on its non-integral formula cells (see
+    # test_cli_internal_invariant_exit_code); its oracle-only analyze runs
+    codes, loaded = _cli_exit_codes_and_numpy(ROOT / "fixtures" / f"{name}.json")
+    assert codes == [3 if name == "p6" and i == 0 else 0 for i in range(len(codes))], codes
+    assert not loaded
+
+
+def test_cli_on_a_rank_six_group_loads_numpy(tmp_path):
+    # the control: z5_z6 plus a trivial summand has rank _NUMPY_MIN_DIM, so
+    # its oracle layers are numpy arrays
+    phi = block_diagonal([fixture_by_name("z5_z6").spec.phi, IntMatrix.identity(1)])
+    spec = GroupSpec(semicoh.intmat._NUMPY_MIN_DIM, 6, phi, name="z6_z6")
+    path = tmp_path / "z6_z6.json"
+    path.write_text(json.dumps(group_to_json_dict(spec)), encoding="utf-8")
+    codes, loaded = _cli_exit_codes_and_numpy(path)
+    assert codes == [0] * len(codes), codes
+    assert loaded
 
 
 def test_cli_fixtures_listing():
