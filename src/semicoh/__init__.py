@@ -41,15 +41,10 @@ from .intmat import (
     wedge_power,
 )
 from .intpoly import IntPolynomial
-from .oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
+from .oracle import CyclicRep, cyclic_cohomology, e2_table
 from .report import compare_report
-from .tables import CohomologyTable, p_part
-from .torsion import (
-    ThetaContext,
-    assemble_p_torsion,
-    bounded_composition_count,
-    theta_coefficient,
-)
+from .tables import CohomologyTable
+from .torsion import ThetaContext, assemble_p_torsion
 
 __all__ = [
     "AbelianGroup",
@@ -67,7 +62,6 @@ __all__ = [
     "SmithDecomposition",
     "ThetaContext",
     "assemble_p_torsion",
-    "bounded_composition_count",
     "build_table",
     "charpoly",
     "compare_report",
@@ -85,12 +79,9 @@ __all__ = [
     "max_finite_subgroup_census",
     "molien_column",
     "molien_rank",
-    "p_part",
     "rank_column",
     "rst_decompose",
     "smith_normal_form",
-    "subgroup_oracle",
-    "theta_coefficient",
     "validate",
     "wedge_power",
 ]

@@ -92,11 +92,8 @@ class NonInvariantBlock(InternalInvariantError):
 
 
 class NonIntegralK(InternalInvariantError):
-    """An eigenvalue count m_d was not divisible by p - 1."""
-
-
-class UnexpectedOrder(InternalInvariantError):
-    """The free-origin block has an eigenvalue the theory forbids."""
+    """A free action whose class count contradicts p^(n/(p-1)): n is not
+    a multiple of p - 1, or |det(psi - 1)| is another number."""
 
 
 class NonIntegralAverage(InternalInvariantError):
@@ -106,8 +103,8 @@ class NonIntegralAverage(InternalInvariantError):
 class NonIntegralOrbitCount(InternalInvariantError):
     """An orbit-count coefficient did not clear its denominator.
 
-    Raised by theta_coefficient and formula_table, and returned as a null
-    cell of a torsion column, when the degree strata of the class set are
+    Returned as a null cell of a torsion column by assemble_p_torsion, and
+    raised by formula_table, when the degree strata of the class set are
     not stable under the complementary group action; comparison reports
     record this instead of aborting.
     """

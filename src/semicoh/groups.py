@@ -60,7 +60,6 @@ from .errors import (
     NotSquare,
     NotSquareFree,
     NotUnimodular,
-    UnexpectedOrder,
     WrongOrder,
 )
 from .intmat import IntMatrix, det, rank_mod_p
@@ -256,40 +255,25 @@ class IsotropyData:
 
 
 def isotropy_data(spec: GroupSpec, p: int, rst: RstDecomposition | None = None) -> IsotropyData:
-    """Census the free-origin block of phi and read off D, m_d, k_d (``rst`` at p)."""
+    """D, m_d and k_d read off the free-origin census of ``rst`` (decomposed at p if omitted).
+
+    rst_decompose puts Phi_pe with multiplicity t_e/phi(e) in that census
+    for each e | m/p, and p does not divide e, so the eigenvalues of
+    order pe give d = m/(pe), m_d = (p-1)*t_e and k_d = t_e: every m_d is
+    a multiple of p-1, and together they sum to (p-1)*t.
+    """
     if rst is None:
         rst = rst_decompose(spec, p)
     elif rst.p != p:
         raise ValueError(f"decomposition at p={rst.p} passed for p={p}")
-    m = spec.m
-    census = rst.t_census
-    for order, mu in census.multiplicities:
-        if mu and order % p:
-            raise UnexpectedOrder(
-                f"free-origin block has an eigenvalue of order {order} not divisible by {p}"
-            )
-    m_d: dict[int, int] = {}
-    k_d: dict[int, int] = {}
-    total = 0
-    for d in divisors(m // p):
-        count = census.multiplicity(m // d) * euler_phi(m // d)
-        if count == 0:
-            continue
-        if count % (p - 1):
-            raise NonIntegralK(f"m_d={count} for d={d} is not divisible by p-1={p - 1}")
-        m_d[d] = count
-        k_d[d] = count // (p - 1)
-        total += count
-    if total != (p - 1) * rst.t:
-        raise NonIntegralK(
-            f"eigenvalue counts sum to {total}, expected (p-1)*t = {(p - 1) * rst.t}"
-        )
-    ds = tuple(sorted(m_d))
+    t_e = {spec.m // order: mu * euler_phi(order // p)
+           for order, mu in rst.t_census.multiplicities}
+    k_d = tuple(sorted(t_e.items()))
     return IsotropyData(
         p=p,
-        divisors=ds,
-        m_d=tuple(sorted(m_d.items())),
-        k_d=tuple(sorted(k_d.items())),
+        divisors=tuple(d for d, _ in k_d),
+        m_d=tuple((d, (p - 1) * k) for d, k in k_d),
+        k_d=k_d,
     )
 
 

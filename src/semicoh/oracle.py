@@ -27,7 +27,6 @@ from .abelian import AbelianGroup, _factorint
 from .errors import (
     BadInvariantFactors,
     DimensionTooLarge,
-    NotADivisor,
     NotSquare,
     NotSquareFree,
     WrongOrder,
@@ -226,17 +225,3 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
         stable_from=spec.n + 1,
         assumptions=ORACLE_ASSUMPTIONS,
     )
-
-
-def subgroup_oracle(spec: GroupSpec, q: int, max_degree: int) -> CohomologyTable:
-    """e2_table for the sub-semidirect product Z^n x| Z/q, q | m."""
-    validate(spec)
-    if q < 1 or spec.m % q:
-        raise NotADivisor(f"{q} does not divide m={spec.m}")
-    sub = GroupSpec(
-        n=spec.n,
-        m=q,
-        phi=spec.phi ** (spec.m // q),
-        name=f"{spec.name or 'group'}-sub{q}",
-    )
-    return e2_table(sub, max_degree)

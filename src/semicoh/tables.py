@@ -43,8 +43,3 @@ class CohomologyTable:
 
     def rank_column(self) -> tuple[int, ...]:
         return tuple(g.rank for g in self.groups)
-
-
-def p_part(table: CohomologyTable, p: int) -> tuple[int, ...]:
-    """Multiplicity of the prime p across invariant factors, per degree."""
-    return tuple(g.p_multiplicity(p) for g in table.groups)

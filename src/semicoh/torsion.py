@@ -52,36 +52,6 @@ def check_variant(variant: str, cutoff: str = "half") -> None:
         raise ValueError(f"unknown corrected cutoff {cutoff!r}; expected one of {CUTOFFS}")
 
 
-def _comb0(a: int, b: int) -> int:
-    """Binomial with the convention C(a, b) = 0 whenever a < 0 or b < 0."""
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
-
-
-def bounded_composition_count(k: int, p: int, i: int) -> int:
-    """Number of k-tuples with entries in [0, p-1] summing to i.
-
-    Inclusion-exclusion over the entries that overflow the bound:
-
-        sum_j (-1)^j C(k, j) C(i - j*p + k - 1, k - 1)
-
-    >>> bounded_composition_count(2, 2, 1)
-    2
-    >>> bounded_composition_count(3, 2, 2)
-    3
-    """
-    if k < 0 or i < 0:
-        return 0
-    if k == 0:
-        return 1 if i == 0 else 0
-    total = 0
-    for j in range(k + 1):
-        term = comb(k, j) * _comb0(i - j * p + k - 1, k - 1)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 @dataclass(frozen=True)
 class ThetaContext:
     """Everything the orbit coefficients depend on for one prime."""
@@ -91,7 +61,6 @@ class ThetaContext:
     s: int
     divisors: tuple[int, ...]
     k_d: tuple[tuple[int, int], ...]
-    variant: TorsionVariant
 
 
 def _truncated_product(factors, top: int) -> list[int]:
@@ -117,18 +86,27 @@ def _truncated_product(factors, top: int) -> list[int]:
 
 @lru_cache(maxsize=256)
 def _composition_poly(k: int, p: int) -> tuple[int, ...]:
-    """Coefficients of (1 + x + ... + x^(p-1))^k, lowest degree first, once per (k, p)."""
-    return tuple(bounded_composition_count(k, p, i) for i in range(k * (p - 1) + 1))
+    """Coefficients of (1 + x + ... + x^(p-1))^k, lowest degree first, once per (k, p).
+
+    The coefficient of x^i counts the k-tuples with entries in [0, p-1]
+    summing to i.
+
+    >>> _composition_poly(3, 2)
+    (1, 3, 3, 1)
+    """
+    return tuple(_truncated_product([[1] * p] * k, k * (p - 1)))
 
 
-def _coefficient_series(ctx: ThetaContext, a_set, top: int, cutoff: str) -> list:
+def _coefficient_series(
+    ctx: ThetaContext, variant: TorsionVariant, a_set, top: int, cutoff: str
+) -> list:
     """T(A, beta) for beta = 0..top as pairs (numerator, m^e) from one truncated product.
 
     The numerator is (p * gcd A)^e times a prefix sum of the product, with
     e = |A| (published) or 1 (corrected) and gcd of the empty set read as m/p.
     """
     kd = dict(ctx.k_d)
-    if ctx.variant == "published":
+    if variant == "published":
         # tuples over all of D, entries from 0; only A's strata are weighted.  Pinned:
         # the empty set takes the empty product and is nonzero iff beta = 0 (mod 4)
         e, first, step, budgets = len(a_set), 0, (2 if a_set else 4), list(range(top + 1))
@@ -145,54 +123,26 @@ def _coefficient_series(ctx: ThetaContext, a_set, top: int, cutoff: str) -> list
             for b in range(top + 1)]
 
 
-def _null_cell(ctx: ThetaContext, a_set, beta: int, value: Fraction) -> NonIntegralOrbitCount:
-    return NonIntegralOrbitCount(f"coefficient {value} for A={sorted(set(a_set))}, "
-                                 f"beta={beta} ({ctx.variant}) is not an integer")
-
-
-def theta_coefficient_exact(
-    ctx: ThetaContext, a_set, beta: int, *, corrected_cutoff: str = "half"
-) -> Fraction:
-    """The orbit coefficient as an exact fraction (before integrality)."""
-    check_variant(ctx.variant, corrected_cutoff)
-    a_set = frozenset(a_set)
-    if not a_set <= set(ctx.divisors):
-        raise ValueError(f"{sorted(a_set)} is not a subset of D={ctx.divisors}")
-    if beta < 0:
-        return Fraction(0)
-    return Fraction(*_coefficient_series(ctx, a_set, beta, corrected_cutoff)[beta])
-
-
-def theta_coefficient(
-    ctx: ThetaContext, a_set, beta: int, *, corrected_cutoff: str = "half"
-) -> int:
-    """Integer orbit coefficient; NonIntegralOrbitCount when it is not one.
-
-    A non-clearing denominator means the weight strata of the class set
-    are not stable under the complementary group action, so the closed
-    form does not count orbits there; comparison reports record this
-    instead of aborting.
-    """
-    value = theta_coefficient_exact(ctx, a_set, beta, corrected_cutoff=corrected_cutoff)
-    if value.denominator != 1:
-        raise _null_cell(ctx, a_set, beta, value)
-    return int(value)
+def _null_cell(
+    variant: TorsionVariant, a_set, beta: int, value: Fraction
+) -> NonIntegralOrbitCount:
+    return NonIntegralOrbitCount(f"coefficient {value} for A={sorted(a_set)}, "
+                                 f"beta={beta} ({variant}) is not an integer")
 
 
 @lru_cache(maxsize=256)
 def _context_and_rblock(spec: GroupSpec, p: int):
-    """({variant: ThetaContext}, r, {d: H(0..r, d) on the trivial block} for d | m/p).
+    """(ThetaContext, r, {d: H(0..r, d) on the trivial block} for d | m/p).
 
-    Keyed by (spec, p) alone: both variants share one decomposition and
-    one wedge-count column per divisor, and no cache is keyed by the
-    r block's census, which conjugate specs share.
+    Keyed by (spec, p) alone: both variants share one context and one
+    wedge-count column per divisor, and no cache is keyed by the r
+    block's census, which conjugate specs share.
     """
     rst = rst_decompose(spec, p)
     iso = isotropy_data(spec, p, rst)
-    contexts = {variant: ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors,
-                                      k_d=iso.k_d, variant=variant) for variant in VARIANTS}
+    ctx = ThetaContext(p=p, m=spec.m, s=rst.s, divisors=iso.divisors, k_d=iso.k_d)
     x_r = exponent_multiset(rst.r_census)
-    return contexts, rst.r, {d: count_wedge_roots(x_r, d) for d in divisors(spec.m // p)}
+    return ctx, rst.r, {d: count_wedge_roots(x_r, d) for d in divisors(spec.m // p)}
 
 
 def assemble_p_torsion(
@@ -222,14 +172,14 @@ def assemble_p_torsion(
     check_variant(variant, corrected_cutoff)
     if max_degree < 0:
         raise ValueError("negative max degree")
-    contexts, r, columns = _context_and_rblock(spec, p)
-    ctx = contexts[variant]
+    ctx, r, columns = _context_and_rblock(spec, p)
     nulls = [None] * (max_degree + 1)  # per l2, the first null: A in subset order, then tau
     folded = {}  # gcd A -> sum of the folded series of those A
     for mask in range(1 << len(ctx.divisors)):
         a_set = frozenset(d for i, d in enumerate(ctx.divisors) if mask >> i & 1)
-        series = _coefficient_series(ctx, a_set, max_degree, corrected_cutoff)
-        exact = [num // den if num % den == 0 else _null_cell(ctx, a_set, beta, Fraction(num, den))
+        series = _coefficient_series(ctx, variant, a_set, max_degree, corrected_cutoff)
+        exact = [num // den if num % den == 0
+                 else _null_cell(variant, a_set, beta, Fraction(num, den))
                  for beta, (num, den) in enumerate(series)]
         acc = folded.setdefault(gcd(*a_set) if a_set else spec.m // p, [0] * (max_degree + 1))
         for tau in range(ctx.s + 1):  # times (1 + x^p)^s

@@ -1,13 +1,16 @@
-"""Every private top-level helper of the package has a reader.
+"""Every private top-level helper and every public name of the package has a reader.
 
 A top-level function or class whose name starts with an underscore is
 internal: if no other line of ``src/semicoh`` names it, nothing can call
-it, and it is dead code left behind by a removal.
+it, and it is dead code left behind by a removal.  A name in
+``semicoh.__all__`` that only tests read is test-only code in ``src``.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import semicoh
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "semicoh"
 
@@ -38,6 +41,32 @@ def test_every_private_helper_is_referenced_elsewhere():
 
 
 ROOT = PACKAGE.parent.parent
+
+
+def test_every_public_name_has_a_reader_outside_the_tests():
+    # a name exported through __all__ that only tests read is test-only API;
+    # neither its definition nor its re-export in __init__.py reads it
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    definitions = {
+        (path, node.lineno)
+        for path in sources
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in semicoh.__all__
+    }
+    lines = [
+        line
+        for path in sources
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if (path, number) not in definitions
+    ]
+    unread = [
+        name for name in semicoh.__all__
+        if not any(re.search(rf"\b{name}\b", line) for line in lines)
+    ]
+    assert unread == []
+
+
 LINTED = [
     path for folder in (PACKAGE, ROOT / "tests", ROOT / "demos")
     for path in sorted(folder.glob("*.py"))

@@ -158,16 +158,26 @@ def test_rst_counts_are_basis_stable(rng):
 
 
 def test_rst_invariants_random(rng):
-    for _ in range(20):
-        spec = random_companion_spec(rng)
+    # isotropy_data reads D, m_d and k_d off the free-origin census without
+    # re-checking them: these are the facts rst_decompose's census makes true
+    specs = [random_companion_spec(rng) for _ in range(20)]
+    specs += [random_permutation_spec(rng) for _ in range(20)]
+    regular = 0
+    for spec in specs:
         for p in spec.primes:
             rst = rst_decompose(spec, p)
+            regular += rst.s > 0
             assert rst.r + p * rst.s + (p - 1) * rst.t == spec.n
+            assert all(order % p == 0 for order, _ in rst.t_census.multiplicities)
             iso = isotropy_data(spec, p, rst)
             assert sum(v for _, v in iso.m_d) == (p - 1) * rst.t
             for d, v in iso.m_d:
                 assert v % (p - 1) == 0
                 assert (spec.m // p) % d == 0
+            for d, k in iso.k_d:
+                e = spec.m // (p * d)  # the piece ker(Phi_e(phi) * Phi_pe(phi))
+                assert k == rst.t_census.multiplicity(p * e) * euler_phi(e)  # t_e
+    assert regular >= 5, regular
 
 
 def test_rst_smith_runs_per_decomposition(monkeypatch):

@@ -2,7 +2,7 @@
 
 import ast
 import sys
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +19,12 @@ from semicoh.cyclotomic import (
     exponent_multiset,
     matrix_census,
 )
-from semicoh.engines import molien_column, rank_column
+from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
     BadInvariantFactors,
     DimensionTooLarge,
     InternalInvariantError,
-    NotADivisor,
+    NonIntegralOrbitCount,
     NotSquareFree,
 )
 from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_suite
@@ -37,8 +37,8 @@ from semicoh.intmat import (
     wedge_power,
 )
 from semicoh.layers import exterior_powers
-from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table, subgroup_oracle
-from semicoh.tables import p_part
+from semicoh.oracle import CyclicRep, cyclic_cohomology, e2_table
+from semicoh.torsion import VARIANTS
 
 from conftest import (
     CYCLE_PLUS_TRIVIAL,
@@ -140,7 +140,7 @@ def test_trivial_plus_regular_block_pinned():
     spec = CYCLE_PLUS_TRIVIAL
     rst = rst_decompose(spec, 3)
     assert (rst.r, rst.s, rst.t) == (1, 1, 0)
-    column = p_part(e2_table(spec, 8), 3)
+    column = [g.p_multiplicity(3) for g in e2_table(spec, 8).groups]
     assert (column[5], column[6]) == (2, 2)
 
 
@@ -200,7 +200,8 @@ def test_regular_blocks_shift_the_p_part(rng):
                 for j in range(s + 1) if l >= j * p)
             for l in range(top + 1)
         ]
-        assert list(p_part(e2_table(spec, top), p)) == expected, (m, p, s, rest)
+        column = [g.p_multiplicity(p) for g in e2_table(spec, top).groups]
+        assert column == expected, (m, p, s, rest)
         twisted += p == 2 and bool(rest)
     assert twisted >= 5
 
@@ -444,8 +445,8 @@ def test_e2_flagship_ranks_and_table():
     spec = fixture_by_name("z5_z6").spec
     table = e2_table(spec, 12)
     assert table.rank_column() == (1, 1, 2, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0)
-    assert p_part(table, 2) == (0, 0, 2, 1, 4, 3, 4, 4, 4, 4, 4, 4, 4)
-    assert p_part(table, 3) == (0, 0, 2, 2, 5, 5, 6, 6, 6, 6, 6, 6, 6)
+    assert [g.p_multiplicity(2) for g in table.groups] == [0, 0, 2, 1, 4, 3, 4, 4, 4, 4, 4, 4, 4]
+    assert [g.p_multiplicity(3) for g in table.groups] == [0, 0, 2, 2, 5, 5, 6, 6, 6, 6, 6, 6, 6]
 
 
 def test_e2_rank_three_way_agreement():
@@ -481,28 +482,31 @@ def test_e2_two_periodicity_above_n(rng):
             assert table.groups[l] == table.groups[l + 2]
 
 
+def subgroup(spec, q):
+    """The sub-semidirect product Z^n x| Z/q, q | m, generated by phi^(m/q)."""
+    return GroupSpec(spec.n, q, spec.phi ** (spec.m // q))
+
+
 def test_subgroup_oracle_flagship():
     spec = fixture_by_name("z5_z6").spec
-    sub2 = subgroup_oracle(spec, 2, 4)
+    sub2 = e2_table(subgroup(spec, 2), 4)
     assert sub2.groups[2].p_multiplicity(2) == 2
-    sub1 = subgroup_oracle(spec, 1, 6)
+    sub1 = e2_table(subgroup(spec, 1), 6)
     assert sub1.rank_column() == (1, 5, 10, 10, 5, 1, 0)
     # hand Kunneth: Z^5 x| Z/3 = Z^3 x (Z^2 x| Z/3)
-    sub3 = subgroup_oracle(spec, 3, 4)
+    sub3 = e2_table(subgroup(spec, 3), 4)
     assert sub3.groups[1] == G(3)
     assert sub3.groups[2].rank == 4
     assert sub3.groups[2].p_multiplicity(3) == 2
-    with pytest.raises(NotADivisor):
-        subgroup_oracle(spec, 4, 4)
 
 
 def test_localization_bound():
     spec = fixture_by_name("z5_z6").spec
     full = e2_table(spec, 9)
     for p in spec.primes:
-        sub = subgroup_oracle(spec, p, 9)
-        for a, b in zip(p_part(full, p), p_part(sub, p)):
-            assert a <= b
+        sub = e2_table(subgroup(spec, p), 9)
+        for a, b in zip(full.groups, sub.groups):
+            assert a.p_multiplicity(p) <= b.p_multiplicity(p)
 
 
 def test_a_trivially_acting_coprime_factor_splits_off_by_kunneth(rng):
@@ -531,16 +535,42 @@ def test_a_trivially_acting_coprime_factor_splits_off_by_kunneth(rng):
     assert cells >= 400, cells
 
 
+def test_a_generator_power_prime_to_m_gives_the_same_tables(rng):
+    # phi and phi^k with gcd(k, m) = 1 generate one cyclic group of
+    # automorphisms of Z^n, so both specs present the same group and every
+    # engine must return the same tables; a null formula cell is compared
+    # by its message
+    def tables(spec, top):
+        out = [rank_column(spec, top), molien_column(spec, top), e2_table(spec, top)]
+        for variant in VARIANTS:
+            try:
+                out.append(formula_table(spec, top, variant))
+            except NonIntegralOrbitCount as exc:
+                out.append(str(exc))
+        return out
+
+    orders = (3, 5, 6, 10, 15, 30)
+    specs = [random_companion_spec(rng, n_max=6, orders=orders) for _ in range(60)]
+    specs += [random_permutation_spec(rng, n_max=6, orders=orders) for _ in range(60)]
+    nulls = 0
+    for spec in specs:
+        k = rng.choice([k for k in range(2, spec.m) if gcd(k, spec.m) == 1])
+        top = spec.n + 3
+        expected = tables(spec, top)
+        assert tables(GroupSpec(spec.n, spec.m, spec.phi ** k), top) == expected, (spec, k)
+        nulls += any(isinstance(table, str) for table in expected)
+    assert nulls >= 10, nulls
+
+
 def test_free_origin_stable_theta_is_class_count():
     for name in ("dinfty", "p3", "phi5", "p6"):
         spec = fixture_by_name(name).spec
         for p in spec.primes:
             k = spec.n // (p - 1)
-            sub = subgroup_oracle(spec, p, spec.n + 4)
-            col = p_part(sub, p)
+            sub = e2_table(subgroup(spec, p), spec.n + 4)
             for l in range(spec.n + 1, spec.n + 5):
                 if l % 2 == 0:
-                    assert col[l] == p**k
+                    assert sub.groups[l].p_multiplicity(p) == p**k
 
 
 def test_dimension_limit():

@@ -17,15 +17,13 @@ from semicoh.groups import GroupSpec, isotropy_data, rst_decompose
 from semicoh.intmat import IntMatrix, block_diagonal
 from semicoh.oracle import e2_table
 from semicoh.report import compare_report
-from semicoh.tables import p_part
 from semicoh.torsion import (
     CUTOFFS,
     VARIANTS,
     ThetaContext,
+    _coefficient_series,
+    _composition_poly,
     assemble_p_torsion,
-    bounded_composition_count,
-    theta_coefficient,
-    theta_coefficient_exact,
 )
 
 
@@ -42,12 +40,18 @@ def brute_compositions(k, p, i):
     return sum(1 for tup in iproduct(range(p), repeat=k) if sum(tup) == i)
 
 
+def compositions(k, p, i):
+    """Coefficient of x^i in (1 + ... + x^(p-1))^k; 0 past the top degree."""
+    poly = _composition_poly(k, p)
+    return poly[i] if i < len(poly) else 0
+
+
 def test_bounded_compositions_examples():
-    assert [bounded_composition_count(1, 3, i) for i in range(4)] == [1, 1, 1, 0]
-    assert bounded_composition_count(2, 2, 1) == 2
-    assert bounded_composition_count(3, 2, 2) == 3
-    assert bounded_composition_count(0, 5, 0) == 1
-    assert bounded_composition_count(0, 5, 3) == 0
+    assert [compositions(1, 3, i) for i in range(4)] == [1, 1, 1, 0]
+    assert compositions(2, 2, 1) == 2
+    assert compositions(3, 2, 2) == 3
+    assert compositions(0, 5, 0) == 1
+    assert compositions(0, 5, 3) == 0
 
 
 def test_bounded_compositions_bruteforce_and_total():
@@ -55,7 +59,7 @@ def test_bounded_compositions_bruteforce_and_total():
         for k in range(5):
             total = 0
             for i in range(k * (p - 1) + 2):
-                value = bounded_composition_count(k, p, i)
+                value = compositions(k, p, i)
                 assert value == brute_compositions(k, p, i)
                 total += value
             assert total == p**k
@@ -63,9 +67,11 @@ def test_bounded_compositions_bruteforce_and_total():
 
 def test_composition_poly_sweeps_once_per_k_and_p(monkeypatch):
     # across formula tables of every valid fixture, each distinct (k, p)
-    # costs one sweep of bounded_composition_count over i = 0..k(p-1)
-    calls = count_calls(monkeypatch, semicoh.torsion, "bounded_composition_count")
-    semicoh.torsion._composition_poly.cache_clear()
+    # costs one truncated product of k factors 1 + x + ... + x^(p-1);
+    # the coefficient series' own products have a factor with a zero entry
+    requests = count_calls(monkeypatch, semicoh.torsion, "_composition_poly")
+    products = count_calls(monkeypatch, semicoh.torsion, "_truncated_product")
+    _composition_poly.cache_clear()
     for fixture in fixture_suite():
         if not fixture.valid:
             continue
@@ -76,48 +82,56 @@ def test_composition_poly_sweeps_once_per_k_and_p(monkeypatch):
                 formula_table(spec, spec.n + 6, variant)
             except NonIntegralOrbitCount:
                 pass
-    sweeps = list(dict.fromkeys((k, p) for k, p, _ in calls))
+    sweeps = list(dict.fromkeys(requests))
     assert len(sweeps) >= 3, sweeps
-    assert calls == [(k, p, i) for k, p in sweeps for i in range(k * (p - 1) + 1)]
+    assert [
+        (len(factors), len(factors[0]), top)
+        for factors, top in products
+        if factors and all(factor == [1] * len(factors[0]) for factor in factors)
+    ] == [(k, p, k * (p - 1)) for k, p in sweeps]
 
 
-def ctx(p, m, s, k_d, variant):
+def ctx(p, m, s, k_d):
     return ThetaContext(
         p=p,
         m=m,
         s=s,
         divisors=tuple(sorted(k_d)),
         k_d=tuple(sorted(k_d.items())),
-        variant=variant,
     )
+
+
+def theta(context, variant, a_set, beta, cutoff="half"):
+    """T(A, beta) as an exact fraction, read off the series the assembly uses; 0 below 0."""
+    series = _coefficient_series(context, variant, a_set, max(beta, 0), cutoff)
+    return Fraction(*series[beta]) if beta >= 0 else Fraction(0)
 
 
 def test_theta_flagship_p2_published_is_zero_on_singleton():
     # k_3 = 1 makes every composition stratum a singleton, so each
     # published factor P - 1 vanishes
-    context = ctx(2, 6, 1, {3: 1}, "published")
+    context = ctx(2, 6, 1, {3: 1})
     for beta in range(0, 12, 2):
-        assert theta_coefficient(context, {3}, beta) == 0
+        assert theta(context, "published", {3}, beta) == 0
 
 
 def test_theta_empty_set_conventions():
-    pub = ctx(2, 6, 1, {3: 1}, "published")
-    cor = ctx(2, 6, 1, {3: 1}, "corrected")
+    context = ctx(2, 6, 1, {3: 1})
     # beta = 4: both variants give 1 (the published pin keeps multiples of 4)
-    assert theta_coefficient(pub, set(), 4) == 1
-    assert theta_coefficient(cor, set(), 4) == 1
+    assert theta(context, "published", set(), 4) == 1
+    assert theta(context, "corrected", set(), 4) == 1
     # the pinned published convention: nonzero exactly for beta = 0 mod 4
-    assert [theta_coefficient(pub, set(), b) for b in (0, 2, 4, 6, 8)] == [1, 0, 1, 0, 1]
+    assert [theta(context, "published", set(), b) for b in (0, 2, 4, 6, 8)] == [1, 0, 1, 0, 1]
     # corrected: the zero class enters in degree 2
-    assert [theta_coefficient(cor, set(), b) for b in (0, 2, 4, 6)] == [0, 1, 1, 1]
-    for context in (pub, cor):
-        assert theta_coefficient(context, set(), -2) == 0
-        assert theta_coefficient(context, set(), 3) == 0
+    assert [theta(context, "corrected", set(), b) for b in (0, 2, 4, 6)] == [0, 1, 1, 1]
+    for variant in VARIANTS:
+        assert theta(context, variant, set(), -2) == 0
+        assert theta(context, variant, set(), 3) == 0
 
 
 def test_theta_flagship_p3_corrected():
-    context = ctx(3, 6, 0, {2: 1}, "corrected")
-    assert theta_coefficient(context, {2}, 2) == 1
+    context = ctx(3, 6, 0, {2: 1})
+    assert theta(context, "corrected", {2}, 2) == 1
 
 
 def test_unknown_variant_or_cutoff_is_refused():
@@ -136,21 +150,15 @@ def test_unknown_variant_or_cutoff_is_refused():
     for table_spec in (spec, GroupSpec(1, 1, IntMatrix.identity(1))):
         with pytest.raises(ValueError, match="variant 'corected'"):
             formula_table(table_spec, 8, "corected")
-    for coefficient in (theta_coefficient, theta_coefficient_exact):
-        with pytest.raises(ValueError, match="variant 'corected'"):
-            coefficient(ctx(3, 6, 0, {2: 1}, "corected"), {2}, 2)
-        with pytest.raises(ValueError, match="cutoff 'halve'"):
-            coefficient(ctx(3, 6, 0, {2: 1}, "corrected"), {2}, 2, corrected_cutoff="halve")
 
 
 def test_theta_non_integral_is_reported():
     # order-6 action on the plane: strata are not stable under the
     # complementary action and the coefficient fails integrality
-    context = ctx(2, 6, 0, {1: 2}, "corrected")
-    with pytest.raises(NonIntegralOrbitCount):
-        theta_coefficient(context, {1}, 2)
+    context = ctx(2, 6, 0, {1: 2})
+    assert theta(context, "corrected", {1}, 2).denominator != 1
     # ... but the saturated union of strata is a whole orbit set again
-    assert theta_coefficient(context, {1}, 4) == 1
+    assert theta(context, "corrected", {1}, 4) == 1
 
 
 def test_corrected_orbit_accounting_matches_enumeration(rng):
@@ -163,7 +171,7 @@ def test_corrected_orbit_accounting_matches_enumeration(rng):
         (2, 10, {5: 2, 1: 1}),
     ]
     for p, m, k_d in cases:
-        context = ctx(p, m, 0, k_d, "corrected")
+        context = ctx(p, m, 0, k_d)
         divisors_ = context.divisors
         for beta in range(2, 10, 2):
             total = Fraction(0)
@@ -175,7 +183,7 @@ def test_corrected_orbit_accounting_matches_enumeration(rng):
                 for d in a_set:
                     g = gcd(g, d)
                 stabilizer = g if a_set else m // p
-                value = theta_coefficient_exact(context, a_set, beta)
+                value = theta(context, "corrected", a_set, beta)
                 total += value * Fraction(m // p, stabilizer)
             budget = beta // 2
             count = 0
@@ -184,7 +192,7 @@ def test_corrected_orbit_accounting_matches_enumeration(rng):
                 if sum(tup) <= budget:
                     prod = 1
                     for d, i in zip(divisors_, tup):
-                        prod *= bounded_composition_count(k_d[d], p, i)
+                        prod *= compositions(k_d[d], p, i)
                     count += prod
             assert total == count, (p, m, k_d, beta)
 
@@ -233,15 +241,13 @@ def test_theta_matches_tuple_enumeration():
         (2, 6, {1: 2}),
     ]
     for p, m, k_d in cases:
+        context = ctx(p, m, 0, k_d)
+        divisors_ = context.divisors
         for variant, cutoff in PAIRS:
-            context = ctx(p, m, 0, k_d, variant)
-            divisors_ = context.divisors
             for mask in range(1 << len(divisors_)):
                 a_set = frozenset(d for i, d in enumerate(divisors_) if mask >> i & 1)
                 for beta in range(-2, 13):
-                    got = theta_coefficient_exact(
-                        context, a_set, beta, corrected_cutoff=cutoff
-                    )
+                    got = theta(context, variant, a_set, beta, cutoff)
                     want = reference_theta(p, m, k_d, variant, cutoff, a_set, beta)
                     assert got == want, (p, m, k_d, variant, cutoff, sorted(a_set), beta)
 
@@ -402,7 +408,7 @@ def test_one_prime_dihedral_oracle_value():
     # reads it, the corrected engine reproduces it, and the published engine
     # is recorded as printed.
     spec = fixture_by_name("dinfty").spec
-    assert p_part(e2_table(spec, 2), 2)[2] == 2
+    assert e2_table(spec, 2).groups[2].p_multiplicity(2) == 2
     assert assemble_p_torsion(spec, 2, 2, "corrected")[2] == 2
     assert assemble_p_torsion(spec, 2, 2, "published")[2] == 0
 
@@ -440,7 +446,8 @@ def test_beta_minus_1_cutoff_matches_oracle_when_s_is_zero():
             column = column[::2]
             if any(isinstance(theta, NonIntegralOrbitCount) for theta in column):
                 continue
-            assert column == list(p_part(oracle, p)[::2]), (spec.phi, spec.m, p)
+            expected = [g.p_multiplicity(p) for g in oracle.groups[::2]]
+            assert column == expected, (spec.phi, spec.m, p)
             checked += 1
     assert checked >= 60
 
@@ -452,7 +459,7 @@ def test_beta_minus_1_cutoff_matches_oracle_when_s_is_zero():
 )
 def test_corrected_theta_matches_oracle_with_trivial_and_regular_blocks():
     spec = CYCLE_PLUS_TRIVIAL
-    oracle = list(p_part(e2_table(spec, 8), 3))
+    oracle = [g.p_multiplicity(3) for g in e2_table(spec, 8).groups]
     for cutoff in CUTOFFS:
         column = assemble_p_torsion(spec, 3, 8, "corrected", corrected_cutoff=cutoff)
         assert column == oracle, cutoff
