@@ -44,7 +44,7 @@ from .intpoly import IntPolynomial
 from .oracle import CyclicRep, cyclic_cohomology, e2_table
 from .report import compare_report
 from .tables import CohomologyTable
-from .torsion import ThetaContext, assemble_p_torsion
+from .torsion import assemble_p_torsion
 
 __all__ = [
     "AbelianGroup",
@@ -60,7 +60,6 @@ __all__ = [
     "MaxFiniteCensus",
     "RstDecomposition",
     "SmithDecomposition",
-    "ThetaContext",
     "assemble_p_torsion",
     "build_table",
     "charpoly",

@@ -250,9 +250,6 @@ class IsotropyData:
     m_d: tuple[tuple[int, int], ...]
     k_d: tuple[tuple[int, int], ...]
 
-    def k(self, d: int) -> int:
-        return dict(self.k_d).get(d, 0)
-
 
 def isotropy_data(spec: GroupSpec, p: int, rst: RstDecomposition | None = None) -> IsotropyData:
     """D, m_d and k_d read off the free-origin census of ``rst`` (decomposed at p if omitted).

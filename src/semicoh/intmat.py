@@ -251,6 +251,28 @@ def rank_mod_p(a: IntMatrix, p: int) -> int:
     return rank
 
 
+def certifies_rank(a: IntMatrix, rank: int, q: int, p: int) -> bool:
+    """Whether a = qE over F_p for an idempotent E of trace ``rank``, which proves rk_p(a) = rank.
+
+    The checks are a^2 == qa mod p, tr a == q * rank, p not dividing q,
+    and 0 <= rank <= d < p for d the width of a: then rk_p(a) = rk_p(E)
+    and rk_p(E) == tr E == rank mod p, with both sides in [0, d].  The
+    square is one big-integer product of the residues in [0, p).
+
+    >>> certifies_rank(IntMatrix([[2, 2], [1, 1]]), 1, 3, 5), certifies_rank(IntMatrix([[2, 2], [0, 1]]), 1, 3, 5)
+    (True, False)
+    """
+    if not (q % p and 0 <= rank <= a.rows < p) or a.trace() != q * rank:
+        return False
+    residues = [[x % p for x in row] for row in a.data]
+    square = _python_matmul(residues, residues)
+    return all(
+        (x - q * y) % p == 0
+        for square_row, row in zip(square, residues)
+        for x, y in zip(square_row, row)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form engine
 # ---------------------------------------------------------------------------

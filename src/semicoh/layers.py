@@ -8,14 +8,18 @@ sum is proven below 2**53, where float64 represents every integer
 exactly; past a bound the arithmetic moves to arrays of Python ints.
 
 - exterior_powers builds every exterior power by Laplace expansion, as
-  int64 arrays while proven below 2**62.
+  int64 arrays while proven below 2**62, gathering through index arrays
+  planned once per rank n.
 - norm_trace_chain runs the chain a^1..a^q as float64 (BLAS) products
   while proven below 2**53, for N, the traces of a^k and a^q = 1.
-- rank_mod_p eliminates N over F_p in float64 panels.
+- certifies_rank checks N^2 == qN mod a prime with one float64 product.
+- rank_mod_p eliminates N over F_p in float64 panels, after dropping
+  the rows and columns that vanish mod p.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +38,38 @@ def _abs_max(x) -> int:
     return int(np.abs(x).max()) if x.size else 0
 
 
+def _indices(values):
+    """A read-only index array: the plans below are shared by every caller."""
+    array = np.array(values, dtype=np.intp)
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=16)
+def _laplace_plan(n: int):
+    """For gamma = 1..n, the gathers of exterior_powers' Laplace step on an n x n matrix.
+
+    Entry gamma - 1 is (lead, minor, terms) over the index subsets R of
+    size gamma in wedge_power's order: lead[R] = R_0, minor[R] is the row
+    of R - R_0 in layer gamma - 1, and terms[k] = (S_k, the row of S - S_k
+    in layer gamma - 1) over the subsets S.
+    """
+    plan, index = [], {(): 0}
+    for gamma in range(1, n + 1):
+        subsets = list(combinations(range(n), gamma))
+        plan.append((
+            _indices([s[0] for s in subsets]),
+            _indices([index[s[1:]] for s in subsets]),
+            tuple(
+                (_indices([s[k] for s in subsets]),
+                 _indices([index[s[:k] + s[k + 1:]] for s in subsets]))
+                for k in range(gamma)
+            ),
+        ))
+        index = {s: i for i, s in enumerate(subsets)}
+    return tuple(plan)
+
+
 def exterior_powers(a: IntMatrix):
     """Yield wedge_power(a, gamma) for gamma = 0..n as numpy arrays, in one pass.
 
@@ -43,36 +79,32 @@ def exterior_powers(a: IntMatrix):
         det a[R, S] = sum_k (-1)^k a[R_0, S_k] det a[R - R_0, S - S_k],
 
     which is gamma gathered multiply-adds over the whole C(n, gamma)^2
-    layer.  Rows and columns are ordered as in wedge_power.  A layer is
-    int64 while gamma * max|a| * max|layer gamma - 1| < _INT64_LIMIT
-    proves that no entry or partial sum can overflow, and an array of
-    Python ints otherwise.
+    layer, through the index arrays of _laplace_plan(n).  Rows and
+    columns are ordered as in wedge_power.  A layer is int64 while
+    gamma * max|a| * max|layer gamma - 1| < _INT64_LIMIT proves that no
+    entry or partial sum can overflow, and an array of Python ints
+    otherwise.
 
     >>> [w.tolist() for w in exterior_powers(IntMatrix([[1, 2], [3, 4]]))]
     [[[1]], [[1, 2], [3, 4]], [[-2]]]
     """
     if not a.is_square():
         raise NotSquare("exterior powers need a square matrix")
-    n = a.rows
     entries = np.array(a.data, dtype=object)
     amax = _abs_max(entries)
     layer = np.ones((1, 1), dtype=np.int64)
-    index = {(): 0}
     yield layer
-    for gamma in range(1, n + 1):
-        subsets = list(combinations(range(n), gamma))
+    for gamma, (lead, minor, terms) in enumerate(_laplace_plan(a.rows), 1):
         dtype = np.int64 if gamma * amax * _abs_max(layer) < _INT64_LIMIT else object
-        lead = entries.astype(dtype)[[s[0] for s in subsets]]  # row R_0 of a, per R
-        minors = layer.astype(dtype)[[index[s[1:]] for s in subsets]]  # rows R - R_0
-        layer = np.zeros((len(subsets), len(subsets)), dtype=dtype)
-        for k in range(gamma):
-            drop_k = [index[s[:k] + s[k + 1:]] for s in subsets]  # S - S_k
-            term = lead[:, [s[k] for s in subsets]] * minors[:, drop_k]
+        lead_rows = entries.astype(dtype)[lead]  # row R_0 of a, per R
+        minors = layer.astype(dtype)[minor]  # rows R - R_0
+        layer = np.zeros((len(lead), len(lead)), dtype=dtype)
+        for k, (column, drop_k) in enumerate(terms):
+            term = lead_rows[:, column] * minors[:, drop_k]
             if k % 2:
                 layer -= term
             else:
                 layer += term
-        index = {s: i for i, s in enumerate(subsets)}
         yield layer
 
 
@@ -137,11 +169,49 @@ def _unit_lower_inverse(strict, p: int):
     return inverse
 
 
+def _residues(a, p: int):
+    """a mod p as a float64 array of integers in [0, p).
+
+    A float64 ``a`` must hold integers below 2**53, as a norm from
+    norm_trace_chain does; it is reduced through int64, exactly.
+    """
+    if a.dtype == np.float64:
+        a = a.astype(np.int64)
+    return (a % p).astype(np.float64)
+
+
+def certifies_rank(a, rank: int, q: int, p: int) -> bool:
+    """Whether a = qE over F_p for an idempotent E of trace ``rank``, which proves rk_p(a) = rank.
+
+    ``a`` is a square integer numpy array.  The checks are a^2 == qa mod
+    p, tr a == q * rank, p not dividing q, and 0 <= rank <= d < p for d
+    the width of a: then rk_p(a) = rk_p(E) and rk_p(E) == tr E == rank
+    mod p, with both sides in [0, d].  The square is one float64 (BLAS)
+    product of the residues in [0, p), exact because its sums of d terms
+    below (p - 1)^2 stay below _FLOAT64_LIMIT; a width or prime past that
+    bound is refused.  A float64 ``a`` must hold integers below 2**53, as
+    a norm from norm_trace_chain does.
+
+    >>> certifies_rank(np.array([[2, 2], [1, 1]]), 1, 3, 5)
+    True
+    >>> certifies_rank(np.array([[2, 2], [1, 1]]), 1, 5, 5), certifies_rank(np.array([[2, 2], [0, 1]]), 1, 3, 5)
+    (False, False)
+    """
+    d = len(a)
+    if d * (p - 1) ** 2 + p >= _FLOAT64_LIMIT:
+        raise ValueError(f"prime {p} too large for an exact float64 square of width {d}")
+    if not (q % p and 0 <= rank <= d < p) or sum(map(int, a.diagonal().tolist())) != q * rank:
+        return False
+    residues = _residues(a, p)
+    return not _reduce(residues @ residues - (q % p) * residues, p).any()
+
+
 def rank_mod_p(a, p: int) -> int:
     """Rank over F_p of an integer numpy array, for a prime p below 2**25.
 
-    The entries, reduced mod p, go to float64 and are eliminated a panel
-    of columns at a time: one pivot at a time inside the panel (LU with
+    The entries, reduced mod p, go to float64; the rows and columns that
+    vanish mod p are dropped, and the rest is eliminated a panel of
+    columns at a time: one pivot at a time inside the panel (LU with
     row pivoting, multipliers stored in place), then one triangular solve
     and one BLAS product update the trailing columns.  Each of those
     products sums at most ``width`` terms below (p - 1)^2, and the width
@@ -155,9 +225,8 @@ def rank_mod_p(a, p: int) -> int:
     width = min(_PANEL_WIDTH, _FLOAT64_LIMIT // max((p - 1) ** 2, 1) - 2)
     if width < 1:
         raise ValueError(f"prime {p} too large for exact float64 elimination")
-    if a.dtype == np.float64:
-        a = a.astype(np.int64)
-    rest = (a % p).astype(np.float64)
+    rest = _residues(a, p)
+    rest = rest[np.ix_(rest.any(axis=1), rest.any(axis=0))]
     rank = 0
     while rest.shape[0] and rest.shape[1]:
         panel, trailing = rest[:, :width].copy(), rest[:, width:]

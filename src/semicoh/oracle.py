@@ -9,12 +9,13 @@ which computes the full cohomology for square-free m (the relevant
 spectral sequence collapses and the square-free torsion exponent splits
 the abutment).  Each layer is read off one matrix, its norm N, and the
 traces of the powers that build it: the rank over Q of N is the trace
-identity dim Fix psi = tr(N)/q, certified by a rank mod a prime that
-does not divide q; the p-part of even degrees is how far that rank drops
-mod p; and the Herbrand quotient, a trace count, gives the odd degrees
-from the even ones.  No part of the closed-form machinery is consulted
-(no eigenvalue census, Molien series or torsion formula), so this engine
-is a genuinely independent arbiter.
+identity dim Fix psi = tr(N)/q, certified by one product, N^2 == qN mod
+a prime ell that does not divide q, which proves that N has that rank
+mod ell; the p-part of even degrees is how far that rank drops mod p,
+so N is eliminated once per prime p of q; and the Herbrand quotient, a
+trace count, gives the odd degrees from the even ones.  No part of the
+closed-form machinery is consulted (no eigenvalue census, Molien series
+or torsion formula), so this engine is a genuinely independent arbiter.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .groups import GroupSpec, validate
 from .intmat import (
     _NUMPY_MIN_DIM,
     IntMatrix,
+    certifies_rank,
     norm_and_power,
     rank_mod_p,
     wedge_power,
@@ -100,18 +102,28 @@ class CyclicRep:
 
     @cached_property
     def fixed_rank(self) -> int:
-        """rk_Q(N) = dim Fix psi = tr(N)/q, certified by the rank of N mod a prime not dividing q.
+        """rk_Q(N) = dim Fix psi = tr(N)/q, certified mod a prime ell not dividing q.
 
-        Both facts hold once psi^q = 1: N/q projects onto the fixed
-        space, and every nonzero invariant factor of N divides q.  So a
-        non-integral trace average or a different certificate rank means
-        the evaluation itself went wrong.
+        Once psi^q = 1, psi N = N, so N^2 = qN over Z and N/q projects onto
+        the fixed space: rk_Q(N) = tr(N)/q, and every nonzero invariant
+        factor of N divides q, so rk_ell(N) is the same rank.  The
+        certificate checks N^2 == qN mod ell, tr N == q f and 0 <= f <= d
+        for f the trace average and d the width of N, which proves
+        rk_ell(N) = f (certifies_rank).  So a non-integral trace average
+        or a failed certificate means the evaluation itself went wrong.
         """
         rank = self._fixed_dim(1)
         ell = _certificate_prime(self.q)
-        certificate = _rank_mod_p(self.norm, ell)
-        if certificate != rank:
-            raise BadInvariantFactors(f"rank of N mod {ell} is {certificate}, tr(N)/q is {rank}")
+        if isinstance(self.norm, IntMatrix):
+            certified = certifies_rank(self.norm, rank, self.q, ell)
+        else:
+            from . import layers
+
+            certified = layers.certifies_rank(self.norm, rank, self.q, ell)
+        if not certified:
+            raise BadInvariantFactors(
+                f"N is not {self.q} times an idempotent of trace {rank} mod {ell}"
+            )
         return rank
 
     @cached_property
@@ -140,14 +152,16 @@ class CyclicRep:
 
 @lru_cache(maxsize=64)
 def _certificate_prime(q: int) -> int:
-    """The largest prime below 2**23 that does not divide q.
+    """The largest prime below 2**20 that does not divide q.
 
-    Primes this small keep layers.rank_mod_p exact in 64-column panels.
+    Primes this small keep layers.certifies_rank's one float64 product
+    exact on every layer the oracle admits: _MAX_LAYER_DIM * (ell - 1)**2
+    is below 2**53.
 
-    >>> _certificate_prime(6), _certificate_prime(8388593)
-    (8388593, 8388587)
+    >>> _certificate_prime(6), _certificate_prime(1048573)
+    (1048573, 1048571)
     """
-    ell = 1 << 23
+    ell = 1 << 20
     while True:
         ell -= 1
         if q % ell and all(ell % d for d in range(2, isqrt(ell) + 1)):

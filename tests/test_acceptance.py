@@ -66,8 +66,8 @@ def test_criterion_2_decomposition_reproduction():
     assert (rst3.r, rst3.s, rst3.t) == (3, 0, 1)
     iso2 = isotropy_data(spec, 2, rst2)
     iso3 = isotropy_data(spec, 3, rst3)
-    assert iso2.divisors == (3,) and iso2.k(3) == 1
-    assert iso3.divisors == (2,) and iso3.k(2) == 1
+    assert iso2.divisors == (3,) and dict(iso2.k_d) == {3: 1}
+    assert iso3.divisors == (2,) and dict(iso3.k_d) == {2: 1}
     _ok("criterion 2: (r,s,t) = (2,1,1)/(3,0,1), D = {3}/{2}, k = 1/1")
 
 

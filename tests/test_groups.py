@@ -196,10 +196,10 @@ def test_isotropy_flagship():
     spec = fixture_by_name("z5_z6").spec
     iso2 = isotropy_data(spec, 2)
     assert iso2.divisors == (3,)
-    assert iso2.k(3) == 1 and iso2.k(1) == 0
+    assert dict(iso2.k_d) == {3: 1}
     iso3 = isotropy_data(spec, 3)
     assert iso3.divisors == (2,)
-    assert iso3.k(2) == 1
+    assert dict(iso3.k_d) == {2: 1}
 
 
 def test_isotropy_t_zero():

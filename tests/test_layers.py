@@ -3,12 +3,26 @@
 import random
 
 import numpy as np
+import pytest
 
-from semicoh.intmat import IntMatrix, contragredient, norm_and_power, rank_mod_p, wedge_power
+from semicoh.intmat import (
+    IntMatrix,
+    certifies_rank,
+    contragredient,
+    norm_and_power,
+    rank_mod_p,
+    wedge_power,
+)
+from semicoh.layers import certifies_rank as array_certifies_rank
 from semicoh.layers import exterior_powers, norm_trace_chain
 from semicoh.layers import rank_mod_p as array_rank_mod_p
 
-from conftest import power_chain_reference, random_int_matrix, random_unimodular
+from conftest import (
+    power_chain_reference,
+    random_int_matrix,
+    random_permutation_spec,
+    random_unimodular,
+)
 
 
 def test_norm_trace_chain_leaves_float64_at_its_bound():
@@ -55,6 +69,59 @@ def test_rank_mod_p_matches_row_elimination(rng):
         expected = rank_mod_p(a, p)
         for dtype in (np.int64, np.float64, object):
             assert array_rank_mod_p(np.array(a.data, dtype=dtype), p) == expected, (rows, cols, p)
+
+
+def test_rank_mod_p_on_zero_rows_columns_and_multiples_of_p(rng):
+    # rank_mod_p drops the rows and columns that vanish mod p before it
+    # eliminates: zero and all-zero inputs, empty shapes and entries that
+    # are multiples of p must keep the row-elimination rank
+    for trial in range(60):
+        p = (2, 3, 5, 1048573, 8388593)[trial % 5]
+        rows, cols = rng.randint(0, 80), rng.randint(0, 80)
+        data = [[rng.randint(-3, 3) * rng.choice((1, p)) for _ in range(cols)] for _ in range(rows)]
+        for i in rng.sample(range(rows), rng.randint(0, rows)):
+            data[i] = [0] * cols
+        for j in rng.sample(range(cols), rng.randint(0, cols)):
+            for row in data:
+                row[j] = 0
+        for a in (data, [[0] * cols for _ in range(rows)], [[p * x for x in row] for row in data]):
+            expected = rank_mod_p(IntMatrix(a), p)
+            for dtype in (np.int64, np.float64, object):
+                array = np.array(a, dtype=dtype).reshape(rows, cols)
+                assert array_rank_mod_p(array, p) == expected, (rows, cols, p)
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        assert array_rank_mod_p(np.zeros(shape, dtype=np.int64), 3) == 0
+
+
+def test_certifies_rank_agrees_between_kinds_and_proves_the_rank(rng):
+    # on the norms of random actions, both kinds certify rk_l(N) = tr(N)/q
+    # and refuse a rank one off or a changed trace; an off-diagonal change
+    # may leave N a q-multiple of another idempotent of the same rank, so
+    # there both kinds agree and a certified rank is the true one
+    ell = 1048573
+    for _ in range(40):
+        spec = random_permutation_spec(rng, n_max=8)
+        norm, traces, is_one = norm_and_power(spec.phi, spec.m)
+        assert is_one
+        rank = sum(traces) // spec.m
+        cases = [(norm, rank, True), (norm, rank + 1, False), (norm, rank - 1, False)]
+        for j in range(min(2, spec.n)):
+            changed = [list(row) for row in norm.data]
+            changed[0][j] += 1
+            cases.append((IntMatrix(changed), rank, False if j == 0 else None))
+        for a, f, expected in cases:
+            certified = certifies_rank(a, f, spec.m, ell)
+            assert expected in (None, certified), (spec, a, f)
+            assert not certified or rank_mod_p(a, ell) == f, (spec, a, f)
+            for dtype in (np.int64, np.float64, object):
+                got = array_certifies_rank(np.array(a.data, dtype=dtype), f, spec.m, ell)
+                assert got is certified, (spec, a, f, dtype)
+    # a prime dividing q proves nothing, and is refused
+    two = IntMatrix([[2]])
+    assert not certifies_rank(two, 1, 2, 2) and not array_certifies_rank(np.array(two.data), 1, 2, 2)
+    # a square whose sums could pass 2**53 is refused before any product
+    with pytest.raises(ValueError, match="too large"):
+        array_certifies_rank(np.zeros((200, 200)), 0, 1, 8388593)
 
 
 def test_exterior_powers_big_entries_leave_int64():

@@ -291,10 +291,12 @@ def test_exterior_powers_match_wedge_power(rng):
 
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
     # no Smith reduction at all: phi* is the power (phi^(m-1))^T; per layer,
-    # only N is eliminated: once mod every prime of m, shared by odd and
-    # even degrees, and once mod the certificate prime
+    # only N is eliminated, once mod every prime of m, shared by odd and
+    # even degrees; the certificate prime gets one product check of N and
+    # no elimination
     smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     ranks = count_calls(monkeypatch, semicoh.oracle, "_rank_mod_p")
+    certificates = count_calls(monkeypatch, semicoh.oracle, "certifies_rank")
     reps = []
     original_init = CyclicRep.__post_init__
 
@@ -309,14 +311,18 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         spec = fixture.spec
         smith.clear()
         ranks.clear()
+        certificates.clear()
         reps.clear()
         e2_table(spec, spec.n + 3)
         assert smith == [], fixture.name
         assert len(reps) == spec.n + 1, fixture.name
-        assert len(ranks) == (spec.n + 1) * (len(spec.primes) + 1), fixture.name
         norms = [id(rep.norm) for rep in reps]
-        assert sorted(id(a) for a, _ in ranks) == sorted(
-            norm for norm in norms for _ in range(len(spec.primes) + 1)
+        assert sorted((id(a), p) for a, p in ranks) == sorted(
+            (norm, p) for norm in norms for p in spec.primes
+        ), fixture.name
+        ell = semicoh.oracle._certificate_prime(spec.m)
+        assert sorted((id(a), q, p) for a, _, q, p in certificates) == sorted(
+            (norm, spec.m, ell) for norm in norms
         ), fixture.name
 
 
@@ -368,21 +374,46 @@ def test_oracle_imports_no_closed_form_machinery():
 
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
-    # rk_l(N) = tr(N)/q is a theorem once psi^q = 1, so a certificate rank
-    # one short must surface as an internal invariant failure; z5_z6 plus a
-    # trivial summand (rank 6) has array layers, z5_z6 and p3 pure-Python ones
-    original = semicoh.oracle._rank_mod_p
+    # N^2 = qN and tr N = q dim Fix psi are theorems once psi^q = 1, and
+    # they prove rk_l(N) = tr(N)/q, so one corrupted entry of N must surface
+    # as an internal invariant failure naming l: entry (0, 0) of every layer
+    # through the trace, entry (0, d - 1) of every layer wider than 1
+    # through the square; z5_z6 plus a trivial summand (rank 6) has array
+    # layers, z5_z6 and p3 pure-Python ones
     ell = semicoh.oracle._certificate_prime(6)
-    assert ell == semicoh.oracle._certificate_prime(3) == 8388593
-    monkeypatch.setattr(
-        semicoh.oracle, "_rank_mod_p", lambda a, p: original(a, p) - (p == ell)
-    )
+    assert ell == semicoh.oracle._certificate_prime(3) == 1048573
     z5_z6 = fixture_by_name("z5_z6").spec
     z6_z6 = GroupSpec(6, 6, block_diagonal([z5_z6.phi, IntMatrix.identity(1)]))
     assert z6_z6.n == semicoh.intmat._NUMPY_MIN_DIM
-    for spec in (z6_z6, z5_z6, fixture_by_name("p3").spec):
-        with pytest.raises(InternalInvariantError, match=f"mod {ell}"):
-            e2_table(spec, spec.n + 3)
+    for off_diagonal in (False, True):
+        def corrupt(norm, off_diagonal=off_diagonal):
+            array = isinstance(norm, np.ndarray)
+            rows = norm.tolist() if array else [list(row) for row in norm.data]
+            if not off_diagonal or len(rows) > 1:
+                rows[0][-1 if off_diagonal else 0] += 1
+            return np.array(rows, dtype=norm.dtype) if array else IntMatrix(rows)
+
+        for module, name in ((semicoh.oracle, "norm_and_power"), (semicoh.layers, "norm_trace_chain")):
+            def chain(a, q, original=getattr(module, name)):
+                norm, traces, is_one = original(a, q)
+                return corrupt(norm), traces, is_one
+
+            monkeypatch.setattr(module, name, chain)
+        for spec in (z6_z6, z5_z6, fixture_by_name("p3").spec):
+            with pytest.raises(InternalInvariantError, match=f"mod {ell}"):
+                e2_table(spec, spec.n + 3)
+        monkeypatch.undo()
+
+
+def test_certificate_product_stays_exact_in_float64():
+    # layers.certifies_rank squares N mod l in one float64 product of width
+    # up to _MAX_LAYER_DIM: each entry sums that many terms below (l - 1)^2,
+    # exact only below 2**53; q = 1048573 is itself the default l
+    cap = semicoh.oracle._MAX_LAYER_DIM
+    for q in (1, 2, 6, 30030, 1048573):
+        ell = semicoh.oracle._certificate_prime(q)
+        assert q % ell and ell > cap, q
+        assert cap * (ell - 1) ** 2 < 1 << 53, q
 
 
 @pytest.mark.parametrize("q, dim, traces, match", [
