@@ -78,10 +78,6 @@ class AbelianGroup:
         return cls(rank, tuple(torsion))
 
     @classmethod
-    def zero(cls) -> "AbelianGroup":
-        return cls(0, ())
-
-    @classmethod
     def free(cls, rank: int) -> "AbelianGroup":
         return cls(rank, ())
 
@@ -99,9 +95,6 @@ class AbelianGroup:
                 f //= p
                 count += 1
         return count
-
-    def is_zero(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def __str__(self) -> str:
         parts = []

@@ -87,13 +87,6 @@ class CyclotomicCensus:
     def as_dict(self) -> dict[int, int]:
         return dict(self.multiplicities)
 
-    @property
-    def dimension(self) -> int:
-        return sum(mu * euler_phi(d) for d, mu in self.multiplicities)
-
-    def multiplicity(self, d: int) -> int:
-        return dict(self.multiplicities).get(d, 0)
-
 
 @dataclass(frozen=True)
 class ExponentMultiset:
@@ -105,19 +98,6 @@ class ExponentMultiset:
     @classmethod
     def of(cls, m: int, counts: dict[int, int]) -> "ExponentMultiset":
         return cls(m, tuple(sorted((a % m, c) for a, c in counts.items() if c)))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
-
-    @property
-    def dimension(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def expand(self) -> list[int]:
-        out: list[int] = []
-        for a, c in self.counts:
-            out.extend([a] * c)
-        return out
 
 
 def cyclotomic_census(f: IntPolynomial, m: int) -> CyclotomicCensus:

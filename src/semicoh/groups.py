@@ -284,9 +284,6 @@ class FreeActionReport:
     per_prime: tuple[tuple[int, bool], ...]
     overall: bool
 
-    def is_free(self, p: int) -> bool:
-        return dict(self.per_prime)[p]
-
 
 @lru_cache(maxsize=256)
 def _psi_minus_one_det(spec: GroupSpec, p: int) -> int:

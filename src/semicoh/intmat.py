@@ -65,10 +65,6 @@ class IntMatrix:
         return cls._trusted([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scalar(cls, n: int, c: int) -> "IntMatrix":
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
         return cls._trusted([[0] * n for _ in range(m)])
 
@@ -91,9 +87,6 @@ class IntMatrix:
             self.data[i][j] == (1 if i == j else 0)
             for i in range(self.rows) for j in range(self.cols)
         )
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(zip(*self.data))
@@ -140,18 +133,6 @@ class IntMatrix:
             base = base @ base if k > 1 else base
             k >>= 1
         return result
-
-
-def block_diagonal(blocks) -> IntMatrix:
-    """Square blocks placed along the diagonal, zeros elsewhere."""
-    size = sum(b.rows for b in blocks)
-    out = [[0] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b.data):
-            out[offset + i][offset : offset + b.cols] = row
-        offset += b.rows
-    return IntMatrix._trusted(out)
 
 
 # int64 arithmetic is used only for values proven below this bound, and

@@ -4,7 +4,24 @@ import pytest
 
 from semicoh.cyclotomic import companion_of_cyclotomic, divisors, euler_phi
 from semicoh.groups import GroupSpec
-from semicoh.intmat import IntMatrix, block_diagonal, contragredient
+from semicoh.intmat import IntMatrix, contragredient
+
+
+def block_diagonal(blocks) -> IntMatrix:
+    """Square blocks placed along the diagonal, zeros elsewhere."""
+    size = sum(b.rows for b in blocks)
+    out = [[0] * size for _ in range(size)]
+    offset = 0
+    for b in blocks:
+        for i, row in enumerate(b.data):
+            out[offset + i][offset : offset + b.cols] = row
+        offset += b.rows
+    return IntMatrix(out)
+
+
+def scalar_matrix(n: int, c: int) -> IntMatrix:
+    """c times the n x n identity."""
+    return IntMatrix([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:

@@ -66,7 +66,7 @@ def test_direct_sum_and_p_multiplicity():
 
 
 def test_rendering():
-    assert str(AbelianGroup.zero()) == "0"
+    assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup.free(1)) == "Z"
     assert str(AbelianGroup.from_factors(2, [2, 2, 3])) == "Z^2 + (Z/2)^2 + (Z/3)"
     assert str(AbelianGroup(0, (6,))) == "(Z/2) + (Z/3)"

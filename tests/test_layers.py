@@ -22,6 +22,7 @@ from conftest import (
     random_int_matrix,
     random_permutation_spec,
     random_unimodular,
+    scalar_matrix,
 )
 
 
@@ -30,7 +31,7 @@ def test_norm_trace_chain_leaves_float64_at_its_bound():
     # a^3 (entries 16 c^3, not representable in float64) is not, so q >= 3
     # runs on Python ints.  2^17 * identity(4): a^3's bound 4 * 2^34 * 2^17
     # is exactly 2^53, which leaves float64 as well
-    for a in (IntMatrix([[10**6 + 1] * 4 for _ in range(4)]), IntMatrix.scalar(4, 1 << 17)):
+    for a in (IntMatrix([[10**6 + 1] * 4 for _ in range(4)]), scalar_matrix(4, 1 << 17)):
         for q in range(8):
             norm, traces, is_one = power_chain_reference(a, q)
             for dtype in (np.int64, object):
@@ -40,7 +41,7 @@ def test_norm_trace_chain_leaves_float64_at_its_bound():
                 assert got[1:] == (traces, is_one), (a, q)
                 assert all(type(t) is int for t in got[1]), (a, q)
     # entries past 2**53 never enter float64
-    big = IntMatrix.scalar(4, 1 << 60)
+    big = scalar_matrix(4, 1 << 60)
     norm, traces, _ = norm_trace_chain(np.array(big.data, dtype=object), 2)
     assert norm.dtype == object and traces == power_chain_reference(big, 2)[1]
 

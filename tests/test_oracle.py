@@ -31,7 +31,6 @@ from semicoh.fixtures import companion_of_cyclotomic, fixture_by_name, fixture_s
 from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import (
     IntMatrix,
-    block_diagonal,
     contragredient,
     norm_and_power,
     wedge_power,
@@ -42,11 +41,13 @@ from semicoh.torsion import VARIANTS
 
 from conftest import (
     CYCLE_PLUS_TRIVIAL,
+    block_diagonal,
     count_calls,
     cycle_matrix,
     random_companion_spec,
     random_permutation_spec,
     random_unimodular,
+    scalar_matrix,
 )
 from smith_support import invariant_factors, kernel_basis, lattice_quotient
 
@@ -157,7 +158,7 @@ def _page_p_part(blocks, m, p, top, sign=1):
         wedges = [IntMatrix.identity(1)]
     layers = []  # (odd alpha, even alpha > 0) p-multiplicities per layer
     for wedge in wedges:
-        rep = CyclicRep(m, IntMatrix.scalar(wedge.rows, sign) @ wedge)
+        rep = CyclicRep(m, scalar_matrix(wedge.rows, sign) @ wedge)
         layers.append([cyclic_cohomology(rep, a).p_multiplicity(p) for a in (1, 2)])
     return [
         sum(layers[g][(l - g + 1) % 2] for g in range(min(l, len(layers))))

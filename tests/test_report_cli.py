@@ -19,7 +19,7 @@ from semicoh.engines import build_table, formula_table, molien_column, rank_colu
 from semicoh.errors import NotADivisor, TorsionExponentViolation
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
-from semicoh.intmat import IntMatrix, block_diagonal
+from semicoh.intmat import IntMatrix
 from semicoh.iojson import (
     group_to_json_dict,
     parse_group_document,
@@ -30,7 +30,7 @@ from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json, render_report_markdown
 from semicoh.tables import CohomologyTable
 
-from conftest import count_calls
+from conftest import block_diagonal, count_calls
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"

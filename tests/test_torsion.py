@@ -1,6 +1,7 @@
 """Bounded compositions, orbit coefficients, torsion assembly."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb, gcd
@@ -9,12 +10,12 @@ import pytest
 
 import semicoh.torsion
 from semicoh.abelian import AbelianGroup
-from semicoh.cyclotomic import count_wedge_roots, exponent_multiset
+from semicoh.cyclotomic import companion_of_cyclotomic, count_wedge_roots, exponent_multiset
 from semicoh.engines import formula_table
 from semicoh.errors import NonIntegralOrbitCount
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, isotropy_data, rst_decompose
-from semicoh.intmat import IntMatrix, block_diagonal
+from semicoh.intmat import IntMatrix
 from semicoh.oracle import e2_table
 from semicoh.report import compare_report
 from semicoh.torsion import (
@@ -29,6 +30,7 @@ from semicoh.torsion import (
 
 from conftest import (
     CYCLE_PLUS_TRIVIAL,
+    block_diagonal,
     count_calls,
     cycle_matrix,
     random_companion_spec,
@@ -450,6 +452,42 @@ def test_beta_minus_1_cutoff_matches_oracle_when_s_is_zero():
             assert column == expected, (spec.phi, spec.m, p)
             checked += 1
     assert checked >= 60
+
+
+def test_complete_prime_order_census_against_the_oracle():
+    # for p <= 19 the class number of Q(zeta_p) is 1, so by Diederichsen-Reiner
+    # every Z[C_p]-lattice is r*Z + s*Z[C_p] + t*Z[zeta_p] and (r, s, t) fixes
+    # it: these 181 block sums are every group Z^n x| Z/p with p <= 13 and
+    # n <= 8, so the counts below are complete, not sampled
+    columns = (("published", "half"), ("corrected", "half"), ("corrected", "beta_minus_1"))
+    classes, matches = Counter(), Counter()
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 9):
+            for s in range(n // p + 1):
+                for t in range((n - p * s) // (p - 1) + 1):
+                    r = n - p * s - (p - 1) * t
+                    blocks = [IntMatrix.identity(r)] * (r > 0)
+                    blocks += [cycle_matrix(p)] * s + [companion_of_cyclotomic(p)] * t
+                    spec = GroupSpec(n, p, block_diagonal(blocks))
+                    rst = rst_decompose(spec, p)
+                    assert (rst.r, rst.s, rst.t) == (r, s, t)
+                    top = n + 3
+                    oracle = [g.p_multiplicity(p) for g in e2_table(spec, top).groups[::2]]
+                    classes[s > 0] += 1
+                    for variant, cutoff in columns:
+                        column = assemble_p_torsion(spec, p, top, variant, corrected_cutoff=cutoff)
+                        assert not any(isinstance(c, NonIntegralOrbitCount) for c in column)
+                        matches[s > 0, variant, cutoff] += column[::2] == oracle
+    assert classes == {False: 109, True: 72}
+    # s = 0: beta - 1 matches everywhere, the default floor(beta/2) misses
+    # some even degree when t > 0, and the published pin never matches
+    assert matches[False, "corrected", "beta_minus_1"] == 109
+    assert matches[False, "corrected", "half"] == 70
+    assert matches[False, "published", "half"] == 0
+    # s > 0: the known limit (README "Known limits"), pinned so a change shows
+    assert matches[True, "corrected", "beta_minus_1"] == 13
+    assert matches[True, "corrected", "half"] == 12
+    assert matches[True, "published", "half"] == 1
 
 
 @pytest.mark.xfail(
