@@ -1,55 +1,58 @@
 """Canonical finitely generated abelian groups.
 
-A group is stored as a free rank plus its torsion invariant factors
-(a divisibility chain, smallest first, every factor > 1).  The canonical
-form is unique, so equality is structural equality.
+A group is stored as a free rank plus its primary decomposition: a sorted
+tuple of (prime power, copies).  That form is unique, so equality is
+structural equality, and its length is set by the distinct prime powers,
+not by the copies.  The invariant-factor chain is derived for printing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import mod
+from functools import lru_cache
+from math import isqrt
 
 
-def _factorint(n: int) -> dict[int, int]:
+@lru_cache(maxsize=256)
+def _smallest_factor(n: int) -> int:
+    """The smallest prime factor of n > 1."""
+    return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
+
+
+def _factorint(n: int) -> Counter[int]:
     """Prime factorization by trial division; torsion orders here are tiny."""
-    result: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            result[d] = result.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        result[n] = result.get(n, 0) + 1
+    result = Counter()
+    while n > 1:
+        result[p := _smallest_factor(n)] += 1
+        n //= p
     return result
 
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Z^rank + a torsion divisibility chain.
+    """Z^rank + the sum of (Z/q)^copies over primary's (q, copies).
 
     >>> AbelianGroup.from_factors(1, [2, 6])
-    AbelianGroup(rank=1, torsion=(2, 6))
+    AbelianGroup(rank=1, primary=((2, 2), (3, 1)))
     >>> AbelianGroup.from_factors(0, [2, 3]) == AbelianGroup.from_factors(0, [6])
     True
     >>> print(AbelianGroup.from_factors(2, [2, 2, 3]))
     Z^2 + (Z/2)^2 + (Z/3)
-    >>> AbelianGroup.from_counts(1, {2: 3, 3: 1, 5: 0})
-    AbelianGroup(rank=1, torsion=(2, 2, 6))
+    >>> AbelianGroup.from_counts(1, {2: 3, 3: 1, 5: 0}).torsion
+    (2, 2, 6)
     """
 
     rank: int
-    torsion: tuple[int, ...] = ()
+    primary: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError("negative rank")
-        if any(map(mod, self.torsion[1:], self.torsion)):
-            raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
-        if self.torsion and min(self.torsion) < 2:
-            raise ValueError("torsion factors must exceed 1")
+        orders = [q for q, _ in self.primary]
+        # q > 1 is a prime power iff it divides a power of its smallest prime factor
+        powers = all(q > 1 and _smallest_factor(q) ** q.bit_length() % q == 0 for q in orders)
+        counts = all(k > 0 for _, k in self.primary)
+        if self.rank < 0 or orders != sorted(set(orders)) or not (powers and counts):
+            raise ValueError(f"rank {self.rank} and primary {self.primary} are not canonical")
 
     @classmethod
     def from_factors(cls, rank: int, factors) -> "AbelianGroup":
@@ -60,53 +63,49 @@ class AbelianGroup:
     def from_counts(cls, rank: int, counts) -> "AbelianGroup":
         """Canonicalize {cyclic order: copies}, factoring each distinct order once.
 
-        Order 1 is dropped, order 0 counts toward the rank, and the rest
-        are recombined into a divisibility chain.
+        Order 1 is dropped, order 0 counts toward the rank, and every other
+        order adds its copies to each prime power it splits into.
         """
         rank = int(rank) + counts.get(0, 0)
-        levels = {}  # (p, k) -> the copies whose p-exponent is at least k
+        primary = Counter()
         for f in counts.keys() - {0, 1}:
             for p, e in _factorint(f).items():
-                for k in range(1, e + 1):
-                    levels[p, k] = levels.get((p, k), 0) + counts[f]
+                primary[p**e] += counts[f]
+        return cls(rank, tuple(sorted((q, k) for q, k in primary.items() if k)))
+
+    @classmethod
+    def free(cls, rank: int) -> "AbelianGroup":
+        return cls(rank)
+
+    @classmethod
+    def direct_sum(cls, *groups: "AbelianGroup") -> "AbelianGroup":
+        primary = sum((Counter(dict(g.primary)) for g in groups), Counter())
+        return cls(sum(g.rank for g in groups), tuple(sorted(primary.items())))
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """The invariant-factor chain, smallest first, every factor > 1."""
+        levels = Counter()  # (p, k) -> the copies whose p-exponent is at least k
+        for q, copies in self.primary:
+            ((p, e),) = _factorint(q).items()
+            for k in range(1, e + 1):
+                levels[p, k] += copies
         # level (p, k) puts a factor p into its count's worth of the largest
         # invariant factors, so the chain is built run by run, smallest first
         torsion, value, size = [], 1, max(levels.values(), default=0)
         for count, p in sorted([(n, p) for (p, _), n in levels.items()], reverse=True) + [(0, 1)]:
             torsion += [value] * (size - count - len(torsion))
             value *= p
-        return cls(rank, tuple(torsion))
-
-    @classmethod
-    def free(cls, rank: int) -> "AbelianGroup":
-        return cls(rank, ())
-
-    @classmethod
-    def direct_sum(cls, *groups: "AbelianGroup") -> "AbelianGroup":
-        rank = sum(g.rank for g in groups)
-        factors = [f for g in groups for f in g.torsion]
-        return cls.from_factors(rank, factors)
+        return tuple(torsion)
 
     def p_multiplicity(self, p: int) -> int:
-        """Number of Z/p^e summands for the prime p (counting multiplicity)."""
-        count = 0
-        for f in self.torsion:
-            while f % p == 0:
-                f //= p
-                count += 1
-        return count
+        """Sum of the p-exponents of the torsion summands, so Z/4 counts 2.
+
+        For square-free m every p-primary summand is Z/p, and this is theta_p.
+        """
+        return sum(copies * _factorint(q)[p] for q, copies in self.primary)
 
     def __str__(self) -> str:
-        parts = []
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        counts: dict[int, int] = {}
-        for f in self.torsion:
-            for p, e in sorted(_factorint(f).items()):
-                counts[p**e] = counts.get(p**e, 0) + 1
-        for q in sorted(counts):
-            k = counts[q]
-            parts.append(f"(Z/{q})" + (f"^{k}" if k > 1 else ""))
-        return " + ".join(parts) if parts else "0"
+        parts = [] if self.rank == 0 else ["Z" if self.rank == 1 else f"Z^{self.rank}"]
+        parts += [f"(Z/{q})" + (f"^{k}" if k > 1 else "") for q, k in self.primary]
+        return " + ".join(parts) or "0"

@@ -109,9 +109,9 @@ def parse_table(text: str) -> CohomologyTable:
     if doc.get("schema") != "cohomology-table/1":
         raise SpecInputError("not a cohomology table document", field="schema")
     entries = sorted(doc["groups"], key=lambda e: e["degree"])
-    groups = tuple(
-        AbelianGroup(rank=e["rank"], torsion=tuple(e["torsion"])) for e in entries
-    )
+    groups = tuple(AbelianGroup.from_factors(e["rank"], e["torsion"]) for e in entries)
+    if [(g.rank, list(g.torsion)) for g in groups] != [(e["rank"], e["torsion"]) for e in entries]:
+        raise ValueError("a group is not an integer rank and an invariant-factor chain")
     return CohomologyTable(
         engine=doc["engine"],
         n=doc["n"],

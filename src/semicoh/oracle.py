@@ -186,9 +186,7 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
         raise ValueError("negative degree")
     if alpha == 0:
         return AbelianGroup.free(rep.fixed_rank)
-    return AbelianGroup.from_factors(
-        0, [p for p, ranks in rep.p_ranks.items() for _ in range(ranks[alpha % 2])]
-    )
+    return AbelianGroup.from_counts(0, {p: ranks[alpha % 2] for p, ranks in rep.p_ranks.items()})
 
 
 def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:

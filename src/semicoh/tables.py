@@ -30,12 +30,12 @@ class CohomologyTable:
         if len(self.groups) != self.max_degree + 1:
             raise ValueError("need one group per degree 0..max_degree")
         first = self.groups[0]
-        if first.rank != 1 or first.torsion:
+        if first.rank != 1 or first.primary:
             raise TorsionExponentViolation(f"degree 0 must be Z, got {first}")
-        # each degree's torsion is a divisibility chain: its largest factor
-        # divides m iff every factor does
+        # every invariant factor divides m iff every prime power does; the
+        # refusal names the smallest invariant factor that does not
         for l, g in enumerate(self.groups):
-            if g.torsion and self.m % g.torsion[-1]:
+            if any(self.m % q for q, _ in g.primary):
                 f = next(f for f in g.torsion if self.m % f)
                 raise TorsionExponentViolation(
                     f"torsion order {f} in degree {l} does not divide m={self.m}"

@@ -1,6 +1,8 @@
 """Canonical abelian groups."""
 
+import json
 import random
+from collections import Counter
 from itertools import zip_longest
 from math import prod
 
@@ -10,19 +12,26 @@ from hypothesis import strategies as st
 
 import semicoh.abelian
 from semicoh.abelian import AbelianGroup, _factorint
+from semicoh.iojson import parse_table, render_table
+from semicoh.tables import CohomologyTable
 
 from conftest import count_calls
 
 
 def test_canonicalization():
-    assert AbelianGroup.from_factors(0, [2, 3]) == AbelianGroup(0, (6,))
-    assert AbelianGroup.from_factors(1, [1, 1, 6]) == AbelianGroup(1, (6,))
-    assert AbelianGroup.from_factors(0, [4, 6]) == AbelianGroup(0, (2, 12))
-    assert AbelianGroup.from_factors(0, [0, 2]) == AbelianGroup(1, (2,))
+    assert AbelianGroup.from_factors(0, [2, 3]) == AbelianGroup.from_factors(0, (6,))
+    assert AbelianGroup.from_factors(1, [1, 1, 6]) == AbelianGroup.from_factors(1, (6,))
+    assert AbelianGroup.from_factors(0, [4, 6]) == AbelianGroup.from_factors(0, (2, 12))
+    assert AbelianGroup.from_factors(0, [0, 2]) == AbelianGroup.from_factors(1, (2,))
+    assert AbelianGroup.from_factors(0, [4, 6]).torsion == (2, 12)
+    assert AbelianGroup.from_factors(0, [4, 6]).primary == ((2, 1), (3, 1), (4, 1))
 
 
 def _from_factors_per_copy(rank, factors):
-    """The canonical form with every copy of a factor factored on its own: the reference."""
+    """The rank, invariant-factor chain and rendering, every copy of a factor factored on its own.
+
+    The reference for from_factors, torsion and str.
+    """
     exponents: dict[int, list[int]] = {}
     for f in map(abs, factors):
         if f == 0:
@@ -32,44 +41,79 @@ def _from_factors_per_copy(rank, factors):
                 exponents.setdefault(p, []).append(e)
     powers = [sorted((p**e for e in es), reverse=True) for p, es in sorted(exponents.items())]
     chain = [prod(tup) for tup in zip_longest(*powers, fillvalue=1)]
-    return AbelianGroup(rank, tuple(reversed(chain)))
+    copies = Counter(q for qs in powers for q in qs)
+    parts = ["Z" if rank == 1 else f"Z^{rank}"] * (rank > 0) + [
+        f"(Z/{q})" + (f"^{k}" if k > 1 else "") for q, k in sorted(copies.items())
+    ]
+    return rank, tuple(reversed(chain)), " + ".join(parts) or "0"
+
+
+def _p_exponent(f, p):
+    e = 0
+    while f and f % p == 0:
+        f //= p
+        e += 1
+    return e
 
 
 def test_from_factors_factors_each_distinct_order_once(monkeypatch):
     rng = random.Random(20)
     calls = count_calls(monkeypatch, semicoh.abelian, "_factorint")
+    previous = (0, [])
     for _ in range(200):
         pool = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))] + [0, 1, -1]
         factors = [rng.choice(pool) for _ in range(rng.randint(0, 60))]
         rank = rng.randint(0, 3)
-        expected = _from_factors_per_copy(rank, factors)
+        expected_rank, chain, text = _from_factors_per_copy(rank, factors)
         calls.clear()
-        assert AbelianGroup.from_factors(rank, factors) == expected, factors
+        group = AbelianGroup.from_factors(rank, factors)
         assert sorted(args[0] for args in calls) == sorted({abs(f) for f in factors} - {0, 1})
+        assert (group.rank, group.torsion) == (expected_rank, chain), factors
+        assert group == AbelianGroup.from_factors(expected_rank, chain)
+        assert str(group) == text
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+            assert group.p_multiplicity(p) == sum(_p_exponent(abs(f), p) for f in factors)
+        # the previous multiset is an independent second summand
+        joined = AbelianGroup.from_factors(rank + previous[0], factors + previous[1])
+        assert AbelianGroup.direct_sum(group, AbelianGroup.from_factors(*previous)) == joined
+        previous = (rank, factors)
 
 
 def test_chain_is_validated():
+    # unsorted or repeated orders, a zero count, and orders that are not prime powers above 1
+    for primary in (((3, 1), (2, 1)), ((2, 0),), ((1, 2),), ((6, 1),), ((2, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            AbelianGroup(0, primary)
+    groups = (AbelianGroup.free(1), AbelianGroup(0), AbelianGroup.from_factors(0, [6]))
+    text = render_table(CohomologyTable(engine="oracle", n=1, m=6, max_degree=2, groups=groups))
+    assert parse_table(text).groups == groups
+    for torsion in ((4, 6), (1, 2), (0, 2), (-2,)):
+        doc = json.loads(text)
+        doc["groups"][2]["torsion"] = list(torsion)
+        with pytest.raises(ValueError):
+            parse_table(json.dumps(doc))
+    doc = json.loads(text)
+    doc["groups"][2]["rank"] = 1.5
     with pytest.raises(ValueError):
-        AbelianGroup(0, (4, 6))
-    with pytest.raises(ValueError):
-        AbelianGroup(0, (1, 2))
+        parse_table(json.dumps(doc))
 
 
 def test_direct_sum_and_p_multiplicity():
     g = AbelianGroup.direct_sum(
-        AbelianGroup.free(1), AbelianGroup(0, (2,)), AbelianGroup(0, (6,))
+        AbelianGroup.free(1), AbelianGroup.from_factors(0, (2,)), AbelianGroup.from_factors(0, (6,))
     )
-    assert g == AbelianGroup(1, (2, 6))
+    assert g == AbelianGroup.from_factors(1, (2, 6))
     assert g.p_multiplicity(2) == 2
     assert g.p_multiplicity(3) == 1
     assert g.p_multiplicity(5) == 0
+    assert AbelianGroup.from_factors(0, [4, 2]).p_multiplicity(2) == 3
 
 
 def test_rendering():
     assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup.free(1)) == "Z"
     assert str(AbelianGroup.from_factors(2, [2, 2, 3])) == "Z^2 + (Z/2)^2 + (Z/3)"
-    assert str(AbelianGroup(0, (6,))) == "(Z/2) + (Z/3)"
+    assert str(AbelianGroup.from_factors(0, (6,))) == "(Z/2) + (Z/3)"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), max_size=6))

@@ -174,7 +174,7 @@ def test_fixture_expectations_hold():
     # the published table's z5_z6 H^2 = Z^2 + (Z/2)^2 + Z/3 is a documented
     # erratum: the oracle gives Z^2 + (Z/6)^2, and the golden report itemizes
     # the 3-part (published 1, oracle and corrected 2)
-    assert e2_table(fixture_by_name("z5_z6").spec, 2).groups[2] == AbelianGroup(2, (6, 6))
+    assert e2_table(fixture_by_name("z5_z6").spec, 2).groups[2] == AbelianGroup.from_factors(2, (6, 6))
     assert checked == 34
     _ok(f"fixture expectations: {checked} published-table and hand-checked values hold")
 

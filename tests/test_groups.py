@@ -61,10 +61,10 @@ from smith_support import invariant_factors, kernel_basis, solve_columns
 
 
 def poly_at(poly, a: IntMatrix) -> IntMatrix:
-    """poly(a) from separate powers a**k: the isotypic projectors' reference."""
+    """poly(a) by Horner's rule, without a power chain: the isotypic projectors' reference."""
     value = IntMatrix.zeros(a.rows, a.cols)
-    for k, c in enumerate(poly.coeffs):
-        value = value + scalar_matrix(a.rows, c) @ a**k
+    for c in reversed(poly.coeffs):
+        value = value @ a + scalar_matrix(a.rows, c)
     return value
 
 

@@ -95,9 +95,9 @@ def _quotient_reference(rep, alpha):
     one = IntMatrix.identity(psi.rows)
     if alpha == 0:
         return G(kernel_basis(psi - one).cols)
-    norm = IntMatrix.zeros(psi.rows, psi.rows)
-    for k in range(rep.q):
-        norm = norm + psi**k
+    norm, power = IntMatrix.zeros(psi.rows, psi.rows), one
+    for _ in range(rep.q):  # norm = psi^0 + ... + psi^(q-1), by a running product
+        norm, power = norm + power, power @ psi
     if alpha % 2:
         return lattice_quotient(kernel_basis(norm), psi - one)
     return lattice_quotient(kernel_basis(psi - one), norm)

@@ -85,11 +85,11 @@ def test_table_roundtrip():
 
 
 def test_torsion_not_dividing_m_is_refused_built_or_parsed():
-    # each degree's chain is checked by its largest factor; the refusal
-    # names the smallest factor that does not divide m, wherever it sits
+    # each degree is checked by its prime powers; the refusal names the
+    # smallest invariant factor that does not divide m, wherever it sits
     table = build_table(fixture_by_name("z5_z6").spec, 6, "oracle")
     for torsion, factor in (((2, 4, 8), 4), ((5,), 5), ((3, 3, 12), 12)):
-        groups = table.groups[:3] + (AbelianGroup(1, torsion),) + table.groups[4:]
+        groups = table.groups[:3] + (AbelianGroup.from_factors(1, torsion),) + table.groups[4:]
         message = f"torsion order {factor} in degree 3 does not divide m=6"
         with pytest.raises(TorsionExponentViolation, match=message):
             CohomologyTable(engine="oracle", n=5, m=6, max_degree=6, groups=groups)

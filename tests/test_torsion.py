@@ -11,7 +11,7 @@ import pytest
 import semicoh.torsion
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import companion_of_cyclotomic, count_wedge_roots, exponent_multiset
-from semicoh.engines import formula_table
+from semicoh.engines import formula_table, rank_column
 from semicoh.errors import NonIntegralOrbitCount
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, isotropy_data, rst_decompose
@@ -343,7 +343,6 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
             2 ** len(isotropy_data(spec, p, rst_decompose(spec, p)).divisors)
             for p in spec.primes
         )
-        per_copy.clear()  # the oracle in compare_report below does call it
         for variant in VARIANTS:
             products.clear()
             try:
@@ -354,12 +353,34 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
             else:
                 assert len(products) == subsets, (fixture.name, variant)
                 tables += 1
-        assert per_copy == [], fixture.name
         products.clear()
         compare_report(spec, spec.n + 3)
         assert len(products) == 3 * subsets, fixture.name
+        # no engine builds a group from a per-copy list of cyclic orders
+        assert per_copy == [], fixture.name
     assert tables >= 8, tables
 
+
+
+@pytest.mark.parametrize("k", [4, 12])
+def test_the_closed_forms_answer_past_the_chain_wall(k):
+    # m = 6, phi = (Phi_2 + Phi_2 + Phi_3 + Phi_3)^k.  At n = 24 the longest
+    # invariant-factor chain has 3,354,763 factors; at n = 72 theta reaches
+    # 7.9e20.  A group stores one count per prime power, so both tables stay small.
+    blocks = [companion_of_cyclotomic(e) for e in (2, 2, 3, 3)] * k
+    spec = GroupSpec(n=6 * k, m=6, phi=block_diagonal(blocks))
+    top = spec.n + 3
+    ranks, largest = rank_column(spec, top), 0
+    for variant in VARIANTS:
+        table = formula_table(spec, top, variant)
+        assert table.rank_column() == ranks, variant
+        for p in spec.primes:
+            column = assemble_p_torsion(spec, p, top, variant)
+            assert [g.p_multiplicity(p) for g in table.groups] == list(column), (variant, p)
+            largest = max(largest, *column)
+        # distinct orders, each a prime of m: at most one entry per prime
+        assert all({q for q, _ in g.primary} <= set(spec.primes) for g in table.groups)
+    assert largest == (3_354_763 if k == 4 else 788_639_418_567_827_072_233)
 
 FLAGSHIP_PUBLISHED = {
     2: [0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2],
