@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 
-@lru_cache(maxsize=256)
 def _smallest_factor(n: int) -> int:
     """The smallest prime factor of n > 1."""
     return next((d for d in range(2, isqrt(n) + 1) if n % d == 0), n)
@@ -74,10 +72,6 @@ class AbelianGroup:
         return cls(rank, tuple(sorted((q, k) for q, k in primary.items() if k)))
 
     @classmethod
-    def free(cls, rank: int) -> "AbelianGroup":
-        return cls(rank)
-
-    @classmethod
     def direct_sum(cls, *groups: "AbelianGroup") -> "AbelianGroup":
         primary = sum((Counter(dict(g.primary)) for g in groups), Counter())
         return cls(sum(g.rank for g in groups), tuple(sorted(primary.items())))
@@ -85,12 +79,12 @@ class AbelianGroup:
     @property
     def torsion(self) -> tuple[int, ...]:
         """The invariant-factor chain, smallest first, every factor > 1."""
-        levels = Counter()  # (p, k) -> the copies whose p-exponent is at least k
+        levels = {}  # (p, p^k) -> the copies of Z/q with p^k dividing q
         for q, copies in self.primary:
-            ((p, e),) = _factorint(q).items()
-            for k in range(1, e + 1):
-                levels[p, k] += copies
-        # level (p, k) puts a factor p into its count's worth of the largest
+            p, d = _smallest_factor(q), 1
+            while (d := d * p) <= q:
+                levels[p, d] = levels.get((p, d), 0) + copies
+        # level (p, p^k) puts a factor p into its count's worth of the largest
         # invariant factors, so the chain is built run by run, smallest first
         torsion, value, size = [], 1, max(levels.values(), default=0)
         for count, p in sorted([(n, p) for (p, _), n in levels.items()], reverse=True) + [(0, 1)]:

@@ -17,7 +17,7 @@ from .abelian import AbelianGroup
 from .errors import SpecInputError
 from .groups import GroupSpec, validate
 from .intmat import IntMatrix
-from .tables import CohomologyTable
+from .tables import CohomologyTable, check_chain
 
 
 def _as_int(value: Any, field: str) -> int:
@@ -109,9 +109,11 @@ def parse_table(text: str) -> CohomologyTable:
     if doc.get("schema") != "cohomology-table/1":
         raise SpecInputError("not a cohomology table document", field="schema")
     entries = sorted(doc["groups"], key=lambda e: e["degree"])
-    groups = tuple(AbelianGroup.from_factors(e["rank"], e["torsion"]) for e in entries)
-    if [(g.rank, list(g.torsion)) for g in groups] != [(e["rank"], e["torsion"]) for e in entries]:
-        raise ValueError("a group is not an integer rank and an invariant-factor chain")
+    # checked before from_factors runs: a corrupt order may be too large to factor
+    chains = [check_chain(doc["m"], l, e["torsion"]) for l, e in enumerate(entries)]
+    groups = tuple(AbelianGroup.from_factors(e["rank"], c) for e, c in zip(entries, chains))
+    if [g.rank for g in groups] != [e["rank"] for e in entries]:
+        raise ValueError("a group's rank is not an integer")
     return CohomologyTable(
         engine=doc["engine"],
         n=doc["n"],

@@ -185,7 +185,7 @@ def cyclic_cohomology(rep: CyclicRep, alpha: int) -> AbelianGroup:
     if alpha < 0:
         raise ValueError("negative degree")
     if alpha == 0:
-        return AbelianGroup.free(rep.fixed_rank)
+        return AbelianGroup(rep.fixed_rank)
     return AbelianGroup.from_counts(0, {p: ranks[alpha % 2] for p, ranks in rep.p_ranks.items()})
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import semicoh.abelian
 from semicoh.abelian import AbelianGroup, _factorint
+from semicoh.errors import TorsionExponentViolation
 from semicoh.iojson import parse_table, render_table
 from semicoh.tables import CohomologyTable
 
@@ -84,7 +85,7 @@ def test_chain_is_validated():
     for primary in (((3, 1), (2, 1)), ((2, 0),), ((1, 2),), ((6, 1),), ((2, 1), (2, 1))):
         with pytest.raises(ValueError):
             AbelianGroup(0, primary)
-    groups = (AbelianGroup.free(1), AbelianGroup(0), AbelianGroup.from_factors(0, [6]))
+    groups = (AbelianGroup(1), AbelianGroup(0), AbelianGroup.from_factors(0, [6]))
     text = render_table(CohomologyTable(engine="oracle", n=1, m=6, max_degree=2, groups=groups))
     assert parse_table(text).groups == groups
     for torsion in ((4, 6), (1, 2), (0, 2), (-2,)):
@@ -96,11 +97,17 @@ def test_chain_is_validated():
     doc["groups"][2]["rank"] = 1.5
     with pytest.raises(ValueError):
         parse_table(json.dumps(doc))
+    # a corrupt order is refused before it is factored: trial division up to
+    # the square root of this prime would take minutes
+    doc = json.loads(text)
+    doc["groups"][2]["torsion"] = [2**61 - 1]
+    with pytest.raises(TorsionExponentViolation, match=f"order {2**61 - 1} in degree 2 does not"):
+        parse_table(json.dumps(doc))
 
 
 def test_direct_sum_and_p_multiplicity():
     g = AbelianGroup.direct_sum(
-        AbelianGroup.free(1), AbelianGroup.from_factors(0, (2,)), AbelianGroup.from_factors(0, (6,))
+        AbelianGroup(1), AbelianGroup.from_factors(0, (2,)), AbelianGroup.from_factors(0, (6,))
     )
     assert g == AbelianGroup.from_factors(1, (2, 6))
     assert g.p_multiplicity(2) == 2
@@ -111,7 +118,7 @@ def test_direct_sum_and_p_multiplicity():
 
 def test_rendering():
     assert str(AbelianGroup(0)) == "0"
-    assert str(AbelianGroup.free(1)) == "Z"
+    assert str(AbelianGroup(1)) == "Z"
     assert str(AbelianGroup.from_factors(2, [2, 2, 3])) == "Z^2 + (Z/2)^2 + (Z/3)"
     assert str(AbelianGroup.from_factors(0, (6,))) == "(Z/2) + (Z/3)"
 

@@ -361,7 +361,6 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
     assert tables >= 8, tables
 
 
-
 @pytest.mark.parametrize("k", [4, 12])
 def test_the_closed_forms_answer_past_the_chain_wall(k):
     # m = 6, phi = (Phi_2 + Phi_2 + Phi_3 + Phi_3)^k.  At n = 24 the longest
@@ -381,6 +380,7 @@ def test_the_closed_forms_answer_past_the_chain_wall(k):
         # distinct orders, each a prime of m: at most one entry per prime
         assert all({q for q, _ in g.primary} <= set(spec.primes) for g in table.groups)
     assert largest == (3_354_763 if k == 4 else 788_639_418_567_827_072_233)
+
 
 FLAGSHIP_PUBLISHED = {
     2: [0, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2, 0, 2],
