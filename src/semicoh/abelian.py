@@ -3,7 +3,7 @@
 A group is stored as a free rank plus its primary decomposition: a sorted
 tuple of (prime power, copies).  That form is unique, so equality is
 structural equality, and its length is set by the distinct prime powers,
-not by the copies.  The invariant-factor chain is derived for printing.
+not by the copies.  Tables print and parse exactly these counts.
 """
 
 from __future__ import annotations
@@ -31,14 +31,12 @@ def _factorint(n: int) -> Counter[int]:
 class AbelianGroup:
     """Z^rank + the sum of (Z/q)^copies over primary's (q, copies).
 
-    >>> AbelianGroup.from_factors(1, [2, 6])
+    >>> AbelianGroup.from_counts(1, {2: 1, 6: 1})
     AbelianGroup(rank=1, primary=((2, 2), (3, 1)))
-    >>> AbelianGroup.from_factors(0, [2, 3]) == AbelianGroup.from_factors(0, [6])
+    >>> AbelianGroup.from_counts(0, {2: 1, 3: 1}) == AbelianGroup.from_counts(0, {6: 1})
     True
-    >>> print(AbelianGroup.from_factors(2, [2, 2, 3]))
+    >>> print(AbelianGroup.from_counts(2, {2: 2, 3: 1, 5: 0}))
     Z^2 + (Z/2)^2 + (Z/3)
-    >>> AbelianGroup.from_counts(1, {2: 3, 3: 1, 5: 0}).torsion
-    (2, 2, 6)
     """
 
     rank: int
@@ -53,16 +51,12 @@ class AbelianGroup:
             raise ValueError(f"rank {self.rank} and primary {self.primary} are not canonical")
 
     @classmethod
-    def from_factors(cls, rank: int, factors) -> "AbelianGroup":
-        """Canonicalize an arbitrary multiset of cyclic orders (see from_counts)."""
-        return cls.from_counts(rank, Counter(abs(int(f)) for f in factors))
-
-    @classmethod
     def from_counts(cls, rank: int, counts) -> "AbelianGroup":
-        """Canonicalize {cyclic order: copies}, factoring each distinct order once.
+        """Canonicalize {cyclic order >= 0: copies}, factoring each distinct order once.
 
         Order 1 is dropped, order 0 counts toward the rank, and every other
-        order adds its copies to each prime power it splits into.
+        order adds its copies to each prime power it splits into.  A list of
+        cyclic orders becomes a group as ``from_counts(rank, Counter(orders))``.
         """
         rank = int(rank) + counts.get(0, 0)
         primary = Counter()
@@ -75,22 +69,6 @@ class AbelianGroup:
     def direct_sum(cls, *groups: "AbelianGroup") -> "AbelianGroup":
         primary = sum((Counter(dict(g.primary)) for g in groups), Counter())
         return cls(sum(g.rank for g in groups), tuple(sorted(primary.items())))
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        """The invariant-factor chain, smallest first, every factor > 1."""
-        levels = {}  # (p, p^k) -> the copies of Z/q with p^k dividing q
-        for q, copies in self.primary:
-            p, d = _smallest_factor(q), 1
-            while (d := d * p) <= q:
-                levels[p, d] = levels.get((p, d), 0) + copies
-        # level (p, p^k) puts a factor p into its count's worth of the largest
-        # invariant factors, so the chain is built run by run, smallest first
-        torsion, value, size = [], 1, max(levels.values(), default=0)
-        for count, p in sorted([(n, p) for (p, _), n in levels.items()], reverse=True) + [(0, 1)]:
-            torsion += [value] * (size - count - len(torsion))
-            value *= p
-        return tuple(torsion)
 
     def p_multiplicity(self, p: int) -> int:
         """Sum of the p-exponents of the torsion summands, so Z/4 counts 2.

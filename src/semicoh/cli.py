@@ -109,15 +109,13 @@ def cmd_analyze(args) -> int:
     else:
         header = ["degree"]
         for t in tables:
-            header += [f"{t.engine}_rank", f"{t.engine}_torsion"]
-            header += [f"{t.engine}_theta{p}" for p in spec.primes]
+            header += [f"{t.engine}_rank"] + [f"{t.engine}_theta{p}" for p in spec.primes]
         lines = [",".join(header)]
         for l in range(max_degree + 1):
             row = [str(l)]
             for t in tables:
                 g = t.groups[l]
-                row += [str(g.rank), ";".join(str(f) for f in g.torsion)]
-                row += [str(g.p_multiplicity(p)) for p in spec.primes]
+                row += [str(g.rank)] + [str(g.p_multiplicity(p)) for p in spec.primes]
             lines.append(",".join(row))
         _emit("\n".join(lines) + "\n")
     return 0

@@ -17,7 +17,7 @@ from .abelian import AbelianGroup
 from .errors import SpecInputError
 from .groups import GroupSpec, validate
 from .intmat import IntMatrix
-from .tables import CohomologyTable, check_chain
+from .tables import CohomologyTable, check_orders
 
 
 def _as_int(value: Any, field: str) -> int:
@@ -82,10 +82,15 @@ def canonical_dumps(doc: Any) -> str:
 
 # -- tables -----------------------------------------------------------------
 
+# Each degree is {"degree", "rank", "torsion": [[q, copies], ...]}: the group's
+# primary decomposition, one count per prime power q, so its size does not
+# grow with the number of cyclic summands.
+TABLE_SCHEMA = "cohomology-table/2"
+
 
 def table_to_dict(table: CohomologyTable) -> dict:
     return {
-        "schema": "cohomology-table/1",
+        "schema": TABLE_SCHEMA,
         "engine": table.engine,
         "variant": table.variant,
         "n": table.n,
@@ -94,7 +99,7 @@ def table_to_dict(table: CohomologyTable) -> dict:
         "stable_from": table.stable_from,
         "assumptions": list(table.assumptions),
         "groups": [
-            {"degree": l, "rank": g.rank, "torsion": list(g.torsion)}
+            {"degree": l, "rank": g.rank, "torsion": [list(c) for c in g.primary]}
             for l, g in enumerate(table.groups)
         ],
     }
@@ -104,22 +109,27 @@ def render_table(table: CohomologyTable) -> str:
     return canonical_dumps(table_to_dict(table))
 
 
+def _parse_group(m: int, l: int, entry: dict) -> AbelianGroup:
+    """Degree l's group, its fields checked before AbelianGroup factors any order."""
+    rank, pairs = entry["rank"], entry["torsion"]
+    shapes = [type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is int and min(c) > 0 for c in pairs]
+    if type(rank) is not int or not all(shapes):
+        raise ValueError(f"degree {l} is not an integer rank and (order, copies) pairs")
+    check_orders(m, l, [q for q, _ in pairs])  # a corrupt order may be too large to factor
+    return AbelianGroup(rank, tuple(map(tuple, pairs)))
+
+
 def parse_table(text: str) -> CohomologyTable:
     doc = json.loads(text)
-    if doc.get("schema") != "cohomology-table/1":
-        raise SpecInputError("not a cohomology table document", field="schema")
+    if doc.get("schema") != TABLE_SCHEMA:
+        raise SpecInputError(f"not a {TABLE_SCHEMA} document", field="schema")
     entries = sorted(doc["groups"], key=lambda e: e["degree"])
-    # checked before from_factors runs: a corrupt order may be too large to factor
-    chains = [check_chain(doc["m"], l, e["torsion"]) for l, e in enumerate(entries)]
-    groups = tuple(AbelianGroup.from_factors(e["rank"], c) for e, c in zip(entries, chains))
-    if [g.rank for g in groups] != [e["rank"] for e in entries]:
-        raise ValueError("a group's rank is not an integer")
     return CohomologyTable(
         engine=doc["engine"],
         n=doc["n"],
         m=doc["m"],
         max_degree=doc["max_degree"],
-        groups=groups,
+        groups=tuple(_parse_group(doc["m"], l, e) for l, e in enumerate(entries)),
         stable_from=doc.get("stable_from"),
         variant=doc.get("variant"),
         assumptions=tuple(doc.get("assumptions") or ()),
@@ -130,12 +140,11 @@ def table_markdown(table: CohomologyTable) -> str:
     lines = [
         f"# H^l for n={table.n}, m={table.m} ({table.engine})",
         "",
-        "| l | group | rank | torsion |",
-        "|---|-------|------|---------|",
+        "| l | group | rank |",
+        "|---|-------|------|",
     ]
     for l, g in enumerate(table.groups):
-        torsion = " ".join(str(f) for f in g.torsion) or "-"
-        lines.append(f"| {l} | {g} | {g.rank} | {torsion} |")
+        lines.append(f"| {l} | {g} | {g.rank} |")
     if table.stable_from is not None:
         lines += ["", f"2-periodic from degree {table.stable_from} on."]
     if table.assumptions:

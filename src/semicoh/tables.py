@@ -31,19 +31,14 @@ class CohomologyTable:
             raise ValueError("need one group per degree 0..max_degree")
         if self.groups[0] != AbelianGroup(1):
             raise TorsionExponentViolation(f"degree 0 must be Z, got {self.groups[0]}")
-        # every invariant factor divides m iff every prime power does
         for l, g in enumerate(self.groups):
-            if any(self.m % q for q, _ in g.primary):
-                check_chain(self.m, l, g.torsion)
+            check_orders(self.m, l, [q for q, _ in g.primary])
 
     def rank_column(self) -> tuple[int, ...]:
         return tuple(g.rank for g in self.groups)
 
 
-def check_chain(m: int, l: int, chain):
-    """Return degree l's torsion list, refusing it unless it is a chain of divisors of m."""
-    if not all(type(f) is int and f > 1 for f in chain) or any(b % a for a, b in zip(chain, chain[1:])):
-        raise ValueError(f"torsion in degree {l} is not an invariant-factor chain")
-    if f := next((f for f in chain if m % f), None):
-        raise TorsionExponentViolation(f"torsion order {f} in degree {l} does not divide m={m}")
-    return chain
+def check_orders(m: int, l: int, orders) -> None:
+    """Refuse degree l's torsion unless every order divides m, naming the first that does not."""
+    if q := next((q for q in orders if m % q), None):
+        raise TorsionExponentViolation(f"torsion order {q} in degree {l} does not divide m={m}")

@@ -1,10 +1,38 @@
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import companion_of_cyclotomic, divisors, euler_phi
 from semicoh.groups import GroupSpec
 from semicoh.intmat import IntMatrix, contragredient
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args, env_extra=None) -> subprocess.CompletedProcess:
+    """``python -m semicoh.cli *args`` from the repository root, output captured as text."""
+    env = dict(os.environ)
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run(
+        [sys.executable, "-m", "semicoh.cli", *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+    )
+
+
+def cyclic_sum(rank: int, orders) -> AbelianGroup:
+    """Z^rank plus Z/f for each f in a list of cyclic orders f >= 0 (f = 0 adds to the rank)."""
+    return AbelianGroup.from_counts(rank, Counter(orders))
 
 
 def block_diagonal(blocks) -> IntMatrix:

@@ -8,6 +8,8 @@ reads a Smith form.  Each helper runs one ``smith_normal_form``, U @ A @ V
 from semicoh.abelian import AbelianGroup
 from semicoh.intmat import IntMatrix, smith_normal_form
 
+from conftest import cyclic_sum
+
 
 class NotASublattice(ValueError):
     """Columns do not lie integrally in the span of the ambient basis."""
@@ -61,4 +63,4 @@ def lattice_quotient(ambient_basis: IntMatrix, sub_basis: IntMatrix) -> AbelianG
     of the coordinate matrix of W in the basis of V.
     """
     factors = invariant_factors(solve_columns(ambient_basis, sub_basis))
-    return AbelianGroup.from_factors(ambient_basis.cols - len(factors), factors)
+    return cyclic_sum(ambient_basis.cols - len(factors), factors)

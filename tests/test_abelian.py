@@ -16,25 +16,25 @@ from semicoh.errors import TorsionExponentViolation
 from semicoh.iojson import parse_table, render_table
 from semicoh.tables import CohomologyTable
 
-from conftest import count_calls
+from conftest import count_calls, cyclic_sum
 
 
 def test_canonicalization():
-    assert AbelianGroup.from_factors(0, [2, 3]) == AbelianGroup.from_factors(0, (6,))
-    assert AbelianGroup.from_factors(1, [1, 1, 6]) == AbelianGroup.from_factors(1, (6,))
-    assert AbelianGroup.from_factors(0, [4, 6]) == AbelianGroup.from_factors(0, (2, 12))
-    assert AbelianGroup.from_factors(0, [0, 2]) == AbelianGroup.from_factors(1, (2,))
-    assert AbelianGroup.from_factors(0, [4, 6]).torsion == (2, 12)
-    assert AbelianGroup.from_factors(0, [4, 6]).primary == ((2, 1), (3, 1), (4, 1))
+    assert cyclic_sum(0, [2, 3]) == cyclic_sum(0, (6,))
+    assert cyclic_sum(1, [1, 1, 6]) == cyclic_sum(1, (6,))
+    assert cyclic_sum(0, [4, 6]) == cyclic_sum(0, (2, 12))
+    assert cyclic_sum(0, [0, 2]) == cyclic_sum(1, (2,))
+    assert cyclic_sum(0, [4, 6]).primary == ((2, 1), (3, 1), (4, 1))
 
 
-def _from_factors_per_copy(rank, factors):
+def _from_orders_per_copy(rank, factors):
     """The rank, invariant-factor chain and rendering, every copy of a factor factored on its own.
 
-    The reference for from_factors, torsion and str.
+    The reference for from_counts and str: the chain is a second canonical
+    form, so two multisets give equal groups iff their chains are equal.
     """
     exponents: dict[int, list[int]] = {}
-    for f in map(abs, factors):
+    for f in factors:
         if f == 0:
             rank += 1
         elif f > 1:
@@ -57,27 +57,33 @@ def _p_exponent(f, p):
     return e
 
 
-def test_from_factors_factors_each_distinct_order_once(monkeypatch):
+def test_from_counts_factors_each_distinct_order_once(monkeypatch):
     rng = random.Random(20)
     calls = count_calls(monkeypatch, semicoh.abelian, "_factorint")
     previous = (0, [])
     for _ in range(200):
-        pool = [rng.randint(-40, 40) for _ in range(rng.randint(1, 6))] + [0, 1, -1]
+        pool = [rng.randint(0, 40) for _ in range(rng.randint(1, 6))] + [0, 1]
         factors = [rng.choice(pool) for _ in range(rng.randint(0, 60))]
         rank = rng.randint(0, 3)
-        expected_rank, chain, text = _from_factors_per_copy(rank, factors)
+        expected_rank, chain, text = _from_orders_per_copy(rank, factors)
         calls.clear()
-        group = AbelianGroup.from_factors(rank, factors)
-        assert sorted(args[0] for args in calls) == sorted({abs(f) for f in factors} - {0, 1})
-        assert (group.rank, group.torsion) == (expected_rank, chain), factors
-        assert group == AbelianGroup.from_factors(expected_rank, chain)
-        assert str(group) == text
+        g = cyclic_sum(rank, factors)
+        assert sorted(args[0] for args in calls) == sorted(set(factors) - {0, 1})
+        assert g.rank == expected_rank, factors
+        assert g == cyclic_sum(expected_rank, chain)
+        assert _from_orders_per_copy(*_orders(g))[:2] == (expected_rank, chain)
+        assert str(g) == text
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-            assert group.p_multiplicity(p) == sum(_p_exponent(abs(f), p) for f in factors)
+            assert g.p_multiplicity(p) == sum(_p_exponent(f, p) for f in factors)
         # the previous multiset is an independent second summand
-        joined = AbelianGroup.from_factors(rank + previous[0], factors + previous[1])
-        assert AbelianGroup.direct_sum(group, AbelianGroup.from_factors(*previous)) == joined
+        joined = cyclic_sum(rank + previous[0], factors + previous[1])
+        assert AbelianGroup.direct_sum(g, cyclic_sum(*previous)) == joined
         previous = (rank, factors)
+
+
+def _orders(g):
+    """(rank, one cyclic order per copy of each primary summand)."""
+    return g.rank, [q for q, copies in g.primary for _ in range(copies)]
 
 
 def test_chain_is_validated():
@@ -85,12 +91,16 @@ def test_chain_is_validated():
     for primary in (((3, 1), (2, 1)), ((2, 0),), ((1, 2),), ((6, 1),), ((2, 1), (2, 1))):
         with pytest.raises(ValueError):
             AbelianGroup(0, primary)
-    groups = (AbelianGroup(1), AbelianGroup(0), AbelianGroup.from_factors(0, [6]))
+    groups = (AbelianGroup(1), AbelianGroup(0), cyclic_sum(0, [6]))
     text = render_table(CohomologyTable(engine="oracle", n=1, m=6, max_degree=2, groups=groups))
+    assert json.loads(text)["groups"][2]["torsion"] == [[2, 1], [3, 1]]
     assert parse_table(text).groups == groups
-    for torsion in ((4, 6), (1, 2), (0, 2), (-2,)):
+    # the same faults in a parsed table, plus pairs of the wrong shape or type
+    for torsion in ([[3, 1], [2, 1]], [[2, 0]], [[1, 2]], [[6, 1]], [[2, 1], [2, 1]],
+                    [[2, -1]], [[-2, 1]], [[0, 1]], [[2, 1.0]], [[2, True]], [["2", 1]],
+                    [[2]], [[2, 1, 1]], [2, 3], [6]):
         doc = json.loads(text)
-        doc["groups"][2]["torsion"] = list(torsion)
+        doc["groups"][2]["torsion"] = torsion
         with pytest.raises(ValueError):
             parse_table(json.dumps(doc))
     doc = json.loads(text)
@@ -100,40 +110,33 @@ def test_chain_is_validated():
     # a corrupt order is refused before it is factored: trial division up to
     # the square root of this prime would take minutes
     doc = json.loads(text)
-    doc["groups"][2]["torsion"] = [2**61 - 1]
+    doc["groups"][2]["torsion"] = [[2**61 - 1, 1]]
     with pytest.raises(TorsionExponentViolation, match=f"order {2**61 - 1} in degree 2 does not"):
         parse_table(json.dumps(doc))
 
 
 def test_direct_sum_and_p_multiplicity():
-    g = AbelianGroup.direct_sum(
-        AbelianGroup(1), AbelianGroup.from_factors(0, (2,)), AbelianGroup.from_factors(0, (6,))
-    )
-    assert g == AbelianGroup.from_factors(1, (2, 6))
+    g = AbelianGroup.direct_sum(AbelianGroup(1), cyclic_sum(0, (2,)), cyclic_sum(0, (6,)))
+    assert g == cyclic_sum(1, (2, 6))
     assert g.p_multiplicity(2) == 2
     assert g.p_multiplicity(3) == 1
     assert g.p_multiplicity(5) == 0
-    assert AbelianGroup.from_factors(0, [4, 2]).p_multiplicity(2) == 3
+    assert cyclic_sum(0, [4, 2]).p_multiplicity(2) == 3
 
 
 def test_rendering():
     assert str(AbelianGroup(0)) == "0"
     assert str(AbelianGroup(1)) == "Z"
-    assert str(AbelianGroup.from_factors(2, [2, 2, 3])) == "Z^2 + (Z/2)^2 + (Z/3)"
-    assert str(AbelianGroup.from_factors(0, (6,))) == "(Z/2) + (Z/3)"
+    assert str(cyclic_sum(2, [2, 2, 3])) == "Z^2 + (Z/2)^2 + (Z/3)"
+    assert str(cyclic_sum(0, (6,))) == "(Z/2) + (Z/3)"
 
 
 @given(st.lists(st.integers(min_value=0, max_value=60), max_size=6))
 @settings(max_examples=100, deadline=None)
-def test_from_factors_is_canonical(factors):
-    g = AbelianGroup.from_factors(0, factors)
-    # invariant factors form a chain and multiply to the group order
-    for a, b in zip(g.torsion, g.torsion[1:]):
-        assert b % a == 0
-    from math import prod
-
-    assert prod(g.torsion) if g.torsion else 1 == prod(f for f in factors if f > 1) if all(
-        f != 0 for f in factors
-    ) else True
+def test_from_counts_is_canonical(factors):
+    g = cyclic_sum(0, factors)
+    # the group order is kept, and zeros become rank
+    assert g.rank == factors.count(0)
+    assert prod(q**k for q, k in g.primary) == prod(f for f in factors if f > 1)
     # canonical means order independent
-    assert g == AbelianGroup.from_factors(0, sorted(factors, reverse=True))
+    assert g == cyclic_sum(0, sorted(factors, reverse=True))

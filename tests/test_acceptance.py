@@ -34,7 +34,7 @@ from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json
 from semicoh.torsion import _composition_poly, assemble_p_torsion
 
-from conftest import block_diagonal, random_companion_spec, random_unimodular
+from conftest import block_diagonal, cyclic_sum, random_companion_spec, random_unimodular
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"
 
@@ -141,14 +141,14 @@ def test_criterion_4_oracle_fixed_points():
     for l in range(2, 10):
         if l % 2 == 0:
             assert dinfty.groups[l].rank == 0
-            assert dinfty.groups[l].torsion == (2, 2)
+            assert dinfty.groups[l].primary == ((2, 2),)
         else:
             assert dinfty.groups[l] == AbelianGroup(0)
     p3 = e2_table(fixture_by_name("p3").spec, 3)
     assert p3.groups[1] == AbelianGroup(0)
-    assert p3.groups[2].rank == 1 and p3.groups[2].torsion == (3, 3)
+    assert p3.groups[2].rank == 1 and p3.groups[2].primary == ((3, 2),)
     ident = e2_table(fixture_by_name("id_n2_m3").spec, 2)
-    assert ident.groups[2].rank == 1 and ident.groups[2].torsion == (3,)
+    assert ident.groups[2].rank == 1 and ident.groups[2].primary == ((3, 1),)
     _ok("criterion 4: oracle fixed points (dinfty, p3, identity n=2 m=3)")
 
 
@@ -169,12 +169,12 @@ def test_fixture_expectations_hold():
         for engine, key in (("oracle", "groups"), ("formula-published", "published")):
             for degree, (rank, torsion) in expected.get(key, {}).items():
                 group = build_table(spec, degree, engine).groups[degree]
-                assert group == AbelianGroup.from_factors(rank, torsion), (name, engine, degree)
+                assert group == cyclic_sum(rank, torsion), (name, engine, degree)
                 checked += 1
     # the published table's z5_z6 H^2 = Z^2 + (Z/2)^2 + Z/3 is a documented
     # erratum: the oracle gives Z^2 + (Z/6)^2, and the golden report itemizes
     # the 3-part (published 1, oracle and corrected 2)
-    assert e2_table(fixture_by_name("z5_z6").spec, 2).groups[2] == AbelianGroup.from_factors(2, (6, 6))
+    assert e2_table(fixture_by_name("z5_z6").spec, 2).groups[2] == cyclic_sum(2, (6, 6))
     assert checked == 34
     _ok(f"fixture expectations: {checked} published-table and hand-checked values hold")
 
@@ -241,8 +241,8 @@ def test_criterion_7_invariant_suite(rng):
             )
         table = e2_table(spec, spec.n + 4)
         for g in table.groups:
-            for f in g.torsion:
-                assert spec.m % f == 0
+            for q, _ in g.primary:
+                assert spec.m % q == 0
         for l in range(spec.n + 1, spec.n + 3):
             assert table.groups[l] == table.groups[l + 2]
         checked += 1

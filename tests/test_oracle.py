@@ -44,6 +44,7 @@ from conftest import (
     block_diagonal,
     count_calls,
     cycle_matrix,
+    cyclic_sum,
     random_companion_spec,
     random_permutation_spec,
     random_unimodular,
@@ -53,7 +54,7 @@ from smith_support import invariant_factors, kernel_basis, lattice_quotient
 
 
 def G(rank, *torsion):
-    return AbelianGroup.from_factors(rank, torsion)
+    return cyclic_sum(rank, torsion)
 
 
 def test_cyclic_cohomology_augmentation_ideal():
@@ -213,9 +214,9 @@ def _smith_cyclic_reference(psi, q, alpha):
     if alpha == 0:
         return G(psi.rows - len(minus_one))
     if alpha % 2:
-        return AbelianGroup.from_factors(0, minus_one)
+        return G(0, *minus_one)
     norm = norm_and_power(psi, q)[0]
-    return AbelianGroup.from_factors(0, invariant_factors(norm))
+    return G(0, *invariant_factors(norm))
 
 
 def _smith_table_reference(spec, top):
@@ -502,8 +503,8 @@ def test_e2_torsion_square_free_divides_m(rng):
         spec = random_companion_spec(rng, n_max=5)
         table = e2_table(spec, spec.n + 3)
         for g in table.groups:
-            for f in g.torsion:
-                assert spec.m % f == 0
+            for q, _ in g.primary:
+                assert spec.m % q == 0
 
 
 def test_e2_two_periodicity_above_n(rng):
@@ -565,6 +566,27 @@ def test_a_trivially_acting_coprime_factor_splits_off_by_kunneth(rng):
                 cells += 1
             assert rank_column(wide, top) == rank_column(spec, top), (spec, k)
     assert cells >= 400, cells
+
+
+def test_a_trivial_summand_is_a_product_with_z(rng):
+    # phi + (1) presents G x Z, and H^*(Z) is free: Z in degrees 0 and 1.
+    # So Kunneth gives H^l(G x Z) = H^l(G) + H^(l-1)(G), and the free ranks
+    # obey the same relation
+    specs = [random_companion_spec(rng, n_max=6) for _ in range(40)]
+    specs += [random_permutation_spec(rng, n_max=6) for _ in range(40)]
+    cells = 0
+    for spec in specs:
+        top = spec.n + 4
+        wide = GroupSpec(spec.n + 1, spec.m, block_diagonal([spec.phi, IntMatrix.identity(1)]))
+        base, table = e2_table(spec, top), e2_table(wide, top)
+        for l in range(top + 1):
+            below = base.groups[l - 1] if l else AbelianGroup(0)
+            assert table.groups[l] == AbelianGroup.direct_sum(base.groups[l], below), (spec, l)
+            cells += 1
+        for column in (rank_column, molien_column):
+            ranks = column(spec, top)
+            assert column(wide, top) == tuple(map(sum, zip(ranks, (0,) + ranks))), (spec, column)
+    assert cells >= 600, cells
 
 
 def test_a_generator_power_prime_to_m_gives_the_same_tables(rng):

@@ -12,15 +12,15 @@ import pytest
 import semicoh.groups
 import semicoh.intmat
 import semicoh.report
-from semicoh.abelian import AbelianGroup
 from semicoh.cache import cache_get, cache_key, cache_put
 from semicoh.cli import build_parser, main
 from semicoh.engines import build_table, formula_table, molien_column, rank_column
-from semicoh.errors import NotADivisor, TorsionExponentViolation
+from semicoh.errors import NotADivisor, SpecInputError, TorsionExponentViolation
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
 from semicoh.intmat import IntMatrix
 from semicoh.iojson import (
+    canonical_dumps,
     group_to_json_dict,
     parse_group_document,
     parse_table,
@@ -30,25 +30,10 @@ from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json, render_report_markdown
 from semicoh.tables import CohomologyTable
 
-from conftest import block_diagonal, count_calls
+from conftest import block_diagonal, count_calls, cyclic_sum, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"
-
-
-def run_cli(*args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "semicoh.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-        env=env,
-    )
 
 
 def test_parse_group_document_roundtrip():
@@ -86,16 +71,17 @@ def test_table_roundtrip():
 
 def test_torsion_not_dividing_m_is_refused_built_or_parsed():
     # each degree is checked by its prime powers; the refusal names the
-    # smallest invariant factor that does not divide m, wherever it sits
+    # smallest prime power that does not divide m, wherever it sits
     table = build_table(fixture_by_name("z5_z6").spec, 6, "oracle")
-    for torsion, factor in (((2, 4, 8), 4), ((5,), 5), ((3, 3, 12), 12)):
-        groups = table.groups[:3] + (AbelianGroup.from_factors(1, torsion),) + table.groups[4:]
+    for torsion, factor in (((2, 4, 8), 4), ((5,), 5), ((3, 3, 12), 4)):
+        group = cyclic_sum(1, torsion)
+        groups = table.groups[:3] + (group,) + table.groups[4:]
         message = f"torsion order {factor} in degree 3 does not divide m=6"
         with pytest.raises(TorsionExponentViolation, match=message):
             CohomologyTable(engine="oracle", n=5, m=6, max_degree=6, groups=groups)
         doc = json.loads(render_table(table))
         entry = next(e for e in doc["groups"] if e["degree"] == 3)
-        entry["rank"], entry["torsion"] = 1, list(torsion)
+        entry["rank"], entry["torsion"] = 1, [list(c) for c in group.primary]
         with pytest.raises(TorsionExponentViolation, match=message):
             parse_table(json.dumps(doc))
     assert parse_table(render_table(table)) == table
@@ -156,7 +142,7 @@ def test_cli_analyze_oracle_json(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
-    assert doc["groups"][2]["torsion"] == [2, 2]
+    assert doc["groups"][2]["torsion"] == [[2, 2]]
 
 
 def test_cli_analyze_both_engines_md():
@@ -177,8 +163,11 @@ def test_cli_analyze_csv():
     )
     assert result.returncode == 0, result.stderr
     header = result.stdout.splitlines()[0]
-    assert header.startswith("degree,")
-    assert "oracle_theta3" in header
+    # for square-free m the theta columns carry every torsion count
+    assert header == ",".join(["degree"] + [
+        f"{engine}_{column}" for engine in ("formula-published", "formula-corrected", "oracle")
+        for column in ("rank", "theta3")
+    ])
 
 
 def test_cli_validation_exit_code():
@@ -561,3 +550,25 @@ def test_cli_cache_hit_equals_recompute(tmp_path):
     assert cold.returncode == warm.returncode == fresh.returncode == 0
     assert cold.stdout == warm.stdout == fresh.stdout
     assert list(Path(tmp_path).glob("*.json"))
+
+
+def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_path, monkeypatch):
+    # cohomology-table/1 listed one invariant factor per cyclic summand; for
+    # m = 2 that chain is one 2 per copy of Z/2
+    monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
+    spec = fixture_by_name("dinfty").spec
+    key = cache_key(spec, "oracle", 6)
+    doc = json.loads(render_table(build_table(spec, 6, "oracle")))
+    doc["schema"] = "cohomology-table/1"
+    for entry in doc["groups"]:
+        entry["torsion"] = [q for q, copies in entry["torsion"] for _ in range(copies)]
+    assert [2, 2] in [entry["torsion"] for entry in doc["groups"]]
+    cache_put(key, canonical_dumps(doc))
+    with pytest.raises(SpecInputError, match="cohomology-table/2"):
+        parse_table(cache_get(key))
+    args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/dinfty.json")
+    migrated, fresh = run_cli(*args), run_cli(*args, "--no-cache")
+    assert migrated.returncode == fresh.returncode == 0, migrated.stderr
+    assert migrated.stdout == fresh.stdout
+    assert json.loads(cache_get(key))["schema"] == "cohomology-table/2"
+    assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")

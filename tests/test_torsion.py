@@ -16,6 +16,7 @@ from semicoh.errors import NonIntegralOrbitCount
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec, isotropy_data, rst_decompose
 from semicoh.intmat import IntMatrix
+from semicoh.iojson import canonical_dumps, group_to_json_dict, parse_table, render_table, table_markdown
 from semicoh.oracle import e2_table
 from semicoh.report import compare_report
 from semicoh.torsion import (
@@ -35,6 +36,7 @@ from conftest import (
     cycle_matrix,
     random_companion_spec,
     random_permutation_spec,
+    run_cli,
 )
 
 
@@ -332,12 +334,16 @@ def test_column_matches_per_cell_reference():
 
 
 def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
+    valid = [fixture for fixture in fixture_suite() if fixture.valid]
+    # a cold _composition_poly entry costs a product of its own: warm them all first
+    for spec in (fixture.spec for fixture in valid):
+        for p in spec.primes:
+            for variant in VARIANTS:
+                assemble_p_torsion(spec, p, spec.n + 6, variant)
     products = count_calls(monkeypatch, semicoh.torsion, "_truncated_product")
-    per_copy = count_calls(monkeypatch, AbelianGroup, "from_factors")
+    per_prime = count_calls(monkeypatch, AbelianGroup, "from_counts")
     tables = 0
-    for fixture in fixture_suite():
-        if not fixture.valid:
-            continue
+    for fixture in valid:
         spec = fixture.spec
         subsets = sum(
             2 ** len(isotropy_data(spec, p, rst_decompose(spec, p)).divisors)
@@ -356,16 +362,18 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
         products.clear()
         compare_report(spec, spec.n + 3)
         assert len(products) == 3 * subsets, fixture.name
-        # no engine builds a group from a per-copy list of cyclic orders
-        assert per_copy == [], fixture.name
+        # every engine builds a group from one count per prime of m
+        assert all(set(counts) <= set(spec.primes) for _, counts in per_prime), fixture.name
+        per_prime.clear()
     assert tables >= 8, tables
 
 
 @pytest.mark.parametrize("k", [4, 12])
-def test_the_closed_forms_answer_past_the_chain_wall(k):
+def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path):
     # m = 6, phi = (Phi_2 + Phi_2 + Phi_3 + Phi_3)^k.  At n = 24 the longest
     # invariant-factor chain has 3,354,763 factors; at n = 72 theta reaches
-    # 7.9e20.  A group stores one count per prime power, so both tables stay small.
+    # 7.9e20.  A group stores and prints one count per prime power, so both
+    # tables and their renderings stay small.
     blocks = [companion_of_cyclotomic(e) for e in (2, 2, 3, 3)] * k
     spec = GroupSpec(n=6 * k, m=6, phi=block_diagonal(blocks))
     top = spec.n + 3
@@ -379,7 +387,16 @@ def test_the_closed_forms_answer_past_the_chain_wall(k):
             largest = max(largest, *column)
         # distinct orders, each a prime of m: at most one entry per prime
         assert all({q for q, _ in g.primary} <= set(spec.primes) for g in table.groups)
+        text = render_table(table)
+        assert len(text) < 10_000 and len(table_markdown(table)) < 10_000, variant
+        assert parse_table(text) == table, variant
     assert largest == (3_354_763 if k == 4 else 788_639_418_567_827_072_233)
+    if k == 4:
+        path = tmp_path / "n24.json"
+        path.write_text(canonical_dumps(group_to_json_dict(spec)), encoding="utf-8")
+        result = run_cli("analyze", "--engine", "formula", "--format", "csv", "--no-cache", str(path))
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout) < 10_000 and result.stdout.count("\n") == top + 2
 
 
 FLAGSHIP_PUBLISHED = {
