@@ -109,11 +109,15 @@ def render_table(table: CohomologyTable) -> str:
     return canonical_dumps(table_to_dict(table))
 
 
+def _is_count(c) -> bool:
+    """An [order, copies] pair of positive ints, as json writes a tuple."""
+    return type(c) is list and len(c) == 2 and all(type(x) is int and x > 0 for x in c)
+
+
 def _parse_group(m: int, l: int, entry: dict) -> AbelianGroup:
     """Degree l's group, its fields checked before AbelianGroup factors any order."""
     rank, pairs = entry["rank"], entry["torsion"]
-    shapes = [type(c) is list and len(c) == 2 and type(c[0]) is type(c[1]) is int and min(c) > 0 for c in pairs]
-    if type(rank) is not int or not all(shapes):
+    if type(rank) is not int or not all(_is_count(c) for c in pairs):
         raise ValueError(f"degree {l} is not an integer rank and (order, copies) pairs")
     check_orders(m, l, [q for q, _ in pairs])  # a corrupt order may be too large to factor
     return AbelianGroup(rank, tuple(map(tuple, pairs)))

@@ -1,6 +1,6 @@
 """Record what every command-line call prints, one file per call, for ``diff -r``.
 
-    python tools/cli_snapshot.py OUTDIR [--src SRC] [--jobs N]
+    python tools/cli_snapshot.py OUTDIR [--src SRC]
 
 Runs ``python -m semicoh.cli`` from the package under SRC (default: this
 checkout's ``src``) on every ``fixtures/*.json`` of this checkout: every
@@ -11,9 +11,10 @@ every ``--prime`` of 2 and 3, and each cached subcommand with and without
 exported files are recorded too), ``--version`` and every ``--help``.
 
 Each file in OUTDIR holds one call's command line, exit code, stdout and
-stderr.  The cache lives in a private temporary directory, and every path
-printed is relative, so two trees differ only where the program's output
-does:
+stderr.  The calls run one after another in a fixed order, so whether an
+entry is already cached is the same on every run.  The cache lives in a
+private temporary directory, and every path printed is relative, so two
+trees differ only where the program's output does:
 
     python tools/cli_snapshot.py /tmp/before --src ../parent/src
     python tools/cli_snapshot.py /tmp/after
@@ -29,7 +30,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -104,16 +104,13 @@ def main(argv=None) -> int:
     parser.add_argument("outdir", type=Path)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the semicoh package to run")
-    parser.add_argument("--jobs", type=int, default=1, help="calls run at once")
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), SEMICOH_CACHE_DIR=cache)
         todo = calls()
-        with ThreadPoolExecutor(max_workers=max(1, min(args.jobs, os.cpu_count() or 1))) as pool:
-            texts = pool.map(lambda call: record(call, env, ROOT), todo)
-            for call, text in zip(todo, texts):
-                (args.outdir / file_name(call)).write_text(text, encoding="utf-8")
+        for call in todo:
+            (args.outdir / file_name(call)).write_text(record(call, env, ROOT), encoding="utf-8")
         (args.outdir / "fixtures_dir.txt").write_text(export_fixtures(env), encoding="utf-8")
     print(f"wrote {len(todo) + 1} calls to {args.outdir}")
     return 0
