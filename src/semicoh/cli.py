@@ -72,7 +72,9 @@ def _cached_table(spec, engine, max_degree, use_cache):
         if hit is not None:
             try:
                 table = parse_table(hit)
-                if (table.n, table.m, table.engine) == (spec.n, spec.m, engine):
+                if (table.n, table.m, table.engine, table.max_degree) == (
+                    spec.n, spec.m, engine, max_degree
+                ):
                     return table
             except Exception:  # noqa: BLE001 - corrupt cache entry: recompute
                 pass

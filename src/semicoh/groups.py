@@ -37,12 +37,12 @@ reduced mod x^m - 1, a combination of entries.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import mul
 
-from .abelian import _factorint
 from .cyclotomic import (
     CyclotomicCensus,
     chain_census,
@@ -66,6 +66,19 @@ from .intmat import IntMatrix, det, rank_mod_p
 from .intpoly import IntPolynomial
 
 
+def _factorint(n: int) -> Counter[int]:
+    """Prime factorization of n >= 1 by trial division; m and q here are small."""
+    result, d = Counter(), 2
+    while d * d <= n:
+        while n % d == 0:
+            result[d] += 1
+            n //= d
+        d += 1
+    if n > 1:
+        result[n] += 1
+    return result
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """The data (n, m, phi) defining Z^n semidirect Z/m."""
@@ -77,7 +90,7 @@ class GroupSpec:
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(sorted(_factorint(self.m))) if self.m > 1 else ()
+        return tuple(sorted(_factorint(self.m)))
 
     def psi(self, p: int) -> IntMatrix:
         """Action of the generator of the order-p subgroup, phi^(m/p), read off phi's power chain.

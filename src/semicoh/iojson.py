@@ -17,7 +17,7 @@ from .abelian import AbelianGroup
 from .errors import SpecInputError
 from .groups import GroupSpec, validate
 from .intmat import IntMatrix
-from .tables import CohomologyTable, check_orders
+from .tables import CohomologyTable
 
 
 def _as_int(value: Any, field: str) -> int:
@@ -82,9 +82,8 @@ def canonical_dumps(doc: Any) -> str:
 
 # -- tables -----------------------------------------------------------------
 
-# Each degree is {"degree", "rank", "torsion": [[q, copies], ...]}: the group's
-# primary decomposition, one count per prime power q, so its size does not
-# grow with the number of cyclic summands.
+# Each degree is {"degree", "rank", "torsion": [[p, theta_p], ...]}: one count
+# per prime p of m, so its size does not grow with the number of summands.
 TABLE_SCHEMA = "cohomology-table/2"
 
 
@@ -110,30 +109,27 @@ def render_table(table: CohomologyTable) -> str:
 
 
 def _is_count(c) -> bool:
-    """An [order, copies] pair of positive ints, as json writes a tuple."""
+    """A [p, theta] pair of positive ints, as json writes a tuple."""
     return type(c) is list and len(c) == 2 and all(type(x) is int and x > 0 for x in c)
 
 
-def _parse_group(m: int, l: int, entry: dict) -> AbelianGroup:
-    """Degree l's group, its fields checked before AbelianGroup factors any order."""
-    rank, pairs = entry["rank"], entry["torsion"]
-    if type(rank) is not int or not all(_is_count(c) for c in pairs):
-        raise ValueError(f"degree {l} is not an integer rank and (order, copies) pairs")
-    check_orders(m, l, [q for q, _ in pairs])  # a corrupt order may be too large to factor
-    return AbelianGroup(rank, tuple(map(tuple, pairs)))
-
-
 def parse_table(text: str) -> CohomologyTable:
+    """The table a render_table document holds; CohomologyTable checks it against m."""
     doc = json.loads(text)
     if doc.get("schema") != TABLE_SCHEMA:
         raise SpecInputError(f"not a {TABLE_SCHEMA} document", field="schema")
     entries = sorted(doc["groups"], key=lambda e: e["degree"])
+    if [e["degree"] for e in entries] != list(range(doc["max_degree"] + 1)):
+        raise ValueError(f"degrees are not 0..{doc['max_degree']}, one entry each")
+    if not all(_is_count(c) for e in entries for c in e["torsion"]):
+        raise ValueError("torsion is not a list of (p, theta) pairs")
+    groups = tuple(AbelianGroup(e["rank"], tuple(map(tuple, e["torsion"]))) for e in entries)
     return CohomologyTable(
         engine=doc["engine"],
         n=doc["n"],
         m=doc["m"],
         max_degree=doc["max_degree"],
-        groups=tuple(_parse_group(doc["m"], l, e) for l, e in enumerate(entries)),
+        groups=groups,
         stable_from=doc.get("stable_from"),
         variant=doc.get("variant"),
         assumptions=tuple(doc.get("assumptions") or ()),

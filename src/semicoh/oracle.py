@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, isqrt
 
-from .abelian import AbelianGroup, _factorint
+from .abelian import AbelianGroup
 from .errors import (
     BadInvariantFactors,
     DimensionTooLarge,
@@ -32,7 +32,7 @@ from .errors import (
     NotSquareFree,
     WrongOrder,
 )
-from .groups import GroupSpec, validate
+from .groups import GroupSpec, _factorint, validate
 from .intmat import (
     _NUMPY_MIN_DIM,
     IntMatrix,

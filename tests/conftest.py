@@ -9,7 +9,7 @@ import pytest
 
 from semicoh.abelian import AbelianGroup
 from semicoh.cyclotomic import companion_of_cyclotomic, divisors, euler_phi
-from semicoh.groups import GroupSpec
+from semicoh.groups import GroupSpec, _factorint
 from semicoh.intmat import IntMatrix, contragredient
 
 
@@ -31,8 +31,19 @@ def run_cli(*args, env_extra=None) -> subprocess.CompletedProcess:
 
 
 def cyclic_sum(rank: int, orders) -> AbelianGroup:
-    """Z^rank plus Z/f for each f in a list of cyclic orders f >= 0 (f = 0 adds to the rank)."""
-    return AbelianGroup.from_counts(rank, Counter(orders))
+    """Z^rank plus Z/f for each cyclic order f in a list, split into its primes.
+
+    Order 0 adds to the rank and order 1 is dropped; an order with a
+    repeated prime factor, such as 4 or 12, has no such form and raises.
+    """
+    counts = Counter()
+    for f in orders:
+        primes = _factorint(f)
+        if f < 0 or any(e > 1 for e in primes.values()):
+            raise ValueError(f"cyclic order {f} is not a square-free order >= 0")
+        rank += f == 0
+        counts.update(primes.keys())
+    return AbelianGroup.from_counts(rank, counts)
 
 
 def block_diagonal(blocks) -> IntMatrix:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from semicoh.cyclotomic import companion_of_cyclotomic
 from semicoh.errors import DegreeOutOfRange, NotUnimodular
+from semicoh.groups import _factorint
 import semicoh.intmat
 from semicoh.intmat import (
     _NUMPY_MIN_DIM,
@@ -153,14 +154,22 @@ def test_lattice_quotient_order3():
 
 
 def test_lattice_quotient_order_equals_det(rng):
+    # Z^3 / W has order |det W|; it is a group of (p, theta) pairs only when
+    # every invariant factor is square-free, and lattice_quotient refuses it otherwise
     for _ in range(10):
         w = random_int_matrix(rng, 3, 3)
         d = det(w)
         if d == 0:
             continue
+        factors = invariant_factors(w)
+        assert prod(factors) == abs(d)
+        if any(e > 1 for f in factors for e in _factorint(f).values()):
+            with pytest.raises(ValueError, match="not a square-free order"):
+                lattice_quotient(IntMatrix.identity(3), w)
+            continue
         group = lattice_quotient(IntMatrix.identity(3), w)
         assert group.rank == 0
-        assert prod(q**k for q, k in group.primary) == abs(d)
+        assert prod(p**k for p, k in group.primary) == abs(d)
 
 
 def test_lattice_quotient_membership_error():

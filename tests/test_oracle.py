@@ -32,6 +32,7 @@ from semicoh.groups import GroupSpec, rst_decompose
 from semicoh.intmat import (
     IntMatrix,
     contragredient,
+    det,
     norm_and_power,
     wedge_power,
 )
@@ -363,7 +364,7 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch, rng):
 def test_oracle_imports_no_closed_form_machinery():
     # the oracle inverts phi by a power of phi itself: it imports nothing
     # from the census, Molien or torsion modules, and from groups only the
-    # spec and its validation
+    # spec, its validation and the factoring of q into primes
     tree = ast.parse(Path(semicoh.oracle.__file__).read_text(encoding="utf-8"))
     imported = {
         node.module: {alias.name for alias in node.names}
@@ -372,7 +373,7 @@ def test_oracle_imports_no_closed_form_machinery():
     }
     assert set(imported) == {"abelian", "errors", "groups", "intmat", "tables", None}
     assert imported[None] == {"layers"}
-    assert imported["groups"] == {"GroupSpec", "validate"}
+    assert imported["groups"] == {"GroupSpec", "_factorint", "validate"}
 
 
 def test_certificate_rank_mismatch_is_an_internal_error(monkeypatch):
@@ -587,6 +588,41 @@ def test_a_trivial_summand_is_a_product_with_z(rng):
             ranks = column(spec, top)
             assert column(wide, top) == tuple(map(sum, zip(ranks, (0,) + ranks))), (spec, column)
     assert cells >= 600, cells
+
+
+def _euler_characteristic(spec: GroupSpec) -> int:
+    """(1/m) * sum over j < m of det(1 - phi^j), in exact integers."""
+    one, power, total = IntMatrix.identity(spec.n), IntMatrix.identity(spec.n), 0
+    for _ in range(spec.m):
+        total += det(one - power)
+        power = power @ spec.phi
+    chi, remainder = divmod(total, spec.m)
+    assert remainder == 0, spec
+    return chi
+
+
+def _alternating_sum(ranks) -> int:
+    return sum((-1) ** l * rank for l, rank in enumerate(ranks))
+
+
+def test_the_ranks_sum_to_the_euler_characteristic(rng):
+    # rank H^l is the dimension of the invariants of wedge^l of the dual of
+    # Q^n, which is the group average of tr wedge^l(phi^-jT); the alternating
+    # sum over l of those traces is det(1 - phi^-jT), and j -> -j permutes
+    # the group.  It needs no oracle, so it checks rank_column at any n
+    specs = [fixture.spec for fixture in fixture_suite() if fixture.valid]
+    specs += [random_companion_spec(rng, n_max=8) for _ in range(30)]
+    specs += [random_permutation_spec(rng, n_max=8) for _ in range(30)]
+    for spec in specs:
+        columns = (rank_column(spec, spec.n), molien_column(spec, spec.n),
+                   e2_table(spec, spec.n).rank_column())
+        chi = _euler_characteristic(spec)
+        assert [_alternating_sum(column) for column in columns] == [chi] * 3, spec
+    # the chain-wall specs of m = 6, n = 24 and n = 72, past the oracle's cap
+    for k, chi in ((4, 559_872), (12, 1_579_460_446_107_205_632)):
+        blocks = [companion_of_cyclotomic(e) for e in (2, 2, 3, 3)] * k
+        spec = GroupSpec(n=6 * k, m=6, phi=block_diagonal(blocks))
+        assert _euler_characteristic(spec) == _alternating_sum(rank_column(spec, spec.n)) == chi
 
 
 def test_a_generator_power_prime_to_m_gives_the_same_tables(rng):

@@ -12,10 +12,11 @@ import pytest
 import semicoh.groups
 import semicoh.intmat
 import semicoh.report
+from semicoh.abelian import AbelianGroup
 from semicoh.cache import cache_get, cache_key, cache_put
 from semicoh.cli import build_parser, main
 from semicoh.engines import build_table, formula_table, molien_column, rank_column
-from semicoh.errors import NotADivisor, SpecInputError, TorsionExponentViolation
+from semicoh.errors import NotADivisor, NotSquareFree, SpecInputError, TorsionExponentViolation
 from semicoh.fixtures import fixture_by_name, fixture_suite
 from semicoh.groups import GroupSpec
 from semicoh.intmat import IntMatrix
@@ -30,7 +31,7 @@ from semicoh.oracle import e2_table
 from semicoh.report import compare_report, render_report_json, render_report_markdown
 from semicoh.tables import CohomologyTable
 
-from conftest import block_diagonal, count_calls, cyclic_sum, run_cli
+from conftest import block_diagonal, count_calls, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "z5_z6_compare.json"
@@ -70,21 +71,40 @@ def test_table_roundtrip():
 
 
 def test_torsion_not_dividing_m_is_refused_built_or_parsed():
-    # each degree is checked by its prime powers; the refusal names the
-    # smallest prime power that does not divide m, wherever it sits
+    # each degree is checked p by p; the refusal names the smallest p that is
+    # not a prime of m, wherever it sits
     table = build_table(fixture_by_name("z5_z6").spec, 6, "oracle")
-    for torsion, factor in (((2, 4, 8), 4), ((5,), 5), ((3, 3, 12), 4)):
-        group = cyclic_sum(1, torsion)
+    for primary, p, why in ((((2, 1), (4, 1), (8, 1)), 4, "does not divide"),
+                            (((5, 1),), 5, "does not divide"),
+                            (((3, 2), (4, 1)), 4, "does not divide"),
+                            (((2, 1), (6, 3)), 6, "is not a prime of")):
+        group = AbelianGroup(1, primary)
         groups = table.groups[:3] + (group,) + table.groups[4:]
-        message = f"torsion order {factor} in degree 3 does not divide m=6"
+        message = f"torsion order {p} in degree 3 {why} m=6"
         with pytest.raises(TorsionExponentViolation, match=message):
             CohomologyTable(engine="oracle", n=5, m=6, max_degree=6, groups=groups)
         doc = json.loads(render_table(table))
         entry = next(e for e in doc["groups"] if e["degree"] == 3)
-        entry["rank"], entry["torsion"] = 1, [list(c) for c in group.primary]
+        entry["rank"], entry["torsion"] = 1, [list(c) for c in primary]
         with pytest.raises(TorsionExponentViolation, match=message):
             parse_table(json.dumps(doc))
     assert parse_table(render_table(table)) == table
+
+
+@pytest.mark.parametrize("m, p, error, message", [
+    (12, 4, NotSquareFree, "m=12 is not a positive square-free integer"),
+    (30, 6, TorsionExponentViolation, "torsion order 6 in degree 1 is not a prime of m=30"),
+])
+def test_a_table_is_refused_unless_m_is_square_free_and_p_is_its_prime(m, p, error, message):
+    # 4 divides 12 and 6 divides 30, but neither is a prime of a square-free m
+    groups = (AbelianGroup(1), AbelianGroup(0, ((p, 1),)))
+    with pytest.raises(error, match=message):
+        CohomologyTable(engine="oracle", n=1, m=m, max_degree=1, groups=groups)
+    valid = CohomologyTable(engine="oracle", n=1, m=2, max_degree=1, groups=(AbelianGroup(1),) * 2)
+    doc = json.loads(render_table(valid))
+    doc["m"], doc["groups"][1]["torsion"] = m, [[p, 1]]
+    with pytest.raises(error, match=message):
+        parse_table(json.dumps(doc))
 
 
 def test_report_deterministic():
@@ -571,4 +591,29 @@ def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_pat
     assert migrated.returncode == fresh.returncode == 0, migrated.stderr
     assert migrated.stdout == fresh.stdout
     assert json.loads(cache_get(key))["schema"] == "cohomology-table/2"
+    assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")
+
+
+@pytest.mark.parametrize("damage", ["degrees", "max_degree"])
+def test_a_cache_entry_with_other_degrees_is_recomputed_and_replaced(damage, tmp_path, monkeypatch):
+    # degrees [0, 0, 2, 3, ...] (degree 1 missing, degree 0 twice) are refused by
+    # parse_table; a consistent table of another max_degree parses but is not
+    # the one asked for
+    monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
+    spec = fixture_by_name("dinfty").spec
+    key = cache_key(spec, "oracle", 6)
+    if damage == "degrees":
+        doc = json.loads(render_table(build_table(spec, 6, "oracle")))
+        doc["groups"][1]["degree"] = 0
+        assert [e["degree"] for e in doc["groups"]][:4] == [0, 0, 2, 3]
+        with pytest.raises(ValueError, match="degrees are not 0..6"):
+            parse_table(canonical_dumps(doc))
+        cache_put(key, canonical_dumps(doc))
+    else:
+        cache_put(key, render_table(build_table(spec, 4, "oracle")))
+        assert parse_table(cache_get(key)).max_degree == 4
+    args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/dinfty.json")
+    cached, fresh = run_cli(*args), run_cli(*args, "--no-cache")
+    assert cached.returncode == fresh.returncode == 0, cached.stderr
+    assert cached.stdout == fresh.stdout
     assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")

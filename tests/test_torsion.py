@@ -372,7 +372,7 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
 def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path):
     # m = 6, phi = (Phi_2 + Phi_2 + Phi_3 + Phi_3)^k.  At n = 24 the longest
     # invariant-factor chain has 3,354,763 factors; at n = 72 theta reaches
-    # 7.9e20.  A group stores and prints one count per prime power, so both
+    # 7.9e20.  A group stores and prints one count per prime of m, so both
     # tables and their renderings stay small.
     blocks = [companion_of_cyclotomic(e) for e in (2, 2, 3, 3)] * k
     spec = GroupSpec(n=6 * k, m=6, phi=block_diagonal(blocks))
@@ -385,7 +385,7 @@ def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path):
             column = assemble_p_torsion(spec, p, top, variant)
             assert [g.p_multiplicity(p) for g in table.groups] == list(column), (variant, p)
             largest = max(largest, *column)
-        # distinct orders, each a prime of m: at most one entry per prime
+        # distinct p, each a prime of m: at most one entry per prime
         assert all({q for q, _ in g.primary} <= set(spec.primes) for g in table.groups)
         text = render_table(table)
         assert len(text) < 10_000 and len(table_markdown(table)) < 10_000, variant
