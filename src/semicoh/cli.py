@@ -17,6 +17,7 @@ input or a file error, 3 internal invariant violation, 4 dimension limit.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -71,11 +72,12 @@ def _cached_table(spec, engine, max_degree, use_cache):
         hit = cache_get(key)
         if hit is not None:
             try:
-                table = parse_table(hit)
-                if (table.n, table.m, table.engine, table.max_degree) == (
+                # the request is matched before a table is built: building one factors its m
+                doc = json.loads(hit)
+                if (doc["n"], doc["m"], doc["engine"], doc["max_degree"]) == (
                     spec.n, spec.m, engine, max_degree
                 ):
-                    return table
+                    return parse_table(hit)
             except Exception:  # noqa: BLE001 - corrupt cache entry: recompute
                 pass
     table = build_table(spec, max_degree, engine)

@@ -16,6 +16,13 @@ so N is eliminated once per prime p of q; and the Herbrand quotient, a
 trace count, gives the odd degrees from the even ones.  No part of the
 closed-form machinery is consulted (no eigenvalue census, Molien series
 or torsion formula), so this engine is a genuinely independent arbiter.
+
+The wedge pairing makes layer n - gamma the Z-dual of layer gamma
+twisted by det phi.  For a cyclic group, Tate duality (H^i(G; L*) is dual
+to H^(-i)(G; L), Brown, Cohomology of Groups, VI.7) and 2-periodicity
+give a lattice and its dual the same groups in every degree, so when
+det phi = 1 only layers gamma <= n/2 are evaluated.  When det phi = -1
+the sign twist changes them (layer 0 is Z, layer n is Z_det).
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .intmat import (
     _NUMPY_MIN_DIM,
     IntMatrix,
     certifies_rank,
+    det,
     norm_and_power,
     rank_mod_p,
     wedge_power,
@@ -197,8 +205,10 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
     three values determine every degree.  A lattice of rank below
     _NUMPY_MIN_DIM (6) has layers at most C(5, 2) = 10 wide; they come
     from wedge_power and norm_and_power in pure Python, which never load
-    numpy.  A lattice of rank at least 6 imports layers.py and gets every
-    layer as a numpy array from one pass of exterior_powers.
+    numpy.  A lattice of rank at least 6 imports layers.py and gets its
+    layers as numpy arrays from one pass of exterior_powers.  When det phi
+    = 1, layer n - gamma is read off layer gamma by duality (module
+    docstring), so layers past n // 2 are never built.
     """
     validate(spec)
     widest = comb(spec.n, spec.n // 2)
@@ -217,10 +227,13 @@ def e2_table(spec: GroupSpec, max_degree: int) -> CohomologyTable:
         from . import layers
 
         wedges = layers.exterior_powers(phi_star)
+    computed = spec.n // 2 + 1 if det(spec.phi) == 1 else spec.n + 1
     per_layer = []
-    for wedge in wedges:
+    # zip draws from range first, so no layer past the computed ones is built
+    for _, wedge in zip(range(computed), wedges):
         rep = CyclicRep(spec.m, wedge)
         per_layer.append(tuple(cyclic_cohomology(rep, alpha) for alpha in (0, 1, 2)))
+    per_layer += [per_layer[spec.n - gamma] for gamma in range(computed, spec.n + 1)]
     groups = [
         AbelianGroup.direct_sum(*(
             per_layer[gamma][0 if l == gamma else 2 - (l - gamma) % 2]

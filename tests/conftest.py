@@ -16,7 +16,7 @@ from semicoh.intmat import IntMatrix, contragredient
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, env_extra=None) -> subprocess.CompletedProcess:
+def run_cli(*args, env_extra=None, timeout=None) -> subprocess.CompletedProcess:
     """``python -m semicoh.cli *args`` from the repository root, output captured as text."""
     env = dict(os.environ)
     if env_extra:
@@ -27,6 +27,7 @@ def run_cli(*args, env_extra=None) -> subprocess.CompletedProcess:
         text=True,
         cwd=ROOT,
         env=env,
+        timeout=timeout,
     )
 
 

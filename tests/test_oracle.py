@@ -2,6 +2,7 @@
 
 import ast
 import sys
+from collections import Counter
 from math import comb, gcd
 from pathlib import Path
 
@@ -220,18 +221,23 @@ def _smith_cyclic_reference(psi, q, alpha):
     return G(0, *invariant_factors(norm))
 
 
-def _smith_table_reference(spec, top):
-    phi_star = contragredient(spec.phi)
-    layers = [
-        [_smith_cyclic_reference(wedge_power(phi_star, g), spec.m, a) for a in (0, 1, 2)]
-        for g in range(spec.n + 1)
-    ]
+def _assembled(layers, top):
+    """H^0..H^top of the direct-sum E2 page from each layer's (H^0, H^1, H^2)."""
+    n = len(layers) - 1
     return [
         AbelianGroup.direct_sum(*(
-            layers[g][0 if l == g else 2 - (l - g) % 2] for g in range(min(l, spec.n) + 1)
+            layers[g][0 if l == g else 2 - (l - g) % 2] for g in range(min(l, n) + 1)
         ))
         for l in range(top + 1)
     ]
+
+
+def _smith_table_reference(spec, top):
+    phi_star = contragredient(spec.phi)
+    return _assembled([
+        [_smith_cyclic_reference(wedge_power(phi_star, g), spec.m, a) for a in (0, 1, 2)]
+        for g in range(spec.n + 1)
+    ], top)
 
 
 def _reference_specs(rng):
@@ -292,11 +298,16 @@ def test_exterior_powers_match_wedge_power(rng):
             assert layer.tolist() == [list(row) for row in wedge_power(phi_star, gamma).data]
 
 
+def _computed_layers(spec):
+    """Layers e2_table evaluates: gamma <= n/2 when det phi = 1 (the rest by duality), else all."""
+    return spec.n // 2 + 1 if det(spec.phi) == 1 else spec.n + 1
+
+
 def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
-    # no Smith reduction at all: phi* is the power (phi^(m-1))^T; per layer,
-    # only N is eliminated, once mod every prime of m, shared by odd and
-    # even degrees; the certificate prime gets one product check of N and
-    # no elimination
+    # no Smith reduction at all: phi* is the power (phi^(m-1))^T; per
+    # computed layer, only N is eliminated, once mod every prime of m,
+    # shared by odd and even degrees; the certificate prime gets one
+    # product check of N and no elimination
     smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
     ranks = count_calls(monkeypatch, semicoh.oracle, "_rank_mod_p")
     certificates = count_calls(monkeypatch, semicoh.oracle, "certifies_rank")
@@ -318,7 +329,7 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
         reps.clear()
         e2_table(spec, spec.n + 3)
         assert smith == [], fixture.name
-        assert len(reps) == spec.n + 1, fixture.name
+        assert len(reps) == _computed_layers(spec), fixture.name
         norms = [id(rep.norm) for rep in reps]
         assert sorted((id(a), p) for a, p in ranks) == sorted(
             (norm, p) for norm in norms for p in spec.primes
@@ -330,12 +341,12 @@ def test_e2_table_reduces_each_layer_matrix_once(monkeypatch):
 
 
 def test_e2_table_builds_each_layer_power_chain_once(monkeypatch, rng):
-    # psi^1..psi^q come from one chain per layer, which yields N, the traces
-    # of psi^0..psi^(q-1) and the psi^q = 1 check: norm_and_power on the
-    # pure-Python layers of n < _NUMPY_MIN_DIM (every fixture),
-    # norm_trace_chain on the array layers of the wider conjugates; the
-    # only other power is phi^(m-1), whose transpose is the dual action, and
-    # no psi - 1 is built
+    # psi^1..psi^q come from one chain per computed layer, which yields N,
+    # the traces of psi^0..psi^(q-1) and the psi^q = 1 check:
+    # norm_and_power on the pure-Python layers of n < _NUMPY_MIN_DIM (every
+    # fixture), norm_trace_chain on the array layers of the wider
+    # conjugates; the only other power is phi^(m-1), whose transpose is the
+    # dual action, and no psi - 1 is built
     narrow = count_calls(monkeypatch, semicoh.oracle, "norm_and_power")
     wide = count_calls(monkeypatch, semicoh.layers, "norm_trace_chain")
     oracle_ops = []
@@ -354,11 +365,51 @@ def test_e2_table_builds_each_layer_power_chain_once(monkeypatch, rng):
         oracle_ops.clear()
         e2_table(spec, spec.n + 3)
         in_python = spec.n < semicoh.intmat._NUMPY_MIN_DIM
-        assert len(narrow if in_python else wide) == spec.n + 1, spec
+        assert len(narrow if in_python else wide) == _computed_layers(spec), spec
         assert len(wide if in_python else narrow) == 0, spec
         assert oracle_ops == [("__pow__", spec.phi, spec.m - 1)], spec
         wide_layers += len(wide)
-    assert wide_layers == 7 + 7 + 8, wide_layers  # every wide conjugate took the array branch
+    # every wide conjugate took the array branch; the (5, 3) one has det 1
+    assert [det(spec.phi) for spec in specs[-3:]] == [1, -1, -1]
+    assert wide_layers == 4 + 7 + 8, wide_layers
+
+
+def _every_layer(spec):
+    """(H^0, H^1, H^2) of each layer wedge^gamma phi*, gamma = 0..n, every one built and evaluated."""
+    phi_star = contragredient(spec.phi)
+    if spec.n < semicoh.intmat._NUMPY_MIN_DIM:
+        wedges = [wedge_power(phi_star, gamma) for gamma in range(spec.n + 1)]
+    else:
+        wedges = list(exterior_powers(phi_star))
+    return [tuple(cyclic_cohomology(CyclicRep(spec.m, w), a) for a in (0, 1, 2)) for w in wedges]
+
+
+def test_dual_layers_have_the_same_cohomology_when_det_is_one(rng):
+    # the wedge pairing makes layer n - gamma the Z-dual of layer gamma
+    # twisted by det phi; for Z/m, Tate duality and 2-periodicity give a
+    # lattice and its dual the same groups, which e2_table relies on to
+    # skip the upper layers when det phi = 1.  With det phi = -1 the twist
+    # shows: layer 0 is Z, layer n is Z_det, whose H^0 is 0.  Checked on
+    # layers built directly, then e2_table against the all-layer assembly,
+    # here and on one dense conjugate per oracle-dense size (n, m)
+    specs = [fixture.spec for fixture in fixture_suite() if fixture.valid]
+    specs += [random_companion_spec(rng, n_max=8) for _ in range(100)]
+    specs += [random_permutation_spec(rng, n_max=8, orders=(2, 3, 6, 10)) for _ in range(100)]
+    for n, m in ((8, 6), (9, 6), (8, 10), (9, 10), (8, 15), (9, 15)):
+        phi, conj = block_diagonal(_companion_sum(rng, m, n)), random_unimodular(rng, n)
+        specs.append(GroupSpec(n, m, conj @ phi @ contragredient(conj).transpose()))
+    signs, regular = Counter(), 0
+    for spec in specs:
+        layers, sign = _every_layer(spec), det(spec.phi)
+        signs[sign] += 1
+        if sign == 1:
+            assert layers == layers[::-1], spec
+        else:
+            assert layers[0] != layers[-1], spec
+        top = spec.n + 3
+        assert list(e2_table(spec, top).groups) == _assembled(layers, top), spec
+        regular += any(rst_decompose(spec, p).s for p in spec.primes)
+    assert signs[1] >= 100 and signs[-1] >= 40 and regular >= 40, (signs, regular)
 
 
 def test_oracle_imports_no_closed_form_machinery():

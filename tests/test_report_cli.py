@@ -617,3 +617,20 @@ def test_a_cache_entry_with_other_degrees_is_recomputed_and_replaced(damage, tmp
     assert cached.returncode == fresh.returncode == 0, cached.stderr
     assert cached.stdout == fresh.stdout
     assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")
+
+
+def test_a_cache_entry_for_a_huge_m_is_replaced_without_factoring_it(tmp_path, monkeypatch):
+    # the entry's n, m, engine and max_degree are matched against the request
+    # before a table is built: building one would trial-divide m = 2^61 - 1
+    # (a prime) for minutes
+    monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
+    spec = fixture_by_name("z5_z6").spec
+    key = cache_key(spec, "oracle", 6)
+    doc = json.loads(render_table(build_table(spec, 6, "oracle")))
+    doc["m"] = 2**61 - 1
+    cache_put(key, canonical_dumps(doc))
+    args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/z5_z6.json")
+    cached, fresh = run_cli(*args, timeout=60), run_cli(*args, "--no-cache")
+    assert cached.returncode == fresh.returncode == 0, cached.stderr
+    assert cached.stdout == fresh.stdout
+    assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")

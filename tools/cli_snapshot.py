@@ -9,6 +9,10 @@ subcommand, every ``--format`` it takes, every ``--engine`` and
 every ``--prime`` of 2 and 3, and each cached subcommand with and without
 ``--no-cache``.  It also runs ``fixtures``, ``fixtures --dir`` (the
 exported files are recorded too), ``--version`` and every ``--help``.
+Every fixture has rank at most 5, so the oracle's numpy layers are
+reached through ``analyze --engine oracle`` and ``compare --format json``
+on a few companion-block sums of rank 6 to 9 (``WIDE_GROUPS``), written
+to a private temporary directory and never to ``fixtures/``.
 
 Each file in OUTDIR holds one call's command line, exit code, stdout and
 stderr.  The calls run one after another in a fixed order, so whether an
@@ -26,6 +30,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +47,17 @@ ENGINES = [("--engine", "oracle")] + [
 DEGREES = [(), ("--max-degree", "9")]
 CACHE = [(), ("--no-cache",)]
 PRIMES = [(), ("--prime", "2"), ("--prime", "3")]
+
+# monic cyclotomic polynomials Phi_e as [c_0, ..., c_(d-1)] below x^d
+CYCLOTOMIC = {1: [-1], 2: [1], 3: [1, 1], 5: [1, 1, 1, 1], 6: [1, -1], 10: [1, -1, 1, -1]}
+# name -> (m, the e of each companion block): odd and even n, det phi +1 and -1
+WIDE_GROUPS = {
+    "wide_n6_m6": (6, (3, 6, 3)),  # det 1
+    "wide_n7_m10": (10, (10, 2, 1, 1)),  # det -1
+    "wide_n8_m6": (6, (6, 3, 2, 1, 2, 2)),  # det -1
+    "wide_n9_m15": (15, (5, 3, 3, 1)),  # det 1
+}
+WIDE_CALLS = [("analyze", "--engine", "oracle"), ("compare", "--format", "json")]
 
 
 def _formats(*names):
@@ -72,6 +88,30 @@ def calls() -> list[tuple[str, ...]]:
         path = f"fixtures/{fixture.name}"
         out += [(name, *options, path) for name, table in SUBCOMMANDS.items() for options in table]
     return out
+
+
+def companion_sum(orders) -> list[list[int]]:
+    """The block-diagonal sum of the companion matrices of Phi_e, e in ``orders``."""
+    coefficients = [CYCLOTOMIC[e] for e in orders]
+    n = sum(map(len, coefficients))
+    phi, start = [[0] * n for _ in range(n)], 0
+    for c in coefficients:
+        last = start + len(c) - 1
+        for i, c_i in enumerate(c):
+            phi[start + i][last] = -c_i
+            if start + i < last:
+                phi[start + i + 1][start + i] = 1
+        start = last + 1
+    return phi
+
+
+def write_wide_groups(directory: Path) -> list[tuple[str, ...]]:
+    """Write WIDE_GROUPS as group files into ``directory``; the calls to run there."""
+    for name, (m, orders) in WIDE_GROUPS.items():
+        phi = companion_sum(orders)
+        doc = {"m": m, "n": len(phi), "name": name, "phi": phi}
+        (directory / f"{name}.json").write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    return [(*call, f"{name}.json") for name in WIDE_GROUPS for call in WIDE_CALLS]
 
 
 def file_name(args) -> str:
@@ -106,11 +146,12 @@ def main(argv=None) -> int:
                         help="directory holding the semicoh package to run")
     args = parser.parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as cache:
+    with tempfile.TemporaryDirectory() as cache, tempfile.TemporaryDirectory() as wide:
         env = dict(os.environ, PYTHONPATH=str(args.src.resolve()), SEMICOH_CACHE_DIR=cache)
-        todo = calls()
-        for call in todo:
-            (args.outdir / file_name(call)).write_text(record(call, env, ROOT), encoding="utf-8")
+        todo = [(call, ROOT) for call in calls()]
+        todo += [(call, Path(wide)) for call in write_wide_groups(Path(wide))]
+        for call, cwd in todo:
+            (args.outdir / file_name(call)).write_text(record(call, env, cwd), encoding="utf-8")
         (args.outdir / "fixtures_dir.txt").write_text(export_fixtures(env), encoding="utf-8")
     print(f"wrote {len(todo) + 1} calls to {args.outdir}")
     return 0
