@@ -24,7 +24,13 @@ class InternalInvariantError(CohomologyError):
 
 
 class DimensionTooLarge(CohomologyError):
-    """Refusing a computation whose widest exterior power is over the oracle's cap."""
+    """Refusing a computation over a size cap.
+
+    The oracle refuses a lattice whose widest exterior power has more than
+    3432 rows (n <= 14).  Validation refuses m > 100000 before it factors
+    m, since every engine runs over all m powers of phi; README's "Known
+    limits" has the timings that set the cap.
+    """
 
 
 # -- input errors -----------------------------------------------------------

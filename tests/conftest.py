@@ -1,13 +1,13 @@
-import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import pytest
 
 from semicoh.abelian import AbelianGroup
+from semicoh.cli import main
 from semicoh.cyclotomic import companion_of_cyclotomic, divisors, euler_phi
 from semicoh.groups import GroupSpec, _factorint
 from semicoh.intmat import IntMatrix, contragredient
@@ -16,19 +16,44 @@ from semicoh.intmat import IntMatrix, contragredient
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_cli(*args, env_extra=None, timeout=None) -> subprocess.CompletedProcess:
-    """``python -m semicoh.cli *args`` from the repository root, output captured as text."""
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, timeout=None) -> subprocess.CompletedProcess:
+    """``python -m semicoh.cli *args`` in a fresh interpreter from the repository root.
+
+    Only a test of the process itself starts one (tests/test_process_budget.py);
+    every other CLI test uses the in-process ``cli`` fixture.
+    """
     return subprocess.run(
         [sys.executable, "-m", "semicoh.cli", *args],
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env=env,
         timeout=timeout,
     )
+
+
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+@pytest.fixture
+def cli(tmp_path, monkeypatch, capsys):
+    """``cli(*args)`` runs ``semicoh.cli.main`` in this process from the repository root.
+
+    It returns (exit code, stdout, stderr), with argparse's SystemExit turned
+    into its exit code.  The cache lives in the test's tmp_path, unless the
+    test sets SEMICOH_CACHE_DIR itself.
+    """
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
+
+    def run(*args) -> CliRun:
+        capsys.readouterr()
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        return CliRun(code, *capsys.readouterr())
+
+    return run
 
 
 def cyclic_sum(rank: int, orders) -> AbelianGroup:

@@ -2,6 +2,7 @@
 
 import dataclasses
 from collections import Counter
+from itertools import count
 
 import pytest
 
@@ -19,6 +20,7 @@ from semicoh.cyclotomic import (
 from semicoh.engines import formula_table, molien_column, rank_column
 from semicoh.errors import (
     BadInvariantFactors,
+    DimensionTooLarge,
     NonIntegralOrbitCount,
     NonInvariantBlock,
     NotADivisor,
@@ -35,7 +37,9 @@ from semicoh.fixtures import (
 from semicoh.groups import (
     GroupSpec,
     RstDecomposition,
+    _MAX_M,
     _chain_combination,
+    _factorint,
     _norm_coeffs,
     _piece_norm_coeffs,
     free_outside_origin,
@@ -90,6 +94,24 @@ def test_validate_rejects_wrong_order():
 def test_validate_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         validate(GroupSpec(1, 2, IntMatrix([[2]])))
+
+
+def test_validate_refuses_an_m_over_the_cap_before_factoring_it(monkeypatch):
+    # the largest square-free m at or below the cap is accepted, the next one
+    # above it refused; README's examples 2310 and 30030 stay below the cap
+    def square_free(m):
+        return all(e == 1 for e in _factorint(m).values())
+
+    below = next(m for m in range(_MAX_M, 0, -1) if square_free(m))
+    above = next(m for m in count(_MAX_M + 1) if square_free(m))
+    for m in (2310, 30030, below):
+        validate(GroupSpec(1, m, IntMatrix([[1]])))
+    with pytest.raises(NotSquareFree):  # the cap itself, 2^5 * 5^5, passes the size check
+        validate(GroupSpec(1, _MAX_M, IntMatrix([[1]])))
+    factored = count_calls(monkeypatch, semicoh.groups, "_factorint")
+    with pytest.raises(DimensionTooLarge, match=f"m={above} is over the cap of {_MAX_M}"):
+        validate(GroupSpec(1, above, IntMatrix([[1]])))
+    assert factored == []
 
 
 def test_validate_checks_each_spec_once(monkeypatch, rng):

@@ -23,6 +23,7 @@ from semicoh.intmat import IntMatrix
 from semicoh.iojson import (
     canonical_dumps,
     group_to_json_dict,
+    load_group_file,
     parse_group_document,
     parse_table,
     render_table,
@@ -155,8 +156,8 @@ def test_fixture_suite_compare_completes_and_ranks_agree():
         assert "Erratum notes" in md
 
 
-def test_cli_analyze_oracle_json(tmp_path):
-    result = run_cli(
+def test_cli_analyze_oracle_json(cli):
+    result = cli(
         "analyze", "--engine", "oracle", "--format", "json", "--no-cache",
         "fixtures/dinfty.json",
     )
@@ -165,8 +166,8 @@ def test_cli_analyze_oracle_json(tmp_path):
     assert doc["groups"][2]["torsion"] == [[2, 2]]
 
 
-def test_cli_analyze_both_engines_md():
-    result = run_cli(
+def test_cli_analyze_both_engines_md(cli):
+    result = cli(
         "analyze", "--max-degree", "8", "--engine", "both", "--no-cache",
         "fixtures/z5_z6.json",
     )
@@ -176,8 +177,8 @@ def test_cli_analyze_both_engines_md():
     assert "oracle" in result.stdout
 
 
-def test_cli_analyze_csv():
-    result = run_cli(
+def test_cli_analyze_csv(cli):
+    result = cli(
         "analyze", "--format", "csv", "--max-degree", "4", "--no-cache",
         "fixtures/p3.json",
     )
@@ -191,15 +192,16 @@ def test_cli_analyze_csv():
 
 
 def test_cli_validation_exit_code():
+    # the one exit-code test through the `python -m semicoh.cli` entry point
     result = run_cli("analyze", "fixtures/m4_reject.json")
     assert result.returncode == 2
     assert "square" in result.stderr.lower() or "2^2" in result.stderr
 
 
-def test_cli_internal_invariant_exit_code():
+def test_cli_internal_invariant_exit_code(cli):
     # the order-6 planar action has non-integral orbit coefficients; a direct
     # formula-engine analyze surfaces that as an internal invariant violation
-    result = run_cli(
+    result = cli(
         "analyze", "--engine", "formula", "--variant", "corrected", "--no-cache",
         "fixtures/p6.json",
     )
@@ -207,15 +209,15 @@ def test_cli_internal_invariant_exit_code():
     assert "not an integer" in result.stderr
 
 
-def test_cli_dimension_exit_code(tmp_path):
+def test_cli_dimension_exit_code(tmp_path, cli):
     doc = {"n": 25, "m": 2, "phi": [[1 if i == j else 0 for j in range(25)] for i in range(25)]}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    result = run_cli("analyze", "--engine", "oracle", "--no-cache", str(path))
+    result = cli("analyze", "--engine", "oracle", "--no-cache", str(path))
     assert result.returncode == 4
 
 
-def test_cli_compare_and_subcommands():
+def test_cli_compare_and_subcommands(cli):
     for cmd in (
         ["compare", "--max-degree", "6", "--format", "json"],
         ["rank", "--format", "json", "--no-cache"],
@@ -223,13 +225,13 @@ def test_cli_compare_and_subcommands():
         ["isotropy", "--format", "json"],
         ["census", "--format", "json"],
     ):
-        result = run_cli(*cmd, "fixtures/z5_z6.json")
+        result = cli(*cmd, "fixtures/z5_z6.json")
         assert result.returncode == 0, (cmd, result.stderr)
         json.loads(result.stdout)
 
 
-def test_cli_compare_prime_filter():
-    result = run_cli(
+def test_cli_compare_prime_filter(cli):
+    result = cli(
         "compare", "--max-degree", "6", "--prime", "3", "--format", "json",
         "fixtures/z5_z6.json",
     )
@@ -272,27 +274,21 @@ def test_compare_refuses_a_foreign_prime_before_the_oracle(monkeypatch):
     assert oracle_calls == []
 
 
-def test_cli_census_reduces_each_psi_minus_one_once():
+def test_cli_census_reduces_each_psi_minus_one_once(monkeypatch, cli):
     # the freeness test and the class count read one det of psi_p - 1 per
     # prime of m = 6, after validate's det of phi, and run no Smith form;
-    # each used to reduce every psi_p - 1 itself
-    code = (
-        "import sys, semicoh.groups as g, semicoh.intmat as im, semicoh.cli as cli\n"
-        "from semicoh.iojson import load_group_file\n"
-        "dets, det = [], g.det\n"
-        "g.det = lambda a: dets.append(a) or det(a)\n"
-        "smith, snf = [], im.smith_normal_form\n"
-        "im.smith_normal_form = lambda a: smith.append(a) or snf(a)\n"
-        "status = cli.main(['census', '--format', 'json', 'fixtures/p6.json'])\n"
-        "got = list(dets)\n"
-        "spec = load_group_file('fixtures/p6.json')\n"
-        "one = im.IntMatrix.identity(spec.n)\n"
-        "expected = [spec.phi] + [spec.psi(p) - one for p in spec.primes]\n"
-        "print(status, len(got), got == expected, len(smith), file=sys.stderr)\n"
-    )
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, cwd=ROOT)
-    assert result.stderr.split() == ["0", "3", "True", "0"], result.stderr
+    # each used to reduce every psi_p - 1 itself.  Both dets are memoised,
+    # so the counts start from cold caches.
+    semicoh.groups._check.cache_clear()
+    semicoh.groups._psi_minus_one_det.cache_clear()
+    dets = count_calls(monkeypatch, semicoh.groups, "det")
+    smith = count_calls(monkeypatch, semicoh.intmat, "smith_normal_form")
+    status = cli("census", "--format", "json", "fixtures/p6.json").returncode
+    got = [a for (a,) in dets]
+    spec = load_group_file(ROOT / "fixtures" / "p6.json")
+    one = IntMatrix.identity(spec.n)
+    expected = [spec.phi] + [spec.psi(p) - one for p in spec.primes]
+    assert (status, len(got), got == expected, len(smith)) == (0, 3, True, 0), got
 
 
 RST_KEYS = {"r", "s", "t", "trivial_block_census", "free_origin_block_census"}
@@ -342,10 +338,10 @@ FOREIGN_PRIME = "is not a prime factor"
     ids=["analyze-degree", "compare-degree", "rank-degree", "compare-prime",
          "rst-prime", "compare-prime-zero"],
 )
-def test_cli_refuses_bad_degree_or_prime(args, message):
+def test_cli_refuses_bad_degree_or_prime(args, message, cli):
     # z5_z6 has m = 6: 0 and 5 are not prime factors of m; the message shows
     # that the handler refused the value, not argparse
-    result = run_cli(*args, "fixtures/z5_z6.json")
+    result = cli(*args, "fixtures/z5_z6.json")
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
@@ -457,8 +453,8 @@ REMOVED_OPTIONS = [
 
 @pytest.mark.parametrize("cmd, extra", REMOVED_OPTIONS,
                          ids=[f"{cmd}{extra[0]}" for cmd, extra in REMOVED_OPTIONS])
-def test_cli_refuses_option_the_subcommand_does_not_read(cmd, extra):
-    result = run_cli(cmd, "fixtures/z5_z6.json", *extra)
+def test_cli_refuses_option_the_subcommand_does_not_read(cmd, extra, cli):
+    result = cli(cmd, "fixtures/z5_z6.json", *extra)
     assert result.returncode == 2, result.stderr
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
@@ -467,20 +463,15 @@ def test_cli_refuses_option_the_subcommand_does_not_read(cmd, extra):
     assert expected in result.stderr
 
 
-def test_cli_determinism():
+def test_cli_determinism(monkeypatch):
+    # two fresh interpreters under different hash seeds print the same report
     args = ("compare", "--max-degree", "8", "--format", "json", "fixtures/z5_z6.json")
+    monkeypatch.setenv("PYTHONHASHSEED", "1")
     a = run_cli(*args)
+    monkeypatch.setenv("PYTHONHASHSEED", "2")
     b = run_cli(*args)
+    assert a.returncode == b.returncode == 0, a.stderr + b.stderr
     assert a.stdout == b.stdout
-
-
-def test_cli_import_does_not_load_numpy():
-    # numpy is imported lazily, by the int64 matrix product and by the
-    # oracle's layers module, both only at least _NUMPY_MIN_DIM (6) wide
-    code = "import sys, semicoh.cli; assert 'numpy' not in sys.modules"
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                            text=True, cwd=ROOT)
-    assert result.returncode == 0, result.stderr
 
 
 _COMPUTING_ARGVS = (
@@ -494,24 +485,53 @@ _COMPUTING_ARGVS = (
 )
 
 
-def _cli_exit_codes_and_numpy(path):
-    """(exit code of main per _COMPUTING_ARGVS on path, numpy loaded), in one fresh process."""
-    code = ("import sys; from semicoh.cli import main; "
-            f"codes = [main(argv + [{str(path)!r}]) for argv in {list(_COMPUTING_ARGVS)!r}]; "
-            "print(repr((codes, 'numpy' in sys.modules)), file=sys.stderr)")
+def _cli_exit_codes_and_numpy(paths):
+    """In one fresh process: numpy loaded by ``import semicoh.cli``, and for each path
+    (exit code of main per _COMPUTING_ARGVS, numpy loaded after them)."""
+    code = ("import sys\n"
+            "from semicoh.cli import main\n"
+            "runs = ['numpy' in sys.modules]\n"
+            f"for path in {[str(path) for path in paths]!r}:\n"
+            f"    codes = [main(argv + [path]) for argv in {list(_COMPUTING_ARGVS)!r}]\n"
+            "    runs.append((codes, 'numpy' in sys.modules))\n"
+            "print(repr(runs), file=sys.stderr)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, cwd=ROOT)
     assert result.returncode == 0, result.stderr
-    return ast.literal_eval(result.stderr.splitlines()[-1])
+    at_import, *runs = ast.literal_eval(result.stderr.splitlines()[-1])
+    return at_import, runs
 
 
-@pytest.mark.parametrize("name", [f.name for f in fixture_suite() if f.valid])
-def test_cli_on_shipped_fixtures_does_not_load_numpy(name):
+SHIPPED = [f.name for f in fixture_suite() if f.valid]
+
+
+@pytest.fixture(scope="module")
+def shipped_fixture_runs():
+    """numpy loaded at import, and {name: (exit codes, numpy loaded)} per shipped fixture.
+
+    One process runs every fixture in turn, so a fixture's flag also covers
+    the fixtures before it: the first fixture that loads numpy is the first
+    test to fail.
+    """
+    at_import, runs = _cli_exit_codes_and_numpy(
+        [ROOT / "fixtures" / f"{name}.json" for name in SHIPPED])
+    return at_import, dict(zip(SHIPPED, runs))
+
+
+def test_cli_import_does_not_load_numpy(shipped_fixture_runs):
+    # numpy is imported lazily, by the int64 matrix product and by the
+    # oracle's layers module, both only at least _NUMPY_MIN_DIM (6) wide
+    at_import, _ = shipped_fixture_runs
+    assert not at_import
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_cli_on_shipped_fixtures_does_not_load_numpy(name, shipped_fixture_runs):
     # every shipped fixture has rank n <= 5 < _NUMPY_MIN_DIM: its products,
     # exterior layers and power chains stay on Python integers.  p6's plain
     # analyze exits 3 on its non-integral formula cells (see
     # test_cli_internal_invariant_exit_code); its oracle-only analyze runs
-    codes, loaded = _cli_exit_codes_and_numpy(ROOT / "fixtures" / f"{name}.json")
+    codes, loaded = shipped_fixture_runs[1][name]
     assert codes == [3 if name == "p6" and i == 0 else 0 for i in range(len(codes))], codes
     assert not loaded
 
@@ -523,22 +543,22 @@ def test_cli_on_a_rank_six_group_loads_numpy(tmp_path):
     spec = GroupSpec(semicoh.intmat._NUMPY_MIN_DIM, 6, phi, name="z6_z6")
     path = tmp_path / "z6_z6.json"
     path.write_text(json.dumps(group_to_json_dict(spec)), encoding="utf-8")
-    codes, loaded = _cli_exit_codes_and_numpy(path)
+    _, [(codes, loaded)] = _cli_exit_codes_and_numpy([path])
     assert codes == [0] * len(codes), codes
     assert loaded
 
 
-def test_cli_fixtures_listing():
-    result = run_cli("fixtures")
+def test_cli_fixtures_listing(cli):
+    result = cli("fixtures")
     assert result.returncode == 0
     for name in ("dinfty", "z5_z6", "m4_reject"):
         assert name in result.stdout
 
 
-def test_committed_fixtures_equal_generated(tmp_path):
+def test_committed_fixtures_equal_generated(tmp_path, cli):
     # the CLI tests and perfbench read fixtures/*.json, the library tests
     # read fixture_suite(); the two must not drift apart
-    result = run_cli("fixtures", "--dir", str(tmp_path))
+    result = cli("fixtures", "--dir", str(tmp_path))
     assert result.returncode == 0, result.stderr
     committed = ROOT / "fixtures"
     names = sorted(path.name for path in tmp_path.glob("*.json"))
@@ -560,19 +580,19 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert cache_get(cache_key(spec, "oracle", 6)) is None
 
 
-def test_cli_cache_hit_equals_recompute(tmp_path):
-    env = {"SEMICOH_CACHE_DIR": str(tmp_path)}
+def test_cli_cache_hit_equals_recompute(tmp_path, cli):
+    # the cli fixture keeps the cache in tmp_path
     args = ("analyze", "--engine", "oracle", "--format", "json", "--max-degree", "6",
             "fixtures/p3.json")
-    cold = run_cli(*args, env_extra=env)
-    warm = run_cli(*args, env_extra=env)
-    fresh = run_cli(*args, "--no-cache", env_extra=env)
+    cold = cli(*args)
+    warm = cli(*args)
+    fresh = cli(*args, "--no-cache")
     assert cold.returncode == warm.returncode == fresh.returncode == 0
     assert cold.stdout == warm.stdout == fresh.stdout
     assert list(Path(tmp_path).glob("*.json"))
 
 
-def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_path, monkeypatch):
+def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_path, monkeypatch, cli):
     # cohomology-table/1 listed one invariant factor per cyclic summand; for
     # m = 2 that chain is one 2 per copy of Z/2
     monkeypatch.setenv("SEMICOH_CACHE_DIR", str(tmp_path))
@@ -587,7 +607,7 @@ def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_pat
     with pytest.raises(SpecInputError, match="cohomology-table/2"):
         parse_table(cache_get(key))
     args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/dinfty.json")
-    migrated, fresh = run_cli(*args), run_cli(*args, "--no-cache")
+    migrated, fresh = cli(*args), cli(*args, "--no-cache")
     assert migrated.returncode == fresh.returncode == 0, migrated.stderr
     assert migrated.stdout == fresh.stdout
     assert json.loads(cache_get(key))["schema"] == "cohomology-table/2"
@@ -595,7 +615,8 @@ def test_a_cache_entry_of_the_first_table_schema_is_refused_and_replaced(tmp_pat
 
 
 @pytest.mark.parametrize("damage", ["degrees", "max_degree"])
-def test_a_cache_entry_with_other_degrees_is_recomputed_and_replaced(damage, tmp_path, monkeypatch):
+def test_a_cache_entry_with_other_degrees_is_recomputed_and_replaced(damage, tmp_path, monkeypatch,
+                                                                   cli):
     # degrees [0, 0, 2, 3, ...] (degree 1 missing, degree 0 twice) are refused by
     # parse_table; a consistent table of another max_degree parses but is not
     # the one asked for
@@ -613,13 +634,13 @@ def test_a_cache_entry_with_other_degrees_is_recomputed_and_replaced(damage, tmp
         cache_put(key, render_table(build_table(spec, 4, "oracle")))
         assert parse_table(cache_get(key)).max_degree == 4
     args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/dinfty.json")
-    cached, fresh = run_cli(*args), run_cli(*args, "--no-cache")
+    cached, fresh = cli(*args), cli(*args, "--no-cache")
     assert cached.returncode == fresh.returncode == 0, cached.stderr
     assert cached.stdout == fresh.stdout
     assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")
 
 
-def test_a_cache_entry_for_a_huge_m_is_replaced_without_factoring_it(tmp_path, monkeypatch):
+def test_a_cache_entry_for_a_huge_m_is_replaced_without_factoring_it(tmp_path, monkeypatch, cli):
     # the entry's n, m, engine and max_degree are matched against the request
     # before a table is built: building one would trial-divide m = 2^61 - 1
     # (a prime) for minutes
@@ -630,7 +651,20 @@ def test_a_cache_entry_for_a_huge_m_is_replaced_without_factoring_it(tmp_path, m
     doc["m"] = 2**61 - 1
     cache_put(key, canonical_dumps(doc))
     args = ("analyze", "--engine", "oracle", "--max-degree", "6", "fixtures/z5_z6.json")
-    cached, fresh = run_cli(*args, timeout=60), run_cli(*args, "--no-cache")
+    # a fresh interpreter, so that a regression fails on the timeout instead of hanging
+    cached, fresh = run_cli(*args, timeout=60), cli(*args, "--no-cache")
     assert cached.returncode == fresh.returncode == 0, cached.stderr
     assert cached.stdout == fresh.stdout
     assert parse_table(cache_get(key)) == build_table(spec, 6, "oracle")
+
+
+def test_a_group_file_with_a_huge_m_exits_4_promptly(tmp_path):
+    # m = 2^61 - 1 is a prime: trial division would run for minutes, and every
+    # engine builds m powers of phi.  m is refused by size before it is
+    # factored; a fresh interpreter, so that a regression fails on the timeout
+    path = tmp_path / "huge_m.json"
+    path.write_text(json.dumps({"n": 1, "m": 2**61 - 1, "phi": [[1]]}), encoding="utf-8")
+    result = run_cli("analyze", "--no-cache", str(path), timeout=30)
+    assert result.returncode == 4, result.stderr
+    assert result.stdout == ""
+    assert result.stderr == f"error: m={2**61 - 1} is over the cap of 100000\n"

@@ -36,7 +36,6 @@ from conftest import (
     cycle_matrix,
     random_companion_spec,
     random_permutation_spec,
-    run_cli,
 )
 
 
@@ -369,7 +368,7 @@ def test_one_product_per_subset_and_counts_into_the_group(monkeypatch):
 
 
 @pytest.mark.parametrize("k", [4, 12])
-def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path):
+def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path, cli):
     # m = 6, phi = (Phi_2 + Phi_2 + Phi_3 + Phi_3)^k.  At n = 24 the longest
     # invariant-factor chain has 3,354,763 factors; at n = 72 theta reaches
     # 7.9e20.  A group stores and prints one count per prime of m, so both
@@ -394,7 +393,7 @@ def test_the_closed_forms_answer_past_the_chain_wall(k, tmp_path):
     if k == 4:
         path = tmp_path / "n24.json"
         path.write_text(canonical_dumps(group_to_json_dict(spec)), encoding="utf-8")
-        result = run_cli("analyze", "--engine", "formula", "--format", "csv", "--no-cache", str(path))
+        result = cli("analyze", "--engine", "formula", "--format", "csv", "--no-cache", str(path))
         assert result.returncode == 0, result.stderr
         assert len(result.stdout) < 10_000 and result.stdout.count("\n") == top + 2
 
